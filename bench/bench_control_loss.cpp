@@ -8,10 +8,8 @@
 // degrades gracefully — joins and repairs get slower, but never hang —
 // up to at least 10% control loss.
 //
-// Runs on the sharded kernel by default (run_scenario_sharded, 4 shards x 2
-// workers — the production runner); pass --sequential for the single-queue
-// run_scenario. The two runners consume different RNG streams by design, so
-// their absolute numbers differ; each is deterministic in itself.
+// Runs on the sharded kernel (run_scenario_sharded, 4 shards x 2 workers —
+// the production runner); the report is the same at any shard/worker count.
 //
 // A second axis sweeps the generation structure (dense, banded w = g/8,
 // overlapped classes) at 10% control loss: same protocol, different data
@@ -19,7 +17,6 @@
 // real serialized sizes (net.data_bytes).
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +24,7 @@
 #include "bench_common.hpp"
 #include "coding/structure.hpp"
 #include "node/protocol_scenario.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_event.hpp"
 #include "util/stats.hpp"
@@ -35,14 +33,22 @@ using namespace ncast;
 
 namespace {
 
-// Sharded-by-default runner switch (--sequential restores run_scenario).
-bool g_sequential = false;
 constexpr std::uint32_t kShards = 4;
 constexpr std::uint32_t kWorkers = 2;
 
-node::ProtocolScenarioReport run(const node::ProtocolScenarioSpec& spec) {
-  return g_sequential ? node::run_scenario(spec)
-                      : node::run_scenario_sharded(spec, kShards, kWorkers);
+// Engine throughput over every scenario the bench runs, reported the way
+// bench_scale reports it: events executed per wall-clock second of run.
+std::uint64_t g_events = 0;
+double g_run_s = 0.0;
+
+node::ProtocolScenarioReport run(const node::ProtocolScenarioSpec& spec,
+                                 std::uint32_t shards = kShards,
+                                 std::uint32_t workers = kWorkers) {
+  obs::Stopwatch wall;
+  auto report = node::run_scenario_sharded(spec, shards, workers);
+  g_run_s += wall.elapsed_ns() * 1e-9;
+  g_events += report.events_executed;
+  return report;
 }
 
 struct SweepPoint {
@@ -85,9 +91,10 @@ bool capture_trace(std::uint32_t n) {
   // guaranteed to be lost, which is exactly the chain we want on record.
   spec.transport.control_loss = sim::LossSpec::bernoulli(0.20);
   spec.faults.join_burst(1.0, n, 1.0);
-  // Deliberately the sequential runner: the span-chain reconstruction wants
-  // one globally ordered trace, not per-lane interleavings.
-  node::run_scenario(spec);
+  // Deliberately one shard and no workers: the only configuration whose
+  // trace clock is monotone, so the export is one globally ordered trace,
+  // not per-lane interleavings.
+  run(spec, 1, 0);
 
   std::map<ncast::obs::SpanId, JoinChain> chains;
   for (const auto& e : ncast::obs::trace().events_in_order()) {
@@ -129,10 +136,7 @@ bool capture_trace(std::uint32_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sequential") == 0) g_sequential = true;
-  }
+int main() {
   const bool smoke = bench::smoke();
   const std::uint32_t n = smoke ? 12 : 24;
   const std::uint64_t trials = smoke ? 1 : 3;
@@ -145,15 +149,13 @@ int main(int argc, char** argv) {
   session.param("seed", std::uint64_t{0xE220});
   session.param("trials", trials);
   session.param("crash_time", crash_time);
-  session.param("runner", g_sequential ? "sequential" : "sharded");
 
   bench::banner(
       "E22: join latency and repair convergence vs control-link loss",
-      "Message plane on the event kernel (sharded runner by default;\n"
-      "--sequential for the single-queue one): N clients join through lossy\n"
-      "control links (latency U[0.5, 1.5]), two early joiners crash, their\n"
-      "children's complaints drive the repair. Data links stay clean, so\n"
-      "every slowdown below is purely the control plane.");
+      "Message plane on the sharded event kernel: N clients join through\n"
+      "lossy control links (latency U[0.5, 1.5]), two early joiners crash,\n"
+      "their children's complaints drive the repair. Data links stay clean,\n"
+      "so every slowdown below is purely the control plane.");
 
   std::vector<double> rates = {0.0, 0.05, 0.10, 0.15, 0.20};
   if (smoke) rates = {0.0, 0.10};
@@ -321,8 +323,8 @@ int main(int argc, char** argv) {
     spec.transport.latency = sim::LatencySpec::uniform(0.5, 1.5);
     spec.transport.control_loss = sim::LossSpec::bernoulli(0.10);
     spec.faults.join_burst(1.0, smoke ? 6 : 12, 1.0);
-    const auto a = node::run_scenario_sharded(spec, 1, 0);
-    const auto b = node::run_scenario_sharded(spec, kShards, kWorkers);
+    const auto a = run(spec, 1, 0);
+    const auto b = run(spec);
     invariance_ok = a.messages_sent == b.messages_sent &&
                     a.data_bytes == b.data_bytes &&
                     a.control_bytes == b.control_bytes &&
@@ -343,6 +345,8 @@ int main(int argc, char** argv) {
   // buffer is live.
   const bool trace_ok = capture_trace(n);
   session.note("trace_span_chain", trace_ok);
+  session.note("events_per_sec",
+               g_run_s > 0.0 ? static_cast<double>(g_events) / g_run_s : 0.0);
   if (NCAST_OBS_ENABLED && !trace_ok) {
     std::fprintf(stderr,
                  "bench_control_loss: no join span with a complete retry "

@@ -9,10 +9,11 @@
 
 #include "bench_common.hpp"
 #include "node/gossip_peer.hpp"
+#include "node/sharded_transport.hpp"
 #include "overlay/defect.hpp"
 #include "overlay/flow_graph.hpp"
 #include "overlay/gossip.hpp"
-#include "sim/event_engine.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/stats.hpp"
 
 using namespace ncast;
@@ -90,24 +91,25 @@ int main() {
       "point of Section 3: the topology matters, not who hands out threads.\n");
 
   // E12c — the same discovery cost measured as real wire traffic: GossipPeer
-  // endpoints on the event kernel, where a join is slot requests, denials
+  // endpoints on the sharded kernel, where a join is slot requests, denials
   // with view samples, and grants carrying the stream plan and key bundles.
   // Control bytes use the full Message::control_size() accounting (peer
   // lists and key bundles included), so this is the honest per-join price
   // the walk-count estimate above approximates.
   bench::banner(
-      "E12c: gossip join cost on the message plane (event kernel)",
-      "Source + 60 peers on a KernelTransport (latency U[0.5, 1.5]); all\n"
+      "E12c: gossip join cost on the message plane (sharded kernel)",
+      "Source + 60 peers on a ShardedTransport (latency U[0.5, 1.5]); all\n"
       "peers join and stream 2 generations of 8 x 8 B. 3 trials averaged.");
   {
     RunningStats ctrl_per_join, bytes_per_join, settled;
     const std::size_t peers_n = 60;
     for (std::uint64_t trial = 0; trial < 3; ++trial) {
-      sim::EventEngine engine;
+      // Peer address a on lane a; one shard, since the numbers are the same
+      // at any shard/worker count. Epoch = the minimum link latency.
+      sim::ShardedEngine engine(1, 0, 0.5);
       node::TransportSpec link;
       link.latency = sim::LatencySpec::uniform(0.5, 1.5);
-      node::KernelTransport net(
-          engine, link, sim::RngStreams(0xED600 + trial).stream("bench.gossip"));
+      node::ShardedTransport net(engine, link, 0xED600 + trial, peers_n + 2);
 
       node::GossipPeerConfig cfg;
       cfg.want_parents = 3;
@@ -120,7 +122,7 @@ int main() {
       Rng content_rng(0xED700 + trial);
       for (auto& b : bytes) b = static_cast<std::uint8_t>(content_rng.below(256));
       node::GossipPeer source(1, source_cfg, std::move(bytes), 8, 8);
-      source.start(engine, net);
+      source.start(engine.lane(1), net);
 
       std::vector<std::unique_ptr<node::GossipPeer>> peers;
       for (std::size_t i = 0; i < peers_n; ++i) {
@@ -128,7 +130,7 @@ int main() {
         const node::Address introducer =
             i == 0 ? 1 : static_cast<node::Address>(2 + (trial + i * 7) % i);
         peers.push_back(std::make_unique<node::GossipPeer>(addr, cfg, introducer));
-        peers.back()->start(engine, net);
+        peers.back()->start(engine.lane(addr), net);
       }
       engine.run_until(60.0);  // join wave settles; streaming continues
 

@@ -8,7 +8,6 @@
 //             (Lemma 1: as if the nodes never joined).
 
 #include <cstdio>
-#include <cstring>
 #include <set>
 
 #include "bench_common.hpp"
@@ -21,18 +20,10 @@ using namespace ncast;
 
 namespace {
 
-// The message-plane section (E16c) runs on the sharded kernel by default —
-// the production runner; pass --sequential for the single-queue
-// run_scenario. The runners consume different RNG streams by design, so
-// absolute numbers differ between them; each is deterministic in itself.
-bool g_sequential = false;
+// The message-plane section (E16c) runs on the sharded kernel — the
+// production runner.
 constexpr std::uint32_t kShards = 4;
 constexpr std::uint32_t kWorkers = 2;
-
-node::ProtocolScenarioReport run(const node::ProtocolScenarioSpec& spec) {
-  return g_sequential ? node::run_scenario(spec)
-                      : node::run_scenario_sharded(spec, kShards, kWorkers);
-}
 
 struct GroupRates {
   RunningStats children, grandchildren, others;
@@ -67,17 +58,13 @@ GroupRates measure(const overlay::ThreadMatrix& m, std::uint32_t d,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sequential") == 0) g_sequential = true;
-  }
+int main() {
   bench::MetricsSession session("repair");
   session.param("k", 24);
   session.param("d", 3);
   session.param("n", 1500);
   session.param("seed", std::uint64_t{0xE160});
   session.param("crashes", 25);
-  session.param("runner", g_sequential ? "sequential" : "sharded");
 
   bench::banner(
       "E16: failure/repair timeline (containment + exact restoration)",
@@ -194,7 +181,7 @@ int main(int argc, char** argv) {
   // the path the membership-level timeline above idealizes away.
   bench::banner(
       "E16c: repair driven by complaints over the message plane",
-      "N = 60 clients on the event kernel (k = 12, d = 3, latency\n"
+      "N = 60 clients on the sharded kernel (k = 12, d = 3, latency\n"
       "U[0.5, 1.5]), three early joiners crash at t = 50. Repair must\n"
       "emerge from silence detection; control loss delays but never\n"
       "cancels it.");
@@ -222,7 +209,7 @@ int main(int argc, char** argv) {
         spec.faults.crash_join_at(50.0, 1);
         spec.faults.crash_join_at(50.0, 2);
 
-        const auto report = run(spec);
+        const auto report = node::run_scenario_sharded(spec, kShards, kWorkers);
         repairs.add(static_cast<double>(report.repairs_done));
         if (report.repairs_done > 0) conv.add(report.last_repair_time - 50.0);
         complaints.add(static_cast<double>(report.total_complaints()));

@@ -4,20 +4,20 @@
 // bench prices that elimination: what do joins, steady-state streaming, and
 // crash repair cost under each regime?
 //
-// Both regimes run on the simulation kernel's event engine over a
-// KernelTransport, so the comparison extends beyond the ideal fabric: a
-// second sweep repeats it with 10% control loss and latency jitter — the
-// regime where the tracker's retry logic and gossip's re-acquisition
-// actually earn their keep.
+// Both regimes run on the sharded event kernel over a ShardedTransport (4
+// shards x 2 workers, one lane per endpoint), so the comparison extends
+// beyond the ideal fabric: a second sweep repeats it with 10% control loss
+// and latency jitter — the regime where the tracker's retry logic and
+// gossip's re-acquisition actually earn their keep.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "bench_common.hpp"
 #include "node/gossip_peer.hpp"
 #include "node/protocol_scenario.hpp"
-#include "sim/event_engine.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/stats.hpp"
 
 using namespace ncast;
@@ -25,10 +25,6 @@ using namespace ncast::node;
 
 namespace {
 
-// The tracker regime runs on the sharded kernel by default (the production
-// runner); pass --sequential for the single-queue run_scenario. The gossip
-// regime drives its own EventEngine directly and is unaffected by the flag.
-bool g_sequential = false;
 constexpr std::uint32_t kShards = 4;
 constexpr std::uint32_t kWorkers = 2;
 
@@ -64,8 +60,7 @@ Row run_centralized(std::size_t n, std::uint64_t seed, const TransportSpec& link
   spec.faults.crash_at(6.0, 2);
   spec.faults.crash_at(6.0, 6);
 
-  const auto report = g_sequential ? run_scenario(spec)
-                                   : run_scenario_sharded(spec, kShards, kWorkers);
+  const auto report = run_scenario_sharded(spec, kShards, kWorkers);
 
   Row row;
   for (const auto& o : report.outcomes) {
@@ -88,25 +83,34 @@ Row run_gossip(std::size_t n, std::uint64_t seed, const TransportSpec& link) {
   GossipPeerConfig source_cfg = cfg;
   source_cfg.upload_slots = 6;
 
-  sim::EventEngine engine;
-  KernelTransport net(engine, link,
-                      sim::RngStreams(seed).stream("bench.trackerless"));
+  // Peer address a runs on lane a (lane 0, the tracker's, stays idle); the
+  // epoch is the minimum link latency, so no delivery is ever clamped.
+  double epoch = link.latency.lower_bound();
+  if (!(epoch > 0.0)) epoch = 0.5;
+  sim::ShardedEngine engine(kShards, kWorkers, epoch);
+  const std::size_t addresses = n + 2;
+  engine.reserve_lanes(addresses);
+  ShardedTransport net(engine, link, seed, addresses);
   GossipPeer source(1, source_cfg, content(seed), 8, 8);
-  source.start(engine, net);
+  source.start(engine.lane(1), net);
   std::vector<std::unique_ptr<GossipPeer>> peers;
   for (std::size_t i = 0; i < n; ++i) {
     const Address addr = static_cast<Address>(i + 2);
     const Address introducer =
         i == 0 ? 1 : static_cast<Address>(2 + (seed + i * 7) % i);
     peers.push_back(std::make_unique<GossipPeer>(addr, cfg, introducer));
-    peers.back()->start(engine, net);
+    peers.back()->start(engine.lane(addr), net);
   }
-  engine.schedule_at(6.0, [&] {
-    peers[1]->crash();
-    net.crash(peers[1]->address());
-    peers[5]->crash();
-    net.crash(peers[5]->address());
-  });
+  // Each crash runs on the victim's own lane, like every other state change.
+  for (GossipPeer* victim : {peers[1].get(), peers[5].get()}) {
+    engine.schedule_on(
+        victim->address(), 6.0,
+        [victim, &net] {
+          victim->crash();
+          net.crash(victim->address());
+        },
+        sim::TimerClass::kFault);
+  }
 
   // Run until every survivor decoded (checked in kernel-time slices so the
   // engine is not drained event by event), with the same 2000-unit cutoff
@@ -169,21 +173,17 @@ void sweep(Table& table, const char* fabric, const TransportSpec& link,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sequential") == 0) g_sequential = true;
-  }
+int main() {
   bench::MetricsSession session("trackerless");
   session.param("k", 12);
   session.param("d", 3);
   session.param("n", "20,40");
   session.param("seed", std::uint64_t{0xE200});
-  session.param("runner", g_sequential ? "sequential" : "sharded");
 
   bench::banner(
       "E20: centralized tracker vs trackerless gossip membership (Section 7)",
       "Identical content (2 generations of 8 x 8 B), d = 3, two peers crash\n"
-      "at t = 6. Both regimes on the event kernel; 3 trials averaged.\n"
+      "at t = 6. Both regimes on the sharded kernel; 3 trials averaged.\n"
       "Control counts every non-data, non-keepalive message anywhere, and\n"
       "control bytes use the full wire accounting (peers, key bundles,\n"
       "stream plan). Ideal fabric first, then 10% control loss + jitter.");
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
                "control msgs", "control bytes", "data msgs",
                "post-crash decoded%"});
 
-  TransportSpec ideal;  // fixed 1.0 latency, no loss: the old tick fabric
+  TransportSpec ideal;  // fixed 1.0 latency, no loss
   sweep(table, "ideal", ideal, session, "ideal_");
 
   TransportSpec lossy;

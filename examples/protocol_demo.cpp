@@ -8,7 +8,10 @@
 #include <memory>
 #include <vector>
 
-#include "node/driver.hpp"
+#include "node/client_node.hpp"
+#include "node/server_node.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace ncast;
@@ -28,51 +31,53 @@ int main() {
   scfg.symbols = 64;
   ServerNode server(scfg, content);
 
+  // The event kernel and the fabric: every endpoint runs on its own lane
+  // (lane = address), every link delivers after one time unit.
+  sim::ShardedEngine engine(/*shards=*/1, /*workers=*/0, /*epoch=*/1.0);
+  ShardedTransport net(engine, TransportSpec{}, /*seed=*/1, /*addresses=*/19);
+  server.start(engine.lane(kServerAddress), net);
+
   ClientConfig ccfg;
   ccfg.silence_timeout = 5;
 
+  std::printf("t=0: 18 clients send JoinRequest\n");
   std::vector<std::unique_ptr<ClientNode>> clients;
-  std::vector<ClientNode*> ptrs;
   for (Address a = 1; a <= 18; ++a) {
     clients.push_back(std::make_unique<ClientNode>(a, ccfg));
-    ptrs.push_back(clients.back().get());
+    clients.back()->start(engine.lane(a), net);
   }
-  TickDriver driver(server, ptrs);
-
-  std::printf("tick 0: 18 clients send JoinRequest\n");
-  for (auto& c : clients) c->join(driver.network());
-  driver.run(2);
-  std::printf("tick 2: matrix has %zu rows; control msgs so far: %llu\n",
+  engine.run_until(2.0);
+  std::printf("t=2: matrix has %zu rows; control msgs so far: %llu\n",
               server.matrix().row_count(),
-              static_cast<unsigned long long>(driver.network().control_messages()));
+              static_cast<unsigned long long>(net.control_messages()));
 
-  driver.run(8);
+  engine.run_until(10.0);
   std::size_t decoded = 0;
   for (auto& c : clients) decoded += c->decoded() ? 1 : 0;
-  std::printf("tick 10: %zu/18 decoded (stream flowing through recoders)\n",
+  std::printf("t=10: %zu/18 decoded (stream flowing through recoders)\n",
               decoded);
 
   // A mid-curtain node crashes; nobody tells the server — children notice.
-  std::printf("tick 10: client 3 crashes silently\n");
-  driver.crash(*clients[2]);
+  std::printf("t=10: client 3 crashes silently\n");
+  clients[2]->crash();
+  net.crash(clients[2]->address());
   const auto repairs_before = server.repairs_done();
-  driver.run(15);
-  std::printf("tick 25: server executed %llu repair(s) from complaints; "
+  engine.run_until(25.0);
+  std::printf("t=25: server executed %llu repair(s) from complaints; "
               "matrix rows: %zu, failed tags: %zu\n",
               static_cast<unsigned long long>(server.repairs_done() - repairs_before),
               server.matrix().row_count(), server.matrix().failed_count());
 
   // A polite departure.
-  std::printf("tick 25: client 7 sends Goodbye\n");
-  clients[6]->leave(driver.network());
-  driver.run(5);
+  std::printf("t=25: client 7 sends Goodbye\n");
+  clients[6]->leave(net);
+  engine.run_until(90.0);
 
-  driver.run(60);
   decoded = 0;
   for (auto& c : clients) {
     if (!c->crashed() && c->decoded()) ++decoded;
   }
-  std::printf("tick 90: %zu/17 live clients decoded; verifying payloads... ",
+  std::printf("t=90: %zu/17 live clients decoded; verifying payloads... ",
               decoded);
   bool all_match = true;
   for (auto& c : clients) {
@@ -81,7 +86,6 @@ int main() {
   }
   std::printf("%s\n", all_match ? "all match the source" : "MISMATCH");
 
-  const auto& net = driver.network();
   std::printf(
       "\ntraffic: %llu data, %llu control, %llu keepalive, %llu dropped\n"
       "Control stays O(d) per membership event; everything else is payload.\n",

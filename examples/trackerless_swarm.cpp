@@ -11,11 +11,24 @@
 #include <memory>
 #include <vector>
 
-#include "node/driver.hpp"
+#include "node/gossip_peer.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace ncast;
 using namespace ncast::node;
+
+namespace {
+
+bool everyone_decoded(const std::vector<GossipPeer*>& peers) {
+  for (const GossipPeer* p : peers) {
+    if (!p->departed() && !p->is_source() && !p->decoded()) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   // 64 KiB of content in 8 generations.
@@ -30,43 +43,55 @@ int main() {
   GossipPeerConfig source_cfg = cfg;
   source_cfg.upload_slots = 6;
 
+  // The event kernel and the fabric: peer address a runs on lane a, every
+  // link delivers after one time unit.
+  sim::ShardedEngine engine(/*shards=*/1, /*workers=*/0, /*epoch=*/1.0);
+  ShardedTransport net(engine, TransportSpec{}, /*seed=*/1, /*addresses=*/100);
+  double now = 0.0;
+
   GossipPeer source(1, source_cfg, content, /*generation_size=*/16,
                     /*symbols=*/512);
+  source.start(engine.lane(1), net);
   std::vector<std::unique_ptr<GossipPeer>> peers;
   std::vector<GossipPeer*> ptrs{&source};
   for (Address a = 2; a <= 41; ++a) {
     // Daisy-chained introductions: peer a only knows peer a-1.
     peers.push_back(std::make_unique<GossipPeer>(a, cfg, a - 1));
+    peers.back()->start(engine.lane(a), net);
     ptrs.push_back(peers.back().get());
   }
-  GossipDriver driver(ptrs);
 
   std::printf("40 peers, each introduced to exactly one other peer;\n"
               "the source (peer 1) offers 6 upload slots and knows nobody.\n\n");
 
   for (int checkpoint = 1; checkpoint <= 4; ++checkpoint) {
-    driver.run(15);
+    now += 15.0;
+    engine.run_until(now);
     std::size_t wired = 0, decoded = 0;
     for (auto& p : peers) {
       if (p->parent_count() > 0) ++wired;
       if (p->decoded()) ++decoded;
     }
-    std::printf("tick %3llu: %2zu/40 wired, %2zu/40 decoded, source serving %zu\n",
-                static_cast<unsigned long long>(driver.now()), wired, decoded,
-                source.child_count());
+    std::printf("t=%3.0f: %2zu/40 wired, %2zu/40 decoded, source serving %zu\n",
+                now, wired, decoded, source.child_count());
   }
 
-  const bool all = driver.run_until_decoded(3000);
-  std::printf("tick %3llu: %s\n", static_cast<unsigned long long>(driver.now()),
-              all ? "everyone decoded" : "TIMEOUT");
+  bool all = everyone_decoded(ptrs);
+  while (!all && now < 3000.0) {
+    now += 1.0;
+    engine.run_until(now);
+    all = everyone_decoded(ptrs);
+  }
+  std::printf("t=%3.0f: %s\n", now, all ? "everyone decoded" : "TIMEOUT");
 
   // The source retires; a latecomer must still be able to download —
   // the swarm collectively holds the content now.
   std::printf("\nsource leaves; peer 99 joins knowing only peer 17...\n");
-  source.leave(driver.network());
+  source.leave(net);
   auto late = std::make_unique<GossipPeer>(99, cfg, 17);
-  driver.add_peer(late.get());
-  driver.run(600);
+  late->start(engine.lane(99), net);
+  now += 600.0;
+  engine.run_until(now);
   std::printf("latecomer: %s (%zu parents, rank %zu)\n",
               late->decoded() ? "downloaded the full content from the swarm"
                               : "did not finish",
@@ -76,7 +101,6 @@ int main() {
                 late->data() == content ? "bit-for-bit identical" : "CORRUPT");
   }
 
-  const auto& net = driver.network();
   std::printf(
       "\ntraffic: %llu data, %llu control, %llu keepalive\n"
       "No participant ever held global membership; repair was local silence\n"

@@ -9,8 +9,7 @@ namespace ncast::node {
 
 namespace {
 
-// Process-wide retry counters (event mode only; tick mode cannot lose
-// control messages, so it never retries). Cached once.
+// Process-wide retry counters. Cached once.
 struct RetryCounters {
   obs::Counter& join_retries = obs::metrics().counter("protocol.join_retries");
   obs::Counter& complaint_retries =
@@ -34,8 +33,6 @@ ClientNode::ClientNode(Address address, ClientConfig config)
   }
 }
 
-double ClientNode::now() const { return engine_ ? engine_->now() : now_; }
-
 std::vector<std::uint8_t> ClientNode::data() const {
   if (!decoded()) throw std::logic_error("ClientNode::data: incomplete");
   return stream_.data();
@@ -43,6 +40,8 @@ std::vector<std::uint8_t> ClientNode::data() const {
 
 void ClientNode::crash() {
   crashed_ = true;
+  // A fault plan may crash (or retire) a client before its join fires; an
+  // endpoint that never started has no timers to cancel.
   if (engine_) {
     engine_->cancel(join_timer_);
     engine_->cancel(serve_timer_);
@@ -53,9 +52,9 @@ void ClientNode::crash() {
   }
 }
 
-void ClientNode::join(Transport& net, std::uint32_t degree) {
+void ClientNode::join() {
   if (join_sent_time_ < 0.0) {
-    join_sent_time_ = now();
+    join_sent_time_ = engine_->now();
     // The join episode's span: opened at the first hello, carried by every
     // retransmission and by the server's accept, referenced by the node's
     // rank advances — the trace's reconstruction key for this join.
@@ -67,9 +66,9 @@ void ClientNode::join(Transport& net, std::uint32_t degree) {
   m.type = MessageType::kJoinRequest;
   m.from = address_;
   m.to = kServerAddress;
-  m.subject = degree;  // 0 = server default
+  m.subject = join_degree_;  // 0 = server default
   m.span = join_span_;
-  net.send(std::move(m));
+  net_->send(std::move(m));
 }
 
 void ClientNode::leave(Transport& net) {
@@ -100,7 +99,7 @@ void ClientNode::start(sim::Scheduler& engine, AttachableTransport& net,
   net_ = &net;
   join_degree_ = degree;
   net.attach(address_, this);
-  join(net, degree);
+  join();
   schedule_join_retry(config_.join_retry);
   serve_timer_ = engine.schedule_in(1.0, [this] { event_tick(); },
                                     sim::TimerClass::kServe);
@@ -116,7 +115,7 @@ void ClientNode::schedule_join_retry(double delay) {
         obs::trace().emit(obs::TraceKind::kMsgRetry, address_, join_retries_,
                           static_cast<std::uint64_t>(MessageType::kJoinRequest),
                           {}, join_span_);
-        join(*net_, join_degree_);
+        join();
         // Doubling backoff, capped: a congested server is not helped by a
         // thundering herd of hellos, but the client must never give up.
         const double cap = config_.join_retry *
@@ -134,18 +133,16 @@ void ClientNode::event_tick() {
 }
 
 void ClientNode::note_liveness(overlay::ColumnId column) {
-  last_data_[column] = now();
-  if (engine_ && joined_ && !departed_) {
-    complaint_streak_[column] = 0;
-    // Data flowing again closes the column's outage episode, if one is open.
-    const auto span = complaint_spans_.find(column);
-    if (span != complaint_spans_.end()) {
-      obs::trace().emit(obs::TraceKind::kSpanEnd, address_, column, 0,
-                        "complaint", span->second);
-      complaint_spans_.erase(span);
-    }
-    arm_silence(column);
+  if (!joined_ || departed_) return;
+  complaint_streak_[column] = 0;
+  // Data flowing again closes the column's outage episode, if one is open.
+  const auto span = complaint_spans_.find(column);
+  if (span != complaint_spans_.end()) {
+    obs::trace().emit(obs::TraceKind::kSpanEnd, address_, column, 0,
+                      "complaint", span->second);
+    complaint_spans_.erase(span);
   }
+  arm_silence(column);
 }
 
 void ClientNode::arm_silence(overlay::ColumnId column) {
@@ -187,6 +184,9 @@ void ClientNode::silence_fired(overlay::ColumnId column) {
   complaint.from = address_;
   complaint.to = kServerAddress;
   complaint.column = column;
+  // The hello's degree request rides along: if this node was evicted by a
+  // false-positive repair, the server re-admits it at the width it asked for.
+  complaint.subject = join_degree_;
   complaint.span = span;
   net_->send(std::move(complaint));
   ++complaints_sent_;
@@ -225,8 +225,8 @@ void ClientNode::handle_accept(const Message& m) {
     return;
   }
   joined_ = true;
-  joined_time_ = now();
-  if (engine_) engine_->cancel(join_timer_);
+  joined_time_ = engine_->now();
+  engine_->cancel(join_timer_);
   columns_ = m.columns;
   stream_.install_keys(m.key_bundles);
   // The accept closes the join episode the first hello opened.
@@ -250,7 +250,7 @@ void ClientNode::handle_data(const Message& m) {
                         {}, join_span_);
     }
     if (decode_time_ < 0.0 && stream_.decoded()) {
-      decode_time_ = now();
+      decode_time_ = engine_->now();
       if (joined_time_ >= 0.0) {
         // ncast:shared(reference to a registry histogram, which locks internally; magic-static init is thread-safe)
         static obs::Histogram& decode_delay =
@@ -303,12 +303,9 @@ void ClientNode::on_message(const Message& m) {
       // Congestion offload granted: stop receiving and serving the column.
       const auto it = std::find(columns_.begin(), columns_.end(), m.column);
       if (it != columns_.end()) columns_.erase(it);
-      last_data_.erase(m.column);
       children_.erase(m.column);
-      if (engine_) {
-        disarm_silence(m.column);
-        complaint_streak_.erase(m.column);
-      }
+      disarm_silence(m.column);
+      complaint_streak_.erase(m.column);
       break;
     }
     case MessageType::kColumnAdded:
@@ -323,14 +320,6 @@ void ClientNode::on_message(const Message& m) {
       break;
     default:
       break;
-  }
-}
-
-void ClientNode::process_messages(std::uint64_t tick, InMemoryNetwork& net) {
-  net_ = &net;
-  now_ = static_cast<double>(tick);
-  while (auto m = net.poll(address_)) {
-    on_message(*m);
   }
 }
 
@@ -352,34 +341,6 @@ void ClientNode::serve_children() {
       out.type = MessageType::kKeepalive;
     }
     net_->send(std::move(out));
-  }
-}
-
-void ClientNode::on_tick(std::uint64_t tick, InMemoryNetwork& net) {
-  if (crashed_ || departed_ || !joined_) return;
-  net_ = &net;
-  now_ = static_cast<double>(tick);
-
-  serve_children();
-
-  // Liveness: complain about columns that went silent.
-  for (overlay::ColumnId c : columns_) {
-    const auto last = last_data_.find(c);
-    if (last == last_data_.end()) continue;
-    if (now_ - last->second < static_cast<double>(config_.silence_timeout)) {
-      continue;
-    }
-    // Re-complaints are allowed after another full timeout (the reset of
-    // last_data_ below is the back-off); the server dedupes via the failed
-    // tag, so a lost complaint is retried and a handled one is harmless.
-    Message complaint;
-    complaint.type = MessageType::kComplaint;
-    complaint.from = address_;
-    complaint.to = kServerAddress;
-    complaint.column = c;
-    net.send(std::move(complaint));
-    ++complaints_sent_;
-    last->second = now_;  // back off before re-complaining
   }
 }
 

@@ -5,16 +5,11 @@
 // it, and complains when a feed goes silent. A crashed client simply stops —
 // its children's complaints drive the repair path.
 //
-// Two execution modes over the same handlers:
-//   - tick mode (process_messages/on_tick): the historical lock-step loop;
-//     silence is checked by comparing ticks, and a lost control message is
-//     impossible, so there is no retransmission machinery.
-//   - event mode (start): the endpoint runs on the kernel's EventEngine with
-//     cancellable timers — a periodic serve timer, a join-retry timer that
-//     retransmits the hello with doubling backoff until the accept arrives
-//     (control links can now drop it), and one silence timer per column that
-//     fires a complaint and re-arms with doubling backoff until data flows
-//     again. This is the protocol's first real retry logic.
+// start() runs the endpoint on a kernel Scheduler (its lane of the sharded
+// engine) with cancellable timers — a periodic serve timer, a join-retry
+// timer that retransmits the hello with doubling backoff until the accept
+// arrives (control links can drop it), and one silence timer per column that
+// fires a complaint and re-arms with doubling backoff until data flows again.
 
 #include <cstdint>
 #include <map>
@@ -22,7 +17,6 @@
 #include <vector>
 
 #include "node/message.hpp"
-#include "node/network.hpp"
 #include "node/stream_state.hpp"
 #include "node/transport.hpp"
 #include "sim/event_engine.hpp"
@@ -32,7 +26,7 @@ namespace ncast::node {
 
 struct ClientConfig {
   std::uint64_t silence_timeout = 4;  ///< time without liveness -> complain
-  double join_retry = 4.0;            ///< event mode: hello retransmit delay
+  double join_retry = 4.0;            ///< hello retransmit delay
   std::uint32_t max_backoff_exp = 4;  ///< cap retransmit doubling at 2^this
   /// Decoder policy for the stream buffers. kAuto resolves per the structure
   /// announced in the join accept (select_stream_policy — relay traffic on
@@ -64,7 +58,7 @@ class ClientNode : public Endpoint {
   std::uint64_t packets_rejected() const { return packets_rejected_; }
   bool verification_enabled() const { return stream_.verification_enabled(); }
 
-  /// Event mode — retry/latency observability.
+  /// Retry/latency observability.
   std::uint64_t join_retries() const { return join_retries_; }
   std::uint64_t complaint_retries() const { return complaint_retries_; }
   /// Causal span of this node's join episode (kNoSpan before the first
@@ -77,13 +71,9 @@ class ClientNode : public Endpoint {
   /// Time the last generation reached full rank (-1 if not decoded).
   double decode_time() const { return decode_time_; }
 
-  /// Sends the hello. `degree` requests that many threads (Section 5
-  /// heterogeneity); 0 accepts the server's default.
-  void join(Transport& net, std::uint32_t degree = 0);
-
   /// Sends the good-bye and retires the endpoint: the node stops serving,
   /// stops complaining (its feeds are about to be rewired around it), and
-  /// cancels its event-mode timers. Good-bye means gone.
+  /// cancels its timers. Good-bye means gone.
   void leave(Transport& net);
 
   /// Congestion adaptation (Section 5): ask the server to shed one of this
@@ -94,27 +84,23 @@ class ClientNode : public Endpoint {
   /// Current number of in-threads (degree after offloads/restores).
   std::size_t degree() const { return columns_.size(); }
 
-  /// Non-ergodic failure: the node goes dark (pending timers are cancelled
-  /// in event mode). Callers should also net.crash(address()) so in-flight
-  /// mail is dropped.
+  /// Non-ergodic failure: the node goes dark and its pending timers are
+  /// cancelled. Callers should also net.crash(address()) so in-flight mail
+  /// is dropped.
   void crash();
 
-  /// Event mode: attaches to the transport, sends the hello, and arms the
-  /// join-retry and serve timers.
+  /// Attaches to the transport, sends the hello, and arms the join-retry and
+  /// serve timers. `degree` requests that many threads (Section 5
+  /// heterogeneity); 0 accepts the server's default.
   void start(sim::Scheduler& engine, AttachableTransport& net,
              std::uint32_t degree = 0);
 
-  /// Handles one protocol message (both modes route through here).
+  /// Handles one protocol message.
   void on_message(const Message& m) override;
 
-  /// Tick mode: drains the mailbox.
-  void process_messages(std::uint64_t tick, InMemoryNetwork& net);
-
-  /// Tick mode: emits recoded packets (or keepalives) to attached children
-  /// and checks feed liveness.
-  void on_tick(std::uint64_t tick, InMemoryNetwork& net);
-
  private:
+  /// Sends the hello (the first one opens the join span).
+  void join();
   void handle_accept(const Message& m);
   void handle_data(const Message& m);
   void serve_children();
@@ -124,7 +110,6 @@ class ClientNode : public Endpoint {
   void disarm_silence(overlay::ColumnId column);
   void silence_fired(overlay::ColumnId column);
   void schedule_join_retry(double delay);
-  double now() const;
 
   Address address_;
   ClientConfig config_;
@@ -137,15 +122,12 @@ class ClientNode : public Endpoint {
 
   std::vector<overlay::ColumnId> columns_;
   std::map<overlay::ColumnId, Address> children_;
-  std::map<overlay::ColumnId, double> last_data_;
   std::uint64_t complaints_sent_ = 0;
   std::uint64_t packets_received_ = 0;
   std::uint64_t packets_rejected_ = 0;
 
-  // Event-mode state.
   Transport* net_ = nullptr;
   sim::Scheduler* engine_ = nullptr;
-  double now_ = 0.0;
   std::uint32_t join_degree_ = 0;
   sim::TimerHandle join_timer_{};
   sim::TimerHandle serve_timer_{};

@@ -32,8 +32,6 @@ GossipPeer::GossipPeer(Address address, GossipPeerConfig config,
   }
 }
 
-double GossipPeer::now() const { return engine_ ? engine_->now() : now_; }
-
 std::vector<std::uint8_t> GossipPeer::data() const {
   if (is_source()) return content_;
   return stream_.data();
@@ -217,14 +215,6 @@ void GossipPeer::on_message(const Message& m) {
   }
 }
 
-void GossipPeer::process_messages(std::uint64_t tick, InMemoryNetwork& net) {
-  net_ = &net;
-  now_ = static_cast<double>(tick);
-  while (auto m = net.poll(address_)) {
-    on_message(*m);
-  }
-}
-
 void GossipPeer::serve_children() {
   for (Address child : children_) {
     Message out;
@@ -308,13 +298,6 @@ void GossipPeer::tick_body() {
     req.to = view_[rng_.below(view_.size())];
     net_->send(std::move(req));
   }
-}
-
-void GossipPeer::on_tick(std::uint64_t tick, InMemoryNetwork& net) {
-  if (!active()) return;
-  net_ = &net;
-  now_ = static_cast<double>(tick);
-  tick_body();
 }
 
 }  // namespace ncast::node

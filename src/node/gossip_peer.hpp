@@ -14,9 +14,9 @@
 //     request whose grant or denial is lost is simply re-issued elsewhere;
 //   - the source is just a peer that holds the content and never requests.
 //
-// Runs in lock-step tick mode under GossipDriver, or event-driven on the
-// simulation kernel via start() — same handlers, so lossy/latent control
-// links (KernelTransport) exercise exactly the logic the ideal fabric does.
+// start() runs the peer on a kernel Scheduler (its lane of the sharded
+// engine) with one periodic serve/repair/gossip timer, so lossy or latent
+// control links exercise exactly the logic an ideal fabric does.
 //
 // Trade-off vs the curtain (measured in bench_gossip / the protocol tests):
 // the topology is only approximately the analyzed random model, join costs
@@ -31,7 +31,6 @@
 
 #include "coding/file_codec.hpp"
 #include "node/message.hpp"
-#include "node/network.hpp"
 #include "node/stream_state.hpp"
 #include "node/transport.hpp"
 #include "sim/event_engine.hpp"
@@ -84,7 +83,7 @@ class GossipPeer : public Endpoint {
   std::size_t rank() const { return stream_.rank(); }
   /// Reconstructed (or original, for the source) content.
   std::vector<std::uint8_t> data() const;
-  /// Time the stream reached full rank (-1 if not decoded; event mode).
+  /// Time the stream reached full rank (-1 if not decoded).
   double decode_time() const { return decode_time_; }
 
   /// Non-ergodic failure; callers should also net.crash(address()).
@@ -93,15 +92,12 @@ class GossipPeer : public Endpoint {
   /// Graceful departure: releases parents, tells children to rewire.
   void leave(Transport& net);
 
-  /// Event mode: attaches to the transport and schedules the periodic
+  /// Attaches to the transport and schedules the periodic
   /// serve/repair/gossip timer on the kernel engine.
   void start(sim::Scheduler& engine, AttachableTransport& net);
 
-  /// Handles one protocol message (both modes route through here).
+  /// Handles one protocol message.
   void on_message(const Message& m) override;
-
-  void process_messages(std::uint64_t tick, InMemoryNetwork& net);
-  void on_tick(std::uint64_t tick, InMemoryNetwork& net);
 
  private:
   bool active() const { return !crashed_ && !departed_; }
@@ -113,7 +109,7 @@ class GossipPeer : public Endpoint {
   void acquire_parents();
   void tick_body();
   void event_tick();
-  double now() const;
+  double now() const { return engine_->now(); }
 
   Address address_;
   GossipPeerConfig config_;
@@ -135,11 +131,9 @@ class GossipPeer : public Endpoint {
   /// parent to child inside every slot grant (trust flows with the slots).
   std::vector<std::vector<std::uint8_t>> key_bundles_;
 
-  // Event-mode state.
   Transport* net_ = nullptr;
   sim::Scheduler* engine_ = nullptr;
   sim::TimerHandle tick_timer_{};
-  double now_ = 0.0;
   double decode_time_ = -1.0;
 };
 

@@ -48,7 +48,8 @@ struct Message {
   Address from = 0;
   Address to = 0;
   overlay::ColumnId column = 0;           ///< attach/detach/data/complaint
-  Address subject = 0;                    ///< attach: the child to feed
+  Address subject = 0;                    ///< attach: the child to feed;
+                                          ///< hello/complaint: requested degree
   std::vector<overlay::ColumnId> columns; ///< join accept: assigned threads
   std::vector<std::uint8_t> wire;         ///< data: serialized coded packet
 

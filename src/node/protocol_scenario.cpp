@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
+#include <vector>
 
 #include "node/client_node.hpp"
 #include "node/server_node.hpp"
-#include "sim/event_engine.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace ncast::node {
 
@@ -45,9 +46,15 @@ std::uint64_t ProtocolScenarioReport::total_complaints() const {
   return total;
 }
 
-ProtocolScenarioReport run_scenario(const ProtocolScenarioSpec& spec) {
-  sim::EventEngine engine;
-  sim::RngStreams streams(spec.seed);
+ProtocolScenarioReport run_scenario_sharded(const ProtocolScenarioSpec& spec,
+                                            std::uint32_t shards,
+                                            std::uint32_t workers) {
+  // Epoch = the smallest cross-lane latency: conservative windows never
+  // clamp a delivery, and the window grid is identical for every shard and
+  // worker count.
+  double epoch = spec.transport.latency.lower_bound();
+  if (!(epoch > 0.0)) epoch = 0.5;
+  sim::ShardedEngine engine(shards, workers, epoch);
 
   // Deterministic content: a fixed byte pattern keyed by the seed, so two
   // runs of the same spec broadcast identical generations without spending
@@ -71,9 +78,20 @@ ProtocolScenarioReport run_scenario(const ProtocolScenarioSpec& spec) {
   scfg.seed = spec.seed;
   ServerNode server(scfg, content);
 
-  KernelTransport net(engine, spec.transport,
-                      streams.stream("protocol.transport"));
-  server.start(engine, net);
+  // Address a lives on lane a. Every client is constructed up front (no
+  // shared container mutates mid-run); join events get addresses in sorted
+  // fault order and merely *start* their pre-built client.
+  const auto events = spec.faults.sorted();
+  std::uint32_t join_events = 0;
+  for (const sim::FaultEvent& e : events) {
+    if (e.kind == sim::FaultKind::kJoin) ++join_events;
+  }
+  const std::size_t total_clients = spec.initial_clients + join_events;
+  const std::size_t max_addresses = total_clients + 1;  // + server
+  engine.reserve_lanes(max_addresses);
+
+  ShardedTransport net(engine, spec.transport, spec.seed, max_addresses);
+  server.start(engine.lane(kServerAddress), net);
 
   ClientConfig ccfg;
   ccfg.silence_timeout = spec.silence_timeout;
@@ -81,54 +99,64 @@ ProtocolScenarioReport run_scenario(const ProtocolScenarioSpec& spec) {
   ccfg.seed = spec.seed;
 
   std::vector<std::unique_ptr<ClientNode>> clients;
-  std::set<Address> departed;
-  const auto spawn = [&]() {
-    const Address addr = static_cast<Address>(clients.size() + 1);
-    clients.push_back(std::make_unique<ClientNode>(addr, ccfg));
-    clients.back()->start(engine, net);
-  };
+  clients.reserve(total_clients);
+  // Per-address outcome flags: each slot is written only by its own lane.
+  std::vector<std::uint8_t> departed(max_addresses, 0);
+  for (std::size_t i = 0; i < total_clients; ++i) {
+    clients.push_back(
+        std::make_unique<ClientNode>(static_cast<Address>(i + 1), ccfg));
+  }
+  for (std::uint32_t i = 0; i < spec.initial_clients; ++i) {
+    clients[i]->start(engine.lane(static_cast<sim::LaneId>(i + 1)), net);
+  }
 
-  for (std::uint32_t i = 0; i < spec.initial_clients; ++i) spawn();
-
-  // Replay the fault plan as kernel events. Targets resolve to addresses:
-  // join_ref j is the (initial_clients + j)-th client, i.e. address
-  // initial_clients + j + 1; explicit targets name the address directly.
-  const auto target_of = [&spec](const sim::FaultEvent& e) -> Address {
-    return e.targets_join()
-               ? static_cast<Address>(spec.initial_clients + e.join_ref + 1)
-               : static_cast<Address>(e.node);
-  };
-  const auto events = spec.faults.sorted();
+  // Replay the fault plan as events on each target's own lane, so crash and
+  // leave state changes are owner-lane writes. join_ref j is the
+  // (initial_clients + j)-th client, i.e. address initial_clients + j + 1;
+  // explicit targets name the address directly.
+  std::uint32_t next_join = 0;
   for (const sim::FaultEvent& e : events) {
-    engine.schedule_at(
-        e.at,
-        [&, e] {
-          switch (e.kind) {
-            case sim::FaultKind::kJoin:
-              spawn();
-              break;
-            case sim::FaultKind::kLeave:
-            case sim::FaultKind::kCrash: {
-              const Address addr = target_of(e);
-              if (addr == kServerAddress || addr > clients.size()) break;
-              ClientNode& c = *clients[addr - 1];
-              if (e.kind == sim::FaultKind::kLeave) {
-                if (!c.crashed()) {
-                  c.leave(net);
-                  departed.insert(addr);
+    switch (e.kind) {
+      case sim::FaultKind::kJoin: {
+        const Address addr =
+            static_cast<Address>(spec.initial_clients + next_join + 1);
+        ++next_join;
+        ClientNode* c = clients[addr - 1].get();
+        sim::Scheduler& lane = engine.lane(static_cast<sim::LaneId>(addr));
+        engine.schedule_on(
+            static_cast<sim::LaneId>(addr), e.at,
+            [c, &lane, &net] { c->start(lane, net); }, sim::TimerClass::kFault);
+        break;
+      }
+      case sim::FaultKind::kLeave:
+      case sim::FaultKind::kCrash: {
+        const Address addr =
+            e.targets_join()
+                ? static_cast<Address>(spec.initial_clients + e.join_ref + 1)
+                : static_cast<Address>(e.node);
+        if (addr == kServerAddress || addr > clients.size()) break;
+        ClientNode* c = clients[addr - 1].get();
+        const bool is_leave = e.kind == sim::FaultKind::kLeave;
+        engine.schedule_on(
+            static_cast<sim::LaneId>(addr), e.at,
+            [c, addr, is_leave, &net, &departed] {
+              if (is_leave) {
+                if (!c->crashed()) {
+                  c->leave(net);
+                  departed[addr] = 1;
                 }
               } else {
-                c.crash();
+                c->crash();
                 net.crash(addr);
               }
-              break;
-            }
-            case sim::FaultKind::kRepair:
-            case sim::FaultKind::kBehavior:
-              break;  // emergent / packet-level only — see header
-          }
-        },
-        sim::TimerClass::kFault);
+            },
+            sim::TimerClass::kFault);
+        break;
+      }
+      case sim::FaultKind::kRepair:
+      case sim::FaultKind::kBehavior:
+        break;  // emergent / packet-level only — see protocol_scenario.hpp
+    }
   }
 
   double horizon = spec.horizon;
@@ -168,7 +196,7 @@ ProtocolScenarioReport run_scenario(const ProtocolScenarioSpec& spec) {
     o.address = c->address();
     o.joined = c->joined();
     o.crashed = c->crashed();
-    o.departed = departed.count(c->address()) != 0;
+    o.departed = departed[c->address()] != 0;
     o.decoded = c->joined() && c->decoded();
     o.join_latency = c->joined() ? c->joined_time() - c->join_sent_time() : -1.0;
     o.decode_time = c->decode_time();

@@ -2,11 +2,11 @@
 // The protocol-plane scenario runner: the message-level analogue of
 // sim::run_scenario. Where the packet-level runner replays a FaultPlan
 // against a CurtainServer by direct calls, this one builds real endpoints —
-// one ServerNode, ClientNodes arriving per the plan — on a KernelTransport
-// over the simulation kernel, so joins ride actual hello messages, crashes
-// are detected by silence-timer complaints, and repairs are redirect orders
-// that can themselves be delayed, reordered, or lost. This is the harness
-// that finally tests Section 3's robustness story under control-plane
+// one ServerNode, ClientNodes arriving per the plan — on a ShardedTransport
+// over the sharded event kernel, so joins ride actual hello messages,
+// crashes are detected by silence-timer complaints, and repairs are redirect
+// orders that can themselves be delayed, reordered, or lost. This is the
+// harness that tests Section 3's robustness story under control-plane
 // adversity (bench_control_loss) instead of assuming ideal control links.
 //
 // FaultPlan semantics on the message plane:
@@ -89,21 +89,17 @@ struct ProtocolScenarioReport {
   std::uint64_t total_complaints() const;
 };
 
-/// Runs the message-plane scenario to its horizon and collects the report.
-ProtocolScenarioReport run_scenario(const ProtocolScenarioSpec& spec);
-
-/// Runs the same scenario on the sharded kernel (sim/sharded_engine.hpp):
-/// the server on lane 0, client address a on lane a, deliveries as
-/// cross-lane posts through ShardedTransport. The report is a pure function
-/// of the spec — independent of `shards` and `workers` (the sharded
-/// determinism contract) — with one exception: `max_in_flight` samples
-/// instantaneous concurrency *during* a window, and the interleaving of
-/// different lanes' equal-window events is unspecified, so the high-water
-/// mark may vary with shard/worker count even though every per-lane
-/// observable is identical. The report is NOT draw-for-draw identical to
-/// run_scenario(), whose transport consumes one global RNG stream in send
-/// order rather than per-sender streams. The epoch defaults to the spec's
-/// minimum link latency, so no delivery is ever clamped.
+/// Runs the message-plane scenario to its horizon on the sharded kernel
+/// (sim/sharded_engine.hpp) and collects the report: the server on lane 0,
+/// client address a on lane a, deliveries as cross-lane posts through
+/// ShardedTransport. The sequential run is `shards = 1, workers = 0`. The
+/// report is a pure function of the spec — independent of `shards` and
+/// `workers` (the sharded determinism contract) — with one exception:
+/// `max_in_flight` samples instantaneous concurrency *during* a window, and
+/// the interleaving of different lanes' equal-window events is unspecified,
+/// so the high-water mark may vary with shard/worker count even though every
+/// per-lane observable is identical. The epoch is the spec's minimum link
+/// latency, so no delivery is ever clamped.
 ProtocolScenarioReport run_scenario_sharded(const ProtocolScenarioSpec& spec,
                                             std::uint32_t shards,
                                             std::uint32_t workers = 0);

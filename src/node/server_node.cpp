@@ -29,10 +29,6 @@ ServerNode::ServerNode(ServerConfig config, std::vector<std::uint8_t> data)
   }
 }
 
-double ServerNode::now() const {
-  return engine_ ? engine_->now() : static_cast<double>(now_);
-}
-
 void ServerNode::start(sim::Scheduler& engine, AttachableTransport& net) {
   engine_ = &engine;
   net_ = &net;
@@ -158,12 +154,11 @@ void ServerNode::splice_out(Address addr, obs::SpanId span) {
     }
   }
   matrix_.erase_row(addr);
-  pending_repairs_.erase(addr);
   // A goodbye can race an already-scheduled repair of the same node; the
-  // cancellable handle is what makes the race harmless in event mode.
+  // cancellable handle is what makes the race harmless.
   const auto timer = repair_timers_.find(addr);
   if (timer != repair_timers_.end()) {
-    if (engine_) engine_->cancel(timer->second);
+    engine_->cancel(timer->second);
     repair_timers_.erase(timer);
   }
   // If a repair episode was open for this node and something else (a racing
@@ -185,7 +180,7 @@ void ServerNode::finish_repair(Address addr) {
       it != repair_spans_.end() ? it->second : obs::kNoSpan;
   splice_out(addr, span);
   ++repairs_done_;
-  last_repair_time_ = now();
+  last_repair_time_ = engine_->now();
   obs::trace().emit(obs::TraceKind::kRepair, addr, 0, 0, {}, span);
   obs::trace().emit(obs::TraceKind::kSpanEnd, addr, 0, 0, "repair", span);
 }
@@ -202,13 +197,27 @@ void ServerNode::handle_complaint(const Message& m) {
     // complaint in hand proves — was presumed crashed). Without re-admission
     // it is a permanent orphan: nobody feeds it and every further complaint
     // lands right here. Re-admit it through the normal join path — fresh
-    // columns, idempotent accept on the client side.
+    // columns at the degree it first asked for (the complaint carries it),
+    // idempotent accept on the client side.
     Message rejoin;
     rejoin.type = MessageType::kJoinRequest;
     rejoin.from = m.from;
     rejoin.to = kServerAddress;
+    rejoin.subject = m.subject;
     rejoin.span = m.span;
     handle_join(rejoin);
+    return;
+  }
+  const auto threads = matrix_.row(m.from).threads;
+  if (!std::binary_search(threads.begin(), threads.end(), m.column)) {
+    // A complaint about a column the complainer does not clip: an offload
+    // took it, or a re-admission handed out fresh columns while timers for
+    // the old ones still fire (or the column is not even < k). Walking up
+    // from its row would convict whichever row above happens to clip that
+    // column — a bystander. Instead resend its current accept, as for a
+    // duplicate hello: if the client missed its re-admission accept, this
+    // is the only message that repairs its view of its own columns.
+    send_accept(m.from, threads, m.span);
     return;
   }
   const Address parent = parent_on_column(m.from, m.column);
@@ -217,19 +226,14 @@ void ServerNode::handle_complaint(const Message& m) {
   if (matrix_.row(parent).failed) return;  // repair already scheduled
   matrix_.mark_failed(parent);
   // The repair episode: a child span of the triggering complaint, open from
-  // here until the splice completes. Tick mode gets the same span tree —
-  // only the scheduling mechanism differs.
+  // here until the splice completes.
   const obs::SpanId span = obs::trace().new_span();
   repair_spans_[parent] = span;
   obs::trace().emit(obs::TraceKind::kSpanBegin, parent, m.column, m.from,
                     "repair", span, m.span);
-  if (engine_) {
-    repair_timers_[parent] = engine_->schedule_in(
-        static_cast<double>(config_.repair_delay),
-        [this, parent] { finish_repair(parent); }, sim::TimerClass::kRepair);
-  } else {
-    pending_repairs_[parent] = now_ + config_.repair_delay;
-  }
+  repair_timers_[parent] = engine_->schedule_in(
+      static_cast<double>(config_.repair_delay),
+      [this, parent] { finish_repair(parent); }, sim::TimerClass::kRepair);
 }
 
 void ServerNode::handle_offload(const Message& m) {
@@ -336,13 +340,6 @@ void ServerNode::on_message(const Message& m) {
   }
 }
 
-void ServerNode::process_messages(InMemoryNetwork& net) {
-  net_ = &net;
-  while (auto m = net.poll(kServerAddress)) {
-    on_message(*m);
-  }
-}
-
 void ServerNode::emit_direct() {
   // Emit one coded packet per directly-fed column, from a random generation
   // (random, not round-robin: a fixed edge order plus round-robin would lock
@@ -358,23 +355,6 @@ void ServerNode::emit_direct() {
                                          encoder_.structure());
     net_->send(std::move(data));
   }
-}
-
-void ServerNode::on_tick(std::uint64_t tick, InMemoryNetwork& net) {
-  net_ = &net;
-  now_ = tick;
-
-  // Execute due repairs (finish_repair, same as event mode, so the trace's
-  // repair spans close identically under both drivers).
-  std::vector<Address> due;
-  for (const auto& [addr, at] : pending_repairs_) {
-    if (at <= now_) due.push_back(addr);
-  }
-  for (Address addr : due) {
-    finish_repair(addr);
-  }
-
-  emit_direct();
 }
 
 }  // namespace ncast::node

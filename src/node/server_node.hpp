@@ -4,13 +4,9 @@
 // multi-generation content object on the threads it still feeds directly.
 // This is the component a deployment would run on the content origin.
 //
-// Two execution modes over the same handlers:
-//   - tick mode (process_messages/on_tick): the historical lock-step loop,
-//     driven by TickDriver over an InMemoryNetwork;
-//   - event mode (start): the endpoint schedules itself on the simulation
-//     kernel's EventEngine — a periodic emit timer plus one cancellable
-//     repair timer per complained-about node — and receives messages via
-//     Endpoint::on_message from a KernelTransport.
+// start() schedules the endpoint on a kernel Scheduler (its lane of the
+// sharded engine) — a periodic emit timer plus one cancellable repair timer
+// per complained-about node — and messages arrive via Endpoint::on_message.
 
 #include <cstdint>
 #include <map>
@@ -21,7 +17,6 @@
 #include "coding/null_keys.hpp"
 #include "gf/gf256.hpp"
 #include "node/message.hpp"
-#include "node/network.hpp"
 #include "node/transport.hpp"
 #include "overlay/thread_matrix.hpp"
 #include "sim/event_engine.hpp"
@@ -56,18 +51,11 @@ class ServerNode : public Endpoint {
   /// The original content (for end-to-end verification in tests).
   const std::vector<std::uint8_t>& data() const { return data_; }
 
-  /// Event mode: attaches to the transport and schedules the emit loop.
+  /// Attaches to the transport and schedules the emit loop.
   void start(sim::Scheduler& engine, AttachableTransport& net);
 
-  /// Handles one protocol message (both modes route through here).
+  /// Handles one protocol message.
   void on_message(const Message& m) override;
-
-  /// Tick mode: drains this endpoint's mailbox and handles each message.
-  void process_messages(InMemoryNetwork& net);
-
-  /// Tick mode: advances one time unit — executes due repairs, then emits
-  /// one coded packet (random generation) on every directly-fed column.
-  void on_tick(std::uint64_t tick, InMemoryNetwork& net);
 
   /// Number of repairs executed so far.
   std::uint64_t repairs_done() const { return repairs_done_; }
@@ -95,7 +83,6 @@ class ServerNode : public Endpoint {
   /// Emits one coded packet per directly-fed column.
   void emit_direct();
   void event_tick();
-  double now() const;
 
   /// Previous clipper of `column` above the row of `addr` (server if none).
   Address parent_on_column(Address addr, overlay::ColumnId column) const;
@@ -119,9 +106,7 @@ class ServerNode : public Endpoint {
   std::vector<std::vector<std::uint8_t>> key_bundles_;
   /// Columns the server currently feeds directly: column -> child address.
   std::map<overlay::ColumnId, Address> direct_children_;
-  /// Tick mode — scheduled repairs: address -> tick at which to execute.
-  std::map<Address, std::uint64_t> pending_repairs_;
-  /// Event mode — one cancellable repair timer per failed node.
+  /// One cancellable repair timer per failed node.
   std::map<Address, sim::TimerHandle> repair_timers_;
   /// Open repair span per failed node (begun at the complaint that scheduled
   /// the repair, parented on the complaint's span, ended when the splice
@@ -130,7 +115,6 @@ class ServerNode : public Endpoint {
   Transport* net_ = nullptr;
   sim::Scheduler* engine_ = nullptr;
   sim::TimerHandle emit_timer_{};
-  std::uint64_t now_ = 0;
   std::uint64_t repairs_done_ = 0;
   double last_repair_time_ = -1.0;
 };

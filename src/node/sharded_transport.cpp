@@ -8,16 +8,13 @@ namespace ncast::node {
 
 namespace {
 
-// splitmix64 finalizer, same scheme as KernelTransport: partition sides and
-// per-sender streams must depend on address and run seed alone.
+// splitmix64 finalizer: the partition side of an address must depend on the
+// address and the run seed alone, not on first-contact order, so every lane
+// agrees on it no matter how traffic interleaves.
 std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-bool is_data_plane(const Message& m) {
-  return m.type == MessageType::kData || m.type == MessageType::kKeepalive;
 }
 
 }  // namespace

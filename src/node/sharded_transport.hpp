@@ -1,25 +1,32 @@
 #pragma once
-// Sharded message fabric: the KernelTransport semantics re-partitioned for
-// the sharded event kernel (sim/sharded_engine.hpp). The lane of an address
-// is the address itself, so a message send runs on the sender's lane and
-// its delivery is a cross-lane post to the receiver's lane.
+// The message fabric, on the sharded event kernel (sim/sharded_engine.hpp).
+// The lane of an address is the address itself, so a message send runs on
+// the sender's lane and its delivery is a cross-lane post to the receiver's
+// lane. The sequential case is simply ShardedEngine(1, 0): one shard, no
+// workers, the same results (the kernel's determinism contract).
+//
+// Per message, on the sender's lane: sample a latency, draw the plane's loss
+// process, test the partition window at the known arrival time, then post
+// the delivery. Crash state is checked at both ends — a crashed sender
+// drops at send (kCrashed), a receiver that is crashed when the delivery
+// lands drops it (kBlackhole), including mail already in flight.
 //
 // Shard-safety by ownership, not locks:
 //   - Per-sender randomness: each sender address owns an independent Rng
 //     (split from the run seed and the address alone) plus its own
 //     Gilbert-Elliott channel states, so the draw sequence of one sender
-//     can never depend on how other senders' traffic interleaves — the
-//     sharded analogue of KernelTransport's send-order determinism.
+//     depends only on its own send sequence, never on how other senders'
+//     traffic interleaves.
 //   - endpoints / crashed flags live in pre-sized vectors indexed by
 //     address and are written only from the owning lane (attach on start,
 //     crash from the fault event scheduled on the victim's lane) and read
-//     only on that lane too: the receiver-side crash test happens at
-//     delivery time (kBlackhole), not at send time, so no lane ever reads
-//     another lane's flag. This shifts sends to already-crashed receivers
-//     from kCrashed to kBlackhole relative to KernelTransport — the
-//     message is counted dropped either way.
-//   - The partition side of an address is a pure salted hash (same scheme
-//     as KernelTransport), so both lanes agree on it without shared state.
+//     only on that lane too. That is why the receiver-side crash test
+//     happens at delivery time, not at send time: no lane ever reads
+//     another lane's flag. A send to an already-crashed receiver therefore
+//     drops as kBlackhole on arrival, not as kCrashed at send — the message
+//     is counted dropped either way.
+//   - The partition side of an address is a pure salted hash, so both
+//     lanes agree on it without shared state.
 
 #include <atomic>
 #include <cstdint>

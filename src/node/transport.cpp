@@ -1,5 +1,6 @@
 #include "node/transport.hpp"
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace ncast::node {
@@ -26,10 +27,6 @@ struct NetCounters {
   }
 };
 
-bool is_data_plane(const Message& m) {
-  return m.type == MessageType::kData || m.type == MessageType::kKeepalive;
-}
-
 }  // namespace
 
 const char* to_string(DropReason reason) {
@@ -43,19 +40,6 @@ const char* to_string(DropReason reason) {
   return "unknown";
 }
 
-namespace {
-
-// splitmix64 finalizer: the partition side assignment must depend on the
-// address alone (plus a per-run salt), not on first-contact order, so two
-// runs of the same seed agree on sides no matter how traffic interleaves.
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 void Transport::send(Message m) {
   NetCounters& reg = NetCounters::get();
   ++sent_;
@@ -68,7 +52,7 @@ void Transport::send(Message m) {
     const std::size_t bytes = m.wire.size();
     data_bytes_ += bytes;
     reg.data_bytes.inc(bytes);
-    // Data-plane send event; the drivers keep the trace clock at the current
+    // Data-plane send event; the engine keeps the trace clock at the current
     // sim time, so these interleave with overlay control events.
     obs::trace().emit(obs::TraceKind::kPacketSend, m.from, m.to, 0, {},
                       m.span);
@@ -103,110 +87,6 @@ void Transport::note_dropped(const Message& m, DropReason reason) {
   obs::trace().emit(obs::TraceKind::kMsgDrop, m.from, m.to,
                     static_cast<std::uint64_t>(m.type), to_string(reason),
                     m.span);
-}
-
-KernelTransport::KernelTransport(sim::Scheduler& engine, TransportSpec spec,
-                                 Rng rng)
-    : engine_(engine),
-      spec_(spec),
-      rng_(rng),
-      partition_salt_(rng_()) {}
-
-void KernelTransport::attach(Address addr, Endpoint* endpoint) {
-  endpoints_[addr] = endpoint;
-}
-
-void KernelTransport::detach(Address addr) { endpoints_.erase(addr); }
-
-void KernelTransport::crash(Address addr) { crashed_[addr] = true; }
-
-void KernelTransport::revive(Address addr) { crashed_[addr] = false; }
-
-bool KernelTransport::crashed(Address addr) const {
-  const auto it = crashed_.find(addr);
-  return it != crashed_.end() && it->second;
-}
-
-bool KernelTransport::side_b(Address addr) const {
-  if (!spec_.partition.active()) return false;
-  if (addr == kServerAddress) return false;  // the source stays on side A
-  const std::uint64_t z =
-      mix64(partition_salt_ ^
-            (static_cast<std::uint64_t>(addr) * 0x9e3779b97f4a7c15ULL));
-  const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-  return u < spec_.partition.side_b_fraction;
-}
-
-bool KernelTransport::crossing_partition(Address a, Address b,
-                                         double when) const {
-  if (!spec_.partition.active()) return false;
-  if (when < spec_.partition.start || when >= spec_.partition.end) return false;
-  return side_b(a) != side_b(b);
-}
-
-bool KernelTransport::survives(const Message& m) {
-  const bool data_plane = is_data_plane(m);
-  const sim::LossSpec& loss = data_plane ? spec_.data_loss : spec_.control_loss;
-  switch (loss.kind) {
-    case sim::LossSpec::Kind::kNone:
-      return true;
-    case sim::LossSpec::Kind::kBernoulli:
-      return !(loss.p > 0.0 && rng_.chance(loss.p));
-    case sim::LossSpec::Kind::kGilbertElliott: {
-      bool& bad = ge_bad_[{{m.from, m.to}, data_plane}];
-      bad = bad ? !rng_.chance(loss.p_exit_bad) : rng_.chance(loss.p_enter_bad);
-      const double drop = bad ? loss.loss_bad : loss.loss_good;
-      return !rng_.chance(drop);
-    }
-  }
-  return true;
-}
-
-void KernelTransport::route(Message m) {
-  if (crashed(m.from) || crashed(m.to)) {
-    note_dropped(m, DropReason::kCrashed);
-    return;
-  }
-  // Draw order per message is fixed — latency, then loss — so the stream of
-  // transport draws depends only on the send sequence, never on queue state.
-  const double delay = spec_.latency.sample(rng_);
-  if (!survives(m)) {
-    note_dropped(m, DropReason::kLoss);
-    return;
-  }
-  if (crossing_partition(m.from, m.to, engine_.now() + delay)) {
-    note_dropped(m, DropReason::kPartition);
-    return;
-  }
-  ++in_flight_;
-  if (in_flight_ > max_in_flight_) max_in_flight_ = in_flight_;
-  in_flight_gauge_->set(static_cast<double>(in_flight_));
-  in_flight_hwm_->set_max(static_cast<double>(in_flight_));
-  delivery_delay_->observe(delay);
-  engine_.schedule_in(
-      delay,
-      [this, msg = std::move(m)]() mutable { arrive(std::move(msg)); },
-      sim::TimerClass::kDelivery);
-}
-
-void KernelTransport::arrive(Message m) {
-  --in_flight_;
-  in_flight_gauge_->set(static_cast<double>(in_flight_));
-  if (crashed(m.to)) {  // died while the message was in flight
-    note_dropped(m, DropReason::kBlackhole);
-    return;
-  }
-  const auto it = endpoints_.find(m.to);
-  if (it == endpoints_.end() || it->second == nullptr) {
-    note_dropped(m, DropReason::kUnattached);
-    return;
-  }
-  ++delivered_;
-  if (!is_data_plane(m)) {
-    obs::trace().emit(obs::TraceKind::kMsgDeliver, m.to, m.from,
-                      static_cast<std::uint64_t>(m.type), {}, m.span);
-  }
-  it->second->on_message(m);
 }
 
 }  // namespace ncast::node

@@ -1,36 +1,26 @@
 #pragma once
 // The message-plane transport abstraction. A Transport carries node::Message
-// traffic between addresses; every concrete fabric counts the same way (the
-// base class owns the accounting), so benches and tests can swap fabrics
-// without touching their assertions.
+// traffic between addresses; the base class owns the accounting, so every
+// fabric counts the same way and endpoints, benches, and tests talk to the
+// base interface alone.
 //
-// Two implementations:
-//   - InMemoryNetwork (network.hpp): the degenerate zero-adversity fabric —
-//     FIFO per-destination mailboxes drained by the lock-step tick drivers.
-//     Latency is exactly one tick, nothing is ever lost.
-//   - KernelTransport (below): the event-driven fabric on the unified
-//     simulation kernel. Every send becomes an EventEngine timer, with a
-//     composable per-message link model — latency distributions, independent
-//     Bernoulli / Gilbert-Elliott loss processes for the control and data
-//     planes, and timed partitions. This is what finally exposes the
-//     hello / good-bye / repair control plane of Section 3 to the same
-//     adversity the data plane has always faced.
+// The one concrete fabric is ShardedTransport (sharded_transport.hpp): every
+// send becomes a delivery event on the receiver's lane of the sharded event
+// kernel, with a composable per-message link model — latency distributions,
+// independent Bernoulli / Gilbert-Elliott loss processes for the control and
+// data planes, and timed partitions. That exposes the hello / good-bye /
+// repair control plane of Section 3 to the same adversity the data plane
+// has always faced.
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <utility>
 
 #include "node/message.hpp"
-#include "obs/metrics.hpp"
-#include "sim/event_engine.hpp"
 #include "sim/link_model.hpp"
-#include "util/rng.hpp"
 
 namespace ncast::node {
 
-/// A message consumer attached to a KernelTransport address.
+/// A message consumer attached to a transport address.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -43,19 +33,24 @@ class Endpoint {
 /// allocation), so a lossy run's post-mortem can tell a loss process from a
 /// partition from a crash blackhole.
 enum class DropReason : std::uint8_t {
-  kCrashed,     ///< sender or receiver already marked crashed at send time
+  kCrashed,     ///< sender already marked crashed at send time
   kLoss,        ///< the plane's loss process fired
   kPartition,   ///< delivery would cross an active partition
-  kBlackhole,   ///< receiver crashed while the message was in flight
+  kBlackhole,   ///< receiver crashed before the message arrived
   kUnattached,  ///< no endpoint bound to the destination address
 };
 
 const char* to_string(DropReason reason);
 
+/// True for the data plane (kData + kKeepalive), which has its own loss
+/// process and stays out of the control-plane drop accounting.
+inline bool is_data_plane(const Message& m) {
+  return m.type == MessageType::kData || m.type == MessageType::kKeepalive;
+}
+
 /// Declarative description of what the fabric does to messages. The control
-/// and data planes get independent loss processes (the whole point of the
-/// event-driven transport: control traffic can now be lossy too), but share
-/// one latency distribution and one partition window.
+/// and data planes get independent loss processes (control traffic can be
+/// lossy too), but share one latency distribution and one partition window.
 struct TransportSpec {
   sim::LatencySpec latency = sim::LatencySpec::fixed_delay(1.0);
   sim::LossSpec control_loss = sim::LossSpec::none();  ///< everything but data/keepalive
@@ -117,74 +112,14 @@ class Transport {
   std::atomic<std::uint64_t> data_bytes_{0};
 };
 
-/// A Transport endpoints can bind to by address. ClientNode/ServerNode start
-/// against this surface, so the same protocol code runs on KernelTransport
-/// (single engine) or the sharded fabric without caring which.
+/// A Transport endpoints can bind to by address. ClientNode/ServerNode/
+/// GossipPeer start against this surface, so the protocol code never knows
+/// which fabric (or which decorator of it) carries its mail.
 class AttachableTransport : public Transport {
  public:
   /// Binds `endpoint` to `addr`; mail for unattached addresses is dropped.
   virtual void attach(Address addr, Endpoint* endpoint) = 0;
   virtual void detach(Address addr) = 0;
-};
-
-/// Event-driven fabric on the simulation kernel (Layer 1). Each send samples
-/// a latency from the spec and schedules the delivery as an EventEngine
-/// timer; the loss draw happens at send time (one draw per message, in send
-/// order — deterministic for a fixed seed), the partition test at the
-/// already-known arrival time, and crash state is re-checked at delivery so
-/// mail in flight toward a node that dies mid-flight is lost like anything
-/// else. Gilbert-Elliott channels keep per-directed-pair, per-plane state in
-/// ordered maps (determinism: no unordered iteration anywhere).
-class KernelTransport final : public AttachableTransport {
- public:
-  KernelTransport(sim::Scheduler& engine, TransportSpec spec, Rng rng);
-
-  void attach(Address addr, Endpoint* endpoint) override;
-  void detach(Address addr) override;
-
-  void crash(Address addr) override;
-  void revive(Address addr) override;
-  bool crashed(Address addr) const override;
-
-  /// Messages currently riding a timer (the queue-depth gauge's source).
-  std::size_t in_flight() const { return in_flight_; }
-  std::size_t max_in_flight() const { return max_in_flight_; }
-  std::uint64_t delivered() const { return delivered_; }
-
-  const TransportSpec& spec() const { return spec_; }
-  sim::Scheduler& engine() { return engine_; }
-
- protected:
-  void route(Message m) override;
-
- private:
-  /// Directed (from, to) channel key; the bool distinguishes the data plane
-  /// from the control plane so each keeps its own Gilbert-Elliott chain.
-  using ChannelKey = std::pair<std::pair<Address, Address>, bool>;
-
-  void arrive(Message m);
-  bool survives(const Message& m);
-  bool crossing_partition(Address a, Address b, double when) const;
-  bool side_b(Address addr) const;
-
-  sim::Scheduler& engine_;
-  TransportSpec spec_;
-  Rng rng_;
-  std::uint64_t partition_salt_;
-  std::map<Address, Endpoint*> endpoints_;
-  std::map<Address, bool> crashed_;
-  std::map<ChannelKey, bool> ge_bad_;  ///< Gilbert-Elliott state per channel
-  std::size_t in_flight_ = 0;
-  std::size_t max_in_flight_ = 0;
-  std::uint64_t delivered_ = 0;
-  // Process-wide instrumentation, cached once (registry entries are never
-  // deallocated): the in-flight queue-depth gauge pair under net.*, plus the
-  // per-message delivery-delay distribution (sim-time units) — the quantity
-  // real-time broadcast evaluation cares about (cf. DRAGONCAST), known at
-  // schedule time because the latency draw happens at send.
-  obs::Gauge* in_flight_gauge_ = &obs::metrics().gauge("net.transport_in_flight");
-  obs::Gauge* in_flight_hwm_ = &obs::metrics().gauge("net.transport_in_flight_hwm");
-  obs::Histogram* delivery_delay_ = &obs::metrics().histogram("net.delivery_delay");
 };
 
 }  // namespace ncast::node

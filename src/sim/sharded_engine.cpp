@@ -248,7 +248,11 @@ void ShardedEngine::worker_main(std::uint32_t worker_idx) {
 std::size_t ShardedEngine::run_until(SimTime horizon) {
   const std::uint64_t executed_before = lifetime_executed_;
   // Per-run, per-shard attribution spans: a trace post-mortem can group a
-  // run's events by shard and see each shard's window activity.
+  // run's events by shard and see each shard's window activity. The trace
+  // clock still reads whatever the previous run (of any engine) left there,
+  // so set it to this run's start first or the spans would predate the
+  // run's own events.
+  obs::trace().set_now(cursor_);
   for (std::size_t s = 0; s < shards_v_.size(); ++s) {
     shards_v_[s].span = obs::trace().new_span();
     obs::trace().emit(obs::TraceKind::kSpanBegin, s, 0, 0, "shard",

@@ -1,18 +1,23 @@
 // Tracker-less swarm tests: joins by gossip, decentralized silence-driven
 // repair, graceful departures, source-only seeding — Section 7's "role of
-// the server ... even eliminated", exercised message by message.
+// the server ... even eliminated", exercised message by message on the
+// sharded kernel's fabric (one shard, no workers, ideal links).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "node/driver.hpp"
+#include "node/gossip_peer.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
 namespace {
 
 using namespace node;
+
+constexpr std::size_t kAddresses = 256;
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -21,11 +26,52 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return bytes;
 }
 
-struct Swarm {
+/// Peers on one engine and fabric; the test advances time.
+struct Mesh {
+  sim::ShardedEngine engine{1, 0, 1.0};
+  ShardedTransport net{engine, TransportSpec{}, 1, kAddresses};
+  std::vector<GossipPeer*> peers;
+  double now = 0.0;
+
+  void add(GossipPeer& peer) {
+    peers.push_back(&peer);
+    peer.start(engine.lane(peer.address()), net);
+  }
+
+  void run(double span) {
+    now += span;
+    engine.run_until(now);
+  }
+
+  void crash(GossipPeer& peer) {
+    peer.crash();
+    net.crash(peer.address());
+  }
+
+  /// Runs until every live non-source peer decoded, or the budget runs out.
+  bool run_until_decoded(double max_time) {
+    for (double t = 0.0; t < max_time; t += 1.0) {
+      run(1.0);
+      bool any = false;
+      bool all = true;
+      for (GossipPeer* p : peers) {
+        if (p->crashed() || p->departed() || p->is_source()) continue;
+        if (!p->decoded()) {
+          all = false;
+          break;
+        }
+        any = true;
+      }
+      if (any && all) return true;
+    }
+    return false;
+  }
+};
+
+struct Swarm : Mesh {
   GossipPeerConfig cfg;
   std::unique_ptr<GossipPeer> source;
-  std::vector<std::unique_ptr<GossipPeer>> peers;
-  std::unique_ptr<GossipDriver> driver;
+  std::vector<std::unique_ptr<GossipPeer>> members;
 
   explicit Swarm(std::size_t n_peers, std::uint32_t source_slots = 6,
                  std::uint64_t seed = 1) {
@@ -37,25 +83,24 @@ struct Swarm {
     source_cfg.upload_slots = source_slots;
     source = std::make_unique<GossipPeer>(
         1, source_cfg, random_bytes(8 * 8 * 2, seed ^ 0x99), 8, 8);
+    add(*source);
 
-    std::vector<GossipPeer*> ptrs{source.get()};
     for (std::size_t i = 0; i < n_peers; ++i) {
       // Early peers are introduced to the source; later ones to a random
       // earlier peer — nobody else ever learns the membership centrally.
       const Address addr = static_cast<Address>(i + 2);
       const Address introducer =
           i == 0 ? 1 : static_cast<Address>(2 + (seed + i * 7) % i);
-      peers.push_back(std::make_unique<GossipPeer>(addr, cfg, introducer));
-      ptrs.push_back(peers.back().get());
+      members.push_back(std::make_unique<GossipPeer>(addr, cfg, introducer));
+      add(*members.back());
     }
-    driver = std::make_unique<GossipDriver>(ptrs);
   }
 };
 
 TEST(GossipPeer, SwarmBootstrapsAndDecodes) {
   Swarm s(20);
-  ASSERT_TRUE(s.driver->run_until_decoded(600));
-  for (auto& p : s.peers) {
+  ASSERT_TRUE(s.run_until_decoded(600));
+  for (auto& p : s.members) {
     EXPECT_TRUE(p->decoded());
     EXPECT_EQ(p->data(), s.source->data());
     EXPECT_LE(p->parent_count(), 3u);
@@ -64,8 +109,8 @@ TEST(GossipPeer, SwarmBootstrapsAndDecodes) {
 
 TEST(GossipPeer, ViewsStayBoundedAndUseful) {
   Swarm s(30);
-  s.driver->run(100);
-  for (auto& p : s.peers) {
+  s.run(100);
+  for (auto& p : s.members) {
     EXPECT_LE(p->view_size(), s.cfg.view_limit);
     EXPECT_GE(p->view_size(), 1u);
   }
@@ -73,27 +118,28 @@ TEST(GossipPeer, ViewsStayBoundedAndUseful) {
 
 TEST(GossipPeer, DecentralizedRepairAfterCrash) {
   Swarm s(18);
-  s.driver->run(30);  // everyone wired up and streaming
+  s.run(30);  // everyone wired up and streaming
 
   // Crash a peer that is serving children; its children must notice the
   // silence, drop it, and re-acquire feeds from elsewhere — no server.
   GossipPeer* victim = nullptr;
-  for (auto& p : s.peers) {
+  for (auto& p : s.members) {
     if (p->child_count() > 0) {
       victim = p.get();
       break;
     }
   }
   ASSERT_NE(victim, nullptr);
-  s.driver->crash(*victim);
+  s.crash(*victim);
 
-  ASSERT_TRUE(s.driver->run_until_decoded(800));
+  ASSERT_TRUE(s.run_until_decoded(800));
   // Decoding often finishes before the silence timeout even fires (the
   // redundancy covers the outage); run on so the repair machinery itself is
   // observable: the children must drop the corpse and re-acquire.
-  s.driver->run(s.cfg.silence_timeout * 2 + s.cfg.request_timeout + 6);
+  s.run(static_cast<double>(s.cfg.silence_timeout * 2 +
+                            s.cfg.request_timeout + 6));
   std::uint64_t reacquisitions = 0;
-  for (auto& p : s.peers) {
+  for (auto& p : s.members) {
     if (p->crashed()) continue;
     reacquisitions += p->reacquisitions();
     EXPECT_TRUE(p->decoded());
@@ -104,17 +150,17 @@ TEST(GossipPeer, DecentralizedRepairAfterCrash) {
 
 TEST(GossipPeer, GracefulLeaveReleasesSlotsAndRewires) {
   Swarm s(16);
-  s.driver->run(30);
-  auto& leaver = *s.peers[3];
+  s.run(30);
+  auto& leaver = *s.members[3];
   const auto parents = leaver.parent_count();
   ASSERT_GT(parents, 0u);
-  leaver.leave(s.driver->network());
+  leaver.leave(s.net);
   EXPECT_TRUE(leaver.departed());
-  s.driver->run(20);
+  s.run(20);
   // Its former children must have re-acquired (or already held) full feeds
   // and everyone still completes.
-  ASSERT_TRUE(s.driver->run_until_decoded(600));
-  for (auto& p : s.peers) {
+  ASSERT_TRUE(s.run_until_decoded(600));
+  for (auto& p : s.members) {
     if (p->departed()) continue;
     EXPECT_TRUE(p->decoded());
   }
@@ -122,7 +168,7 @@ TEST(GossipPeer, GracefulLeaveReleasesSlotsAndRewires) {
 
 TEST(GossipPeer, SourceNeverRequestsAndServesItsSlots) {
   Swarm s(12, /*source_slots=*/4);
-  s.driver->run(60);
+  s.run(60);
   EXPECT_TRUE(s.source->is_source());
   EXPECT_EQ(s.source->parent_count(), 0u);
   EXPECT_LE(s.source->child_count(), 4u);
@@ -131,11 +177,11 @@ TEST(GossipPeer, SourceNeverRequestsAndServesItsSlots) {
 
 TEST(GossipPeer, LateJoinerFindsTheSwarmViaGossip) {
   Swarm s(15);
-  ASSERT_TRUE(s.driver->run_until_decoded(600));
+  ASSERT_TRUE(s.run_until_decoded(600));
   // The latecomer is introduced to a random old peer, never the source.
   auto late = std::make_unique<GossipPeer>(200, s.cfg, /*introducer=*/9);
-  s.driver->add_peer(late.get());
-  s.driver->run(400);
+  s.add(*late);
+  s.run(400);
   EXPECT_TRUE(late->decoded());
   EXPECT_EQ(late->data(), s.source->data());
 }
@@ -144,7 +190,7 @@ TEST(GossipPeer, DenialsCarrySamplesSoSearchProgresses) {
   // A tiny source (1 slot) forces most requests to be denied; the swarm must
   // still complete because denials fan the search out.
   Swarm s(10, /*source_slots=*/1);
-  EXPECT_TRUE(s.driver->run_until_decoded(1500));
+  EXPECT_TRUE(s.run_until_decoded(1500));
 }
 
 TEST(GossipPeer, NullKeysPropagateTransitively) {
@@ -156,15 +202,15 @@ TEST(GossipPeer, NullKeysPropagateTransitively) {
   cfg.null_keys = 3;
   GossipPeerConfig source_cfg = cfg;
   source_cfg.upload_slots = 2;
+  Mesh mesh;
   GossipPeer source(1, source_cfg, random_bytes(8 * 8, 11), 8, 8);
+  mesh.add(source);
   std::vector<std::unique_ptr<GossipPeer>> peers;
-  std::vector<GossipPeer*> ptrs{&source};
   for (Address a = 2; a <= 13; ++a) {
     peers.push_back(std::make_unique<GossipPeer>(a, cfg, a - 1));
-    ptrs.push_back(peers.back().get());
+    mesh.add(*peers.back());
   }
-  GossipDriver driver(ptrs);
-  ASSERT_TRUE(driver.run_until_decoded(800));
+  ASSERT_TRUE(mesh.run_until_decoded(800));
   for (auto& p : peers) {
     EXPECT_TRUE(p->verification_enabled()) << "peer " << p->address();
     EXPECT_EQ(p->data(), source.data());
@@ -174,28 +220,28 @@ TEST(GossipPeer, NullKeysPropagateTransitively) {
 TEST(GossipPeer, SustainedChurnSelfHeals) {
   Swarm s(24, 6, /*seed=*/5);
   Rng rng(77);
-  s.driver->run(30);
+  s.run(30);
   std::size_t crashes = 0, leaves = 0;
   for (int step = 0; step < 30; ++step) {
-    s.driver->run(8);
+    s.run(8);
     std::vector<GossipPeer*> live;
-    for (auto& p : s.peers) {
+    for (auto& p : s.members) {
       if (!p->crashed() && !p->departed()) live.push_back(p.get());
     }
     if (live.size() <= 12) break;  // keep a viable swarm
     const auto roll = rng.below(10);
     if (roll < 3) {
-      s.driver->crash(*live[rng.below(live.size())]);
+      s.crash(*live[rng.below(live.size())]);
       ++crashes;
     } else if (roll < 5) {
-      live[rng.below(live.size())]->leave(s.driver->network());
+      live[rng.below(live.size())]->leave(s.net);
       ++leaves;
     }
   }
   EXPECT_GT(crashes, 0u);
   EXPECT_GT(leaves, 0u);
-  ASSERT_TRUE(s.driver->run_until_decoded(1500));
-  for (auto& p : s.peers) {
+  ASSERT_TRUE(s.run_until_decoded(1500));
+  for (auto& p : s.members) {
     if (p->crashed() || p->departed()) continue;
     EXPECT_TRUE(p->decoded());
     EXPECT_EQ(p->data(), s.source->data());

@@ -1,21 +1,28 @@
 // Protocol-level tests: real ServerNode/ClientNode endpoints exchanging
-// hello/good-bye/complaint/repair/data messages over the in-memory fabric.
-// This is the paper's Section 3, executed message by message.
+// hello/good-bye/complaint/repair/data messages over the sharded kernel's
+// fabric (one shard, no workers, ideal fixed-latency links). This is the
+// paper's Section 3, executed message by message.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "coding/encoder.hpp"
 #include "coding/null_keys.hpp"
 #include "coding/wire.hpp"
-#include "node/driver.hpp"
+#include "node/client_node.hpp"
+#include "node/server_node.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
 namespace {
 
 using namespace node;
+
+constexpr std::size_t kAddresses = 128;
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -24,146 +31,198 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return bytes;
 }
 
-struct Fixture {
-  ServerConfig scfg;
+/// A server plus clients on one engine and fabric; the test advances time.
+struct Harness {
+  sim::ShardedEngine engine{1, 0, 1.0};
+  ShardedTransport net;
+  ServerNode server;
   ClientConfig ccfg;
-  std::unique_ptr<ServerNode> server;
   std::vector<std::unique_ptr<ClientNode>> clients;
-  std::unique_ptr<TickDriver> driver;
+  double now = 0.0;
 
+  Harness(const ServerConfig& scfg, std::vector<std::uint8_t> content,
+          ClientConfig client_cfg = {})
+      : net(engine, TransportSpec{}, scfg.seed, kAddresses),
+        server(scfg, std::move(content)),
+        ccfg(client_cfg) {
+    server.start(engine.lane(kServerAddress), net);
+  }
+
+  /// Starts a client at `addr` (it sends its hello now).
+  ClientNode& add(Address addr, std::uint32_t degree = 0) {
+    clients.push_back(std::make_unique<ClientNode>(addr, ccfg));
+    clients.back()->start(engine.lane(addr), net, degree);
+    return *clients.back();
+  }
+
+  void run(double span) {
+    now += span;
+    engine.run_until(now);
+  }
+
+  void crash(ClientNode& c) {
+    c.crash();
+    net.crash(c.address());
+  }
+
+  /// Runs until every live, joined client decoded, or `max_time` elapses.
+  bool run_until_decoded(double max_time) {
+    for (double t = 0.0; t < max_time; t += 1.0) {
+      run(1.0);
+      bool any = false;
+      bool all = true;
+      for (const auto& c : clients) {
+        if (c->crashed()) continue;
+        if (!c->joined() || !c->decoded()) {
+          all = false;
+          break;
+        }
+        any = true;
+      }
+      if (any && all) return true;
+    }
+    return false;
+  }
+};
+
+ServerConfig server_config(std::uint32_t k, std::uint32_t d, std::size_t g) {
+  ServerConfig scfg;
+  scfg.k = k;
+  scfg.default_degree = d;
+  scfg.repair_delay = 2;
+  scfg.generation_size = g;
+  scfg.symbols = 8;
+  scfg.seed = 7;
+  return scfg;
+}
+
+struct Fixture : Harness {
   explicit Fixture(std::size_t n_clients, std::uint32_t k = 8,
                    std::uint32_t d = 3, std::size_t g = 8,
-                   std::size_t generations = 1) {
-    scfg.k = k;
-    scfg.default_degree = d;
-    scfg.repair_delay = 2;
-    scfg.generation_size = g;
-    scfg.symbols = 8;
-    scfg.seed = 7;
-    ccfg.silence_timeout = 6;
-    server = std::make_unique<ServerNode>(
-        scfg, random_bytes(g * 8 * generations, 99));
-    std::vector<ClientNode*> ptrs;
+                   std::size_t generations = 1)
+      : Harness(server_config(k, d, g), random_bytes(g * 8 * generations, 99),
+                client_config()) {
     for (std::size_t i = 0; i < n_clients; ++i) {
-      clients.push_back(std::make_unique<ClientNode>(
-          static_cast<Address>(i + 1), ccfg));
-      ptrs.push_back(clients.back().get());
+      add(static_cast<Address>(i + 1));
     }
-    driver = std::make_unique<TickDriver>(*server, ptrs);
-    for (auto& c : clients) c->join(driver->network());
+  }
+
+  static ClientConfig client_config() {
+    ClientConfig ccfg;
+    ccfg.silence_timeout = 6;
+    return ccfg;
   }
 };
 
 TEST(NodeProtocol, JoinAssignsThreadsAndBuildsMatrix) {
   Fixture f(5);
-  f.driver->run(3);
+  f.run(3);
   for (auto& c : f.clients) {
     EXPECT_TRUE(c->joined());
-    EXPECT_TRUE(f.server->matrix().contains(c->address()));
-    EXPECT_EQ(f.server->matrix().row(c->address()).threads.size(), 3u);
+    EXPECT_TRUE(f.server.matrix().contains(c->address()));
+    EXPECT_EQ(f.server.matrix().row(c->address()).threads.size(), 3u);
   }
-  EXPECT_EQ(f.server->matrix().row_count(), 5u);
+  EXPECT_EQ(f.server.matrix().row_count(), 5u);
 }
 
 TEST(NodeProtocol, StreamingDecodesEveryone) {
   Fixture f(20);
-  EXPECT_TRUE(f.driver->run_until_decoded(300));
+  EXPECT_TRUE(f.run_until_decoded(300));
   for (auto& c : f.clients) {
     ASSERT_TRUE(c->decoded());
-    EXPECT_EQ(c->data(), f.server->data());
+    EXPECT_EQ(c->data(), f.server.data());
   }
 }
 
 TEST(NodeProtocol, GracefulLeaveRewiresStream) {
   Fixture f(12);
-  f.driver->run(5);  // everyone joined
+  f.run(5);  // everyone joined
   // The 3rd client leaves; everyone else must still decode.
-  f.clients[2]->leave(f.driver->network());
-  f.driver->run(3);
-  EXPECT_FALSE(f.server->matrix().contains(f.clients[2]->address()));
+  f.clients[2]->leave(f.net);
+  f.run(3);
+  EXPECT_FALSE(f.server.matrix().contains(f.clients[2]->address()));
 
   std::vector<ClientNode*> rest;
   for (std::size_t i = 0; i < f.clients.size(); ++i) {
     if (i != 2) rest.push_back(f.clients[i].get());
   }
-  EXPECT_TRUE(f.driver->run_until_decoded(400));
+  EXPECT_TRUE(f.run_until_decoded(400));
   for (auto* c : rest) EXPECT_TRUE(c->decoded());
 }
 
 TEST(NodeProtocol, CrashComplaintRepairRecovers) {
   Fixture f(15, 8, 2, 12);
-  f.driver->run(4);
+  f.run(4);
 
   // Crash an early client (likely to have children).
   ClientNode& victim = *f.clients[1];
-  f.driver->crash(victim);
+  f.crash(victim);
 
   // The stream must still reach everyone else: children detect silence,
   // complain, the server repairs, parents redirect. Note decoding usually
   // finishes *before* the repair lands (redundancy covers the outage — the
   // containment story), so run past the silence timeout to observe the
   // repair machinery itself.
-  EXPECT_TRUE(f.driver->run_until_decoded(600));
-  f.driver->run(f.ccfg.silence_timeout * 3 + f.scfg.repair_delay + 4);
-  EXPECT_FALSE(f.server->matrix().contains(victim.address()));
-  EXPECT_EQ(f.server->matrix().failed_count(), 0u);
-  EXPECT_GE(f.server->repairs_done(), 1u);
+  EXPECT_TRUE(f.run_until_decoded(600));
+  f.run(static_cast<double>(f.ccfg.silence_timeout * 3 +
+                            f.server.config().repair_delay + 4));
+  EXPECT_FALSE(f.server.matrix().contains(victim.address()));
+  EXPECT_EQ(f.server.matrix().failed_count(), 0u);
+  EXPECT_GE(f.server.repairs_done(), 1u);
 }
 
 TEST(NodeProtocol, MultipleCrashesAllRepaired) {
   Fixture f(25, 12, 3, 10);
-  f.driver->run(4);
-  f.driver->crash(*f.clients[0]);
-  f.driver->crash(*f.clients[4]);
-  f.driver->crash(*f.clients[9]);
-  EXPECT_TRUE(f.driver->run_until_decoded(800));
+  f.run(4);
+  f.crash(*f.clients[0]);
+  f.crash(*f.clients[4]);
+  f.crash(*f.clients[9]);
+  EXPECT_TRUE(f.run_until_decoded(800));
   // Let the complaint -> repair cycle complete for all three victims.
-  f.driver->run(f.ccfg.silence_timeout * 4 + f.scfg.repair_delay + 8);
-  EXPECT_EQ(f.server->matrix().failed_count(), 0u);
-  EXPECT_EQ(f.server->matrix().row_count(), 22u);
+  f.run(static_cast<double>(f.ccfg.silence_timeout * 4 +
+                            f.server.config().repair_delay + 8));
+  EXPECT_EQ(f.server.matrix().failed_count(), 0u);
+  EXPECT_EQ(f.server.matrix().row_count(), 22u);
   for (auto& c : f.clients) {
     if (c->crashed()) continue;
     EXPECT_TRUE(c->decoded());
-    EXPECT_EQ(c->data(), f.server->data());
+    EXPECT_EQ(c->data(), f.server.data());
   }
 }
 
 TEST(NodeProtocol, LateJoinersCatchUp) {
   Fixture f(10);
-  f.driver->run(40);
+  f.run(40);
   // A new client joins mid-stream.
-  auto late = std::make_unique<ClientNode>(static_cast<Address>(100), f.ccfg);
-  f.driver->add_client(late.get());
-  late->join(f.driver->network());
-  f.driver->run(100);
-  EXPECT_TRUE(late->decoded());
-  EXPECT_EQ(late->data(), f.server->data());
+  ClientNode& late = f.add(100);
+  f.run(100);
+  EXPECT_TRUE(late.decoded());
+  EXPECT_EQ(late.data(), f.server.data());
 }
 
 TEST(NodeProtocol, ControlTrafficIsTiny) {
   Fixture f(30);
-  EXPECT_TRUE(f.driver->run_until_decoded(400));
-  const auto& net = f.driver->network();
+  EXPECT_TRUE(f.run_until_decoded(400));
   // Control is O(d) per membership event (join request + accept + <= d
   // parent attachments), independent of stream length: 30 joins here.
-  const auto control_after_joins = net.control_messages();
+  const auto control_after_joins = f.net.control_messages();
   EXPECT_LE(control_after_joins, 30u * (2 + 3 + 1));
   // With membership stable, a longer stream adds data but zero control —
   // the message-level version of the server-scalability claim.
-  f.driver->run(100);
-  EXPECT_EQ(net.control_messages(), control_after_joins);
-  EXPECT_GT(net.data_messages(), net.control_messages() * 5);
+  f.run(100);
+  EXPECT_EQ(f.net.control_messages(), control_after_joins);
+  EXPECT_GT(f.net.data_messages(), f.net.control_messages() * 5);
 }
 
 TEST(NodeProtocol, MultiGenerationFileStreams) {
   // A 4-generation content object: the protocol layer must deliver and
   // reassemble the whole file, not just one generation.
   Fixture f(16, 8, 3, 8, /*generations=*/4);
-  EXPECT_EQ(f.server->plan().generations, 4u);
-  EXPECT_TRUE(f.driver->run_until_decoded(1200));
+  EXPECT_EQ(f.server.plan().generations, 4u);
+  EXPECT_TRUE(f.run_until_decoded(1200));
   for (auto& c : f.clients) {
     ASSERT_TRUE(c->decoded());
-    EXPECT_EQ(c->data(), f.server->data());
+    EXPECT_EQ(c->data(), f.server.data());
   }
 }
 
@@ -174,26 +233,17 @@ TEST(NodeProtocol, NullKeysDistributedInJoinAccept) {
   scfg.generation_size = 6;
   scfg.symbols = 8;
   scfg.null_keys = 3;
-  ServerNode server(scfg, random_bytes(6 * 8 * 2, 5));
-
-  ClientConfig ccfg;
-  std::vector<std::unique_ptr<ClientNode>> clients;
-  std::vector<ClientNode*> ptrs;
-  for (Address a = 1; a <= 10; ++a) {
-    clients.push_back(std::make_unique<ClientNode>(a, ccfg));
-    ptrs.push_back(clients.back().get());
-  }
-  TickDriver driver(server, ptrs);
-  for (auto& c : clients) c->join(driver.network());
-  driver.run(3);
-  for (auto& c : clients) {
+  Harness h(scfg, random_bytes(6 * 8 * 2, 5));
+  for (Address a = 1; a <= 10; ++a) h.add(a);
+  h.run(3);
+  for (auto& c : h.clients) {
     EXPECT_TRUE(c->joined());
     EXPECT_TRUE(c->verification_enabled());
   }
   // Verification must not interfere with honest streaming.
-  EXPECT_TRUE(driver.run_until_decoded(400));
-  for (auto& c : clients) {
-    EXPECT_EQ(c->data(), server.data());
+  EXPECT_TRUE(h.run_until_decoded(400));
+  for (auto& c : h.clients) {
+    EXPECT_EQ(c->data(), h.server.data());
     EXPECT_EQ(c->packets_rejected(), 0u);
   }
 }
@@ -205,13 +255,9 @@ TEST(NodeProtocol, VerifyingClientsRejectForgedData) {
   scfg.generation_size = 4;
   scfg.symbols = 8;
   scfg.null_keys = 4;
-  ServerNode server(scfg, random_bytes(4 * 8, 6));
-
-  ClientConfig ccfg;
-  ClientNode client(1, ccfg);
-  TickDriver driver(server, {&client});
-  client.join(driver.network());
-  driver.run(3);
+  Harness h(scfg, random_bytes(4 * 8, 6));
+  ClientNode& client = h.add(1);
+  h.run(3);
   ASSERT_TRUE(client.verification_enabled());
 
   // Forge a well-formed but inconsistent packet and inject it.
@@ -230,13 +276,13 @@ TEST(NodeProtocol, VerifyingClientsRejectForgedData) {
   evil.column = 0;
   evil.wire = coding::serialize(forged);
   const auto rejected_before = client.packets_rejected();
-  driver.network().send(evil);
-  driver.run(1);
+  h.net.send(evil);
+  h.run(1);
   EXPECT_EQ(client.packets_rejected(), rejected_before + 1);
 
   // The stream still completes correctly around the forgery.
-  EXPECT_TRUE(driver.run_until_decoded(200));
-  EXPECT_EQ(client.data(), server.data());
+  EXPECT_TRUE(h.run_until_decoded(200));
+  EXPECT_EQ(client.data(), h.server.data());
 }
 
 TEST(NodeProtocol, KeyBundleRoundTrip) {
@@ -275,46 +321,46 @@ TEST(NodeProtocol, KeyBundleRoundTrip) {
 
 TEST(NodeProtocol, CongestionOffloadShedsOneThread) {
   Fixture f(12, 8, 3, 8);
-  f.driver->run(3);
+  f.run(3);
   ClientNode& node = *f.clients[4];
   ASSERT_EQ(node.degree(), 3u);
 
-  node.request_offload(f.driver->network());
-  f.driver->run(3);
+  node.request_offload(f.net);
+  f.run(3);
   EXPECT_EQ(node.degree(), 2u);
-  EXPECT_EQ(f.server->matrix().row(node.address()).threads.size(), 2u);
+  EXPECT_EQ(f.server.matrix().row(node.address()).threads.size(), 2u);
 
   // The stream must keep flowing for everyone, including the shedder.
-  EXPECT_TRUE(f.driver->run_until_decoded(400));
+  EXPECT_TRUE(f.run_until_decoded(400));
 }
 
 TEST(NodeProtocol, CongestionRestoreReturnsThread) {
   Fixture f(12, 8, 3, 8);
-  f.driver->run(3);
+  f.run(3);
   ClientNode& node = *f.clients[4];
-  node.request_offload(f.driver->network());
-  f.driver->run(3);
+  node.request_offload(f.net);
+  f.run(3);
   ASSERT_EQ(node.degree(), 2u);
 
-  node.request_restore(f.driver->network());
-  f.driver->run(3);
+  node.request_restore(f.net);
+  f.run(3);
   EXPECT_EQ(node.degree(), 3u);
-  EXPECT_EQ(f.server->matrix().row(node.address()).threads.size(), 3u);
-  EXPECT_TRUE(f.driver->run_until_decoded(400));
+  EXPECT_EQ(f.server.matrix().row(node.address()).threads.size(), 3u);
+  EXPECT_TRUE(f.run_until_decoded(400));
 }
 
 TEST(NodeProtocol, OffloadCannotDropLastThread) {
   Fixture f(6, 8, 2, 6);
-  f.driver->run(3);
+  f.run(3);
   ClientNode& node = *f.clients[0];
-  node.request_offload(f.driver->network());
-  f.driver->run(2);
+  node.request_offload(f.net);
+  f.run(2);
   EXPECT_EQ(node.degree(), 1u);
   // The server must refuse to empty the row.
-  node.request_offload(f.driver->network());
-  f.driver->run(2);
+  node.request_offload(f.net);
+  f.run(2);
   EXPECT_EQ(node.degree(), 1u);
-  EXPECT_EQ(f.server->matrix().row(node.address()).threads.size(), 1u);
+  EXPECT_EQ(f.server.matrix().row(node.address()).threads.size(), 1u);
 }
 
 TEST(NodeProtocol, OffloadSplicesDownstreamCorrectly) {
@@ -322,15 +368,15 @@ TEST(NodeProtocol, OffloadSplicesDownstreamCorrectly) {
   // former parent on c — verified through actual decode completion and
   // matrix consistency under repeated offloads.
   Fixture f(20, 8, 3, 8);
-  f.driver->run(3);
+  f.run(3);
   Rng rng(42);
   for (int i = 0; i < 10; ++i) {
-    f.clients[rng.below(20)]->request_offload(f.driver->network());
-    f.driver->run(2);
-    ASSERT_TRUE(f.server->matrix().check_invariants());
+    f.clients[rng.below(20)]->request_offload(f.net);
+    f.run(2);
+    ASSERT_TRUE(f.server.matrix().check_invariants());
   }
-  EXPECT_TRUE(f.driver->run_until_decoded(600));
-  for (auto& c : f.clients) EXPECT_EQ(c->data(), f.server->data());
+  EXPECT_TRUE(f.run_until_decoded(600));
+  for (auto& c : f.clients) EXPECT_EQ(c->data(), f.server.data());
 }
 
 TEST(NodeProtocol, HeterogeneousDegreeJoins) {
@@ -341,63 +387,115 @@ TEST(NodeProtocol, HeterogeneousDegreeJoins) {
   scfg.default_degree = 3;
   scfg.generation_size = 8;
   scfg.symbols = 8;
-  ServerNode server(scfg, std::vector<std::uint8_t>(64, 7));
-
-  ClientConfig ccfg;
-  std::vector<std::unique_ptr<ClientNode>> clients;
-  std::vector<ClientNode*> ptrs;
-  for (Address a = 1; a <= 12; ++a) {
-    clients.push_back(std::make_unique<ClientNode>(a, ccfg));
-    ptrs.push_back(clients.back().get());
-  }
-  TickDriver driver(server, ptrs);
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    clients[i]->join(driver.network(), i % 2 == 0 ? 2u : 5u);
-  }
-  driver.run(3);
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    EXPECT_EQ(server.matrix().row(clients[i]->address()).threads.size(),
+  Harness h(scfg, std::vector<std::uint8_t>(64, 7));
+  for (Address a = 1; a <= 12; ++a) h.add(a, a % 2 == 1 ? 2u : 5u);
+  h.run(3);
+  for (std::size_t i = 0; i < h.clients.size(); ++i) {
+    EXPECT_EQ(h.server.matrix().row(h.clients[i]->address()).threads.size(),
               i % 2 == 0 ? 2u : 5u);
-    EXPECT_EQ(clients[i]->degree(), i % 2 == 0 ? 2u : 5u);
+    EXPECT_EQ(h.clients[i]->degree(), i % 2 == 0 ? 2u : 5u);
   }
   // Out-of-range requests fall back to the default.
-  auto odd = std::make_unique<ClientNode>(99, ccfg);
-  driver.add_client(odd.get());
-  odd->join(driver.network(), 11);  // > k
-  driver.run(3);
-  EXPECT_EQ(server.matrix().row(99).threads.size(), 3u);
+  h.add(99, 11);  // > k
+  h.run(3);
+  EXPECT_EQ(h.server.matrix().row(99).threads.size(), 3u);
 
-  EXPECT_TRUE(driver.run_until_decoded(400));
+  EXPECT_TRUE(h.run_until_decoded(400));
+}
+
+/// A bare member endpoint: the test sends on its behalf and reads what the
+/// server answers.
+struct Recorder final : Endpoint {
+  void on_message(const Message& m) override { got.push_back(m); }
+  std::size_t accepts() const {
+    std::size_t n = 0;
+    for (const Message& m : got) n += m.type == MessageType::kJoinAccept;
+    return n;
+  }
+  std::vector<Message> got;
+};
+
+Message to_server(MessageType type, Address from, overlay::ColumnId column = 0,
+                  Address subject = 0) {
+  Message m;
+  m.type = type;
+  m.from = from;
+  m.to = kServerAddress;
+  m.column = column;
+  m.subject = subject;
+  return m;
+}
+
+TEST(NodeProtocol, StaleColumnComplaintConvictsNobody) {
+  // A complaint about a column the complainer does not clip (after an
+  // offload, or from timers that outlived a re-admission) must not walk up
+  // the curtain and convict whoever clips that column above it.
+  const ServerConfig scfg = server_config(6, 2, 4);
+  Harness h(scfg, random_bytes(4 * 8, 3));
+  Recorder upper, lower;
+  h.net.attach(1, &upper);
+  h.net.attach(2, &lower);
+  h.net.send(to_server(MessageType::kJoinRequest, 1, 0, /*degree=*/5));
+  h.run(2);
+  h.net.send(to_server(MessageType::kJoinRequest, 2, 0, /*degree=*/1));
+  h.run(2);
+  const auto upper_cols = h.server.matrix().row(1).threads.to_vector();
+  const auto lower_cols = h.server.matrix().row(2).threads.to_vector();
+  ASSERT_EQ(upper_cols.size(), 5u);
+  ASSERT_EQ(lower_cols.size(), 1u);
+  const overlay::ColumnId stale = upper_cols[0] == lower_cols[0] ? upper_cols[1]
+                                                           : upper_cols[0];
+
+  // Not clipped by the complainer; then not a column at all (>= k).
+  for (const overlay::ColumnId column :
+       {stale, static_cast<overlay::ColumnId>(scfg.k)}) {
+    const std::size_t accepts_before = lower.accepts();
+    h.net.send(to_server(MessageType::kComplaint, 2, column));
+    h.run(2);
+    EXPECT_EQ(h.server.matrix().failed_count(), 0u) << "column " << column;
+    // The answer is the complainer's current accept, as for a duplicate
+    // hello: it repairs a client whose view of its columns went stale.
+    ASSERT_EQ(lower.accepts(), accepts_before + 1) << "column " << column;
+    EXPECT_EQ(lower.got.back().type, MessageType::kJoinAccept);
+    EXPECT_EQ(lower.got.back().columns, lower_cols);
+  }
+  h.run(static_cast<double>(scfg.repair_delay) + 2.0);
+  EXPECT_EQ(h.server.repairs_done(), 0u);
+  EXPECT_TRUE(h.server.matrix().contains(1));
+}
+
+TEST(NodeProtocol, FalsePositiveReadmissionKeepsTheRequestedDegree) {
+  // A degree-5 client convicted although alive (a forged complaint from the
+  // child below it stands in for a lost attach) starves, complains, and is
+  // re-admitted — at the degree it joined with, not the server default.
+  const ServerConfig scfg = server_config(8, 3, 8);
+  Harness h(scfg, random_bytes(8 * 8, 4), Fixture::client_config());
+  ClientNode& wide = h.add(1, /*degree=*/5);
+  h.run(3);
+  Recorder below;
+  h.net.attach(2, &below);
+  h.net.send(to_server(MessageType::kJoinRequest, 2));
+  h.run(3);
+  ASSERT_EQ(wide.degree(), 5u);
+
+  std::optional<overlay::ColumnId> framed;
+  for (const overlay::ColumnId c : h.server.matrix().row(2).threads) {
+    if (h.server.matrix().parent_on_column(2, c) == 1) framed = c;
+  }
+  ASSERT_TRUE(framed.has_value()) << "no column where 1 feeds 2";
+  h.net.send(to_server(MessageType::kComplaint, 2, *framed));
+  h.run(static_cast<double>(scfg.repair_delay) + 2.0);
+  ASSERT_FALSE(h.server.matrix().contains(1));  // evicted while alive
+
+  h.run(4.0 * static_cast<double>(h.ccfg.silence_timeout));
+  ASSERT_TRUE(h.server.matrix().contains(1));
+  EXPECT_EQ(h.server.matrix().row(1).threads.size(), 5u);
+  EXPECT_EQ(wide.degree(), 5u);
 }
 
 TEST(NodeProtocol, ClientValidation) {
   ClientConfig cfg;
   EXPECT_THROW(ClientNode(kServerAddress, cfg), std::invalid_argument);
-}
-
-TEST(NodeProtocol, NetworkBasics) {
-  InMemoryNetwork net;
-  EXPECT_TRUE(net.idle());
-  Message m;
-  m.type = MessageType::kJoinRequest;
-  m.from = 1;
-  m.to = 0;
-  net.send(m);
-  EXPECT_FALSE(net.idle());
-  EXPECT_EQ(net.messages_sent(), 1u);
-  const auto got = net.poll(0);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->from, 1u);
-  EXPECT_FALSE(net.poll(0).has_value());
-
-  net.crash(2);
-  m.to = 2;
-  net.send(m);
-  EXPECT_EQ(net.messages_dropped(), 1u);
-  EXPECT_FALSE(net.poll(2).has_value());
-  net.revive(2);
-  net.send(m);
-  EXPECT_TRUE(net.poll(2).has_value());
 }
 
 }  // namespace

@@ -1,20 +1,25 @@
-// Protocol-level churn stress: hundreds of ticks of interleaved joins,
+// Protocol-level churn stress: hundreds of time units of interleaved joins,
 // graceful leaves, silent crashes, and congestion adjustments against live
-// ServerNode/ClientNode endpoints, with consistency checked throughout and
-// end-to-end payload integrity at the end. This is the closest thing in the
-// suite to "running the deployment".
+// ServerNode/ClientNode endpoints on the sharded kernel's fabric, with
+// consistency checked throughout and end-to-end payload integrity at the
+// end. This is the closest thing in the suite to "running the deployment".
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "node/driver.hpp"
+#include "node/client_node.hpp"
+#include "node/server_node.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
 namespace {
 
 using namespace node;
+
+constexpr std::size_t kAddresses = 256;
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -40,21 +45,29 @@ TEST_P(ProtocolChurn, SustainedMixedWorkload) {
   ccfg.silence_timeout = 6;
   ccfg.seed = seed;
 
+  sim::ShardedEngine engine(1, 0, 1.0);
+  ShardedTransport net(engine, TransportSpec{}, seed, kAddresses);
+  server.start(engine.lane(kServerAddress), net);
+  double now = 0.0;
+  const auto run = [&](double span) {
+    now += span;
+    engine.run_until(now);
+  };
+
   std::vector<std::unique_ptr<ClientNode>> clients;
-  TickDriver driver(server, {});
   Rng rng(seed * 31 + 7);
   Address next_address = 1;
 
   auto spawn = [&] {
-    clients.push_back(std::make_unique<ClientNode>(next_address++, ccfg));
-    driver.add_client(clients.back().get());
-    clients.back()->join(driver.network());
+    const Address addr = next_address++;
+    clients.push_back(std::make_unique<ClientNode>(addr, ccfg));
+    clients.back()->start(engine.lane(addr), net);
   };
   for (int i = 0; i < 10; ++i) spawn();
 
   std::size_t leaves = 0, crashes = 0;
   for (int step = 0; step < 120; ++step) {
-    driver.run(3);
+    run(3);
 
     // Pick a random live, joined client for an action.
     std::vector<ClientNode*> live;
@@ -68,15 +81,17 @@ TEST_P(ProtocolChurn, SustainedMixedWorkload) {
     if (roll < 40 || live.size() < 6) {
       spawn();
     } else if (roll < 55) {
-      live[rng.below(live.size())]->leave(driver.network());
+      live[rng.below(live.size())]->leave(net);
       ++leaves;
     } else if (roll < 70) {
-      driver.crash(*live[rng.below(live.size())]);
+      ClientNode& victim = *live[rng.below(live.size())];
+      victim.crash();
+      net.crash(victim.address());
       ++crashes;
     } else if (roll < 85) {
-      live[rng.below(live.size())]->request_offload(driver.network());
+      live[rng.below(live.size())]->request_offload(net);
     } else {
-      live[rng.below(live.size())]->request_restore(driver.network());
+      live[rng.below(live.size())]->request_restore(net);
     }
     ASSERT_TRUE(server.matrix().check_invariants()) << "step " << step;
   }
@@ -85,11 +100,11 @@ TEST_P(ProtocolChurn, SustainedMixedWorkload) {
   EXPECT_GT(crashes, 0u);
 
   // Quiesce: let all complaints resolve, then stream to completion.
-  driver.run(60);
+  run(60);
   EXPECT_EQ(server.matrix().failed_count(), 0u);
 
   std::size_t live_joined = 0, decoded = 0, verified = 0;
-  driver.run(800);
+  run(800);
   for (auto& c : clients) {
     if (c->crashed() || !c->joined()) continue;
     if (!server.matrix().contains(c->address())) continue;  // left gracefully

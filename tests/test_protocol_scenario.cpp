@@ -1,7 +1,7 @@
-// The message-plane scenario runner, and the cross-plane equivalence the
-// refactor must preserve (Lemma 1): a seeded sequence of join/leave/crash
-// driven through real hello/good-bye/complaint messages over the kernel
-// transport must leave the ServerNode's thread matrix identical to the same
+// The message-plane scenario runner, and the cross-plane equivalence it must
+// preserve (Lemma 1): a seeded sequence of join/leave/crash driven through
+// real hello/good-bye/complaint messages over the sharded kernel's fabric
+// must leave the ServerNode's thread matrix identical to the same
 // sequence issued as direct CurtainServer calls. The mapping is fixed by
 // construction — CurtainServer assigns ids 0,1,2,... in join order, the
 // message plane assigns addresses 1,2,3,... in spawn order — so message
@@ -57,7 +57,7 @@ TEST(ProtocolScenario, HappyPathJoinsAndDecodes) {
   ProtocolScenarioSpec spec = quiet_spec(21);
   spec.faults.join_burst(1.0, 6, 1.0);
 
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
 
   ASSERT_EQ(report.outcomes.size(), 6u);
   for (const auto& o : report.outcomes) {
@@ -80,7 +80,7 @@ TEST(ProtocolScenario, CrossPlaneEquivalenceJoinsAndLeaves) {
   spec.faults.join_burst(1.0, 8, 1.0);
   spec.faults.leave_join_at(20.0, 2).leave_join_at(24.0, 5);
 
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
 
   // Guard the comparison: no complaint fired, so the only matrix mutations
   // were the planned joins and leaves.
@@ -108,7 +108,7 @@ TEST(ProtocolScenario, CrossPlaneEquivalenceCrashAndRepair) {
   spec.faults.join_burst(1.0, 10, 1.0);
   spec.faults.crash_join_at(40.0, 0);
 
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
 
   // Exactly one repair: the crashed node's. A cascade (children of a starved
   // node complaining about it) would show up as extra repairs here.
@@ -134,7 +134,7 @@ TEST(ProtocolScenario, JoinRetriesPushHellosThroughLossyControlLinks) {
   spec.horizon = 400.0;
   spec.faults.join_burst(1.0, 8, 2.0);
 
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
 
   // 40% control loss eats hellos and accepts; the retry timer must carry
   // every client through anyway.
@@ -153,7 +153,7 @@ TEST(ProtocolScenario, RepairConvergesUnderControlLoss) {
   spec.faults.join_burst(1.0, 10, 1.0);
   spec.faults.crash_join_at(40.0, 0);
 
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
 
   // Complaints retransmit with backoff until one lands, so the repair may be
   // late but must not be lost.
@@ -206,7 +206,7 @@ TEST(ProtocolScenario, LeaveOfCrashedClientIsIgnored) {
   spec.faults.crash_join_at(20.0, 3);
   spec.faults.leave_join_at(25.0, 3);
 
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
   ASSERT_EQ(report.outcomes.size(), 4u);
   EXPECT_TRUE(report.outcomes[3].crashed);
   EXPECT_FALSE(report.outcomes[3].departed);
@@ -224,7 +224,7 @@ TEST(ProtocolScenarioTrace, LossyJoinChainReconstructsBySpanId) {
   spec.transport.control_loss = sim::LossSpec::bernoulli(0.4);
   spec.join_retry = 3.0;
   spec.faults.join_burst(1.0, 8, 2.0);
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
   ASSERT_GT(report.total_join_retries(), 0u);
 
   struct Chain {
@@ -261,7 +261,7 @@ TEST(ProtocolScenarioTrace, RepairSpanIsParentedOnTheComplaint) {
   spec.silence_timeout = 8;
   spec.faults.join_burst(1.0, 10, 1.0);
   spec.faults.crash_join_at(40.0, 0);
-  const auto report = run_scenario(spec);
+  const auto report = run_scenario_sharded(spec, 1, 0);
   ASSERT_EQ(report.repairs_done, 1u);
 
   std::set<obs::SpanId> complaint_spans;

@@ -254,5 +254,32 @@ TEST(ShardedEngine, BarrierMergeOrdersBySourceLaneThenEmitSeq) {
   }
 }
 
+#if NCAST_OBS_ENABLED
+
+// The trace clock is process-wide. A run must not open its per-shard spans
+// at the time an earlier run (of another engine) left behind, or a trace
+// captured from the second run starts late and then jumps back.
+TEST(ShardedEngine, RunStartsTheTraceClockAtItsOwnCursor) {
+  {
+    ShardedEngine first(1, 0, 1.0);
+    first.schedule_on(0, 50.0, [] {});
+    first.run_until(60.0);
+  }
+  obs::trace().clear();
+  ShardedEngine second(1, 0, 1.0);
+  second.schedule_on(0, 1.0, [] {
+    obs::trace().emit(obs::TraceKind::kJoin, 1, 0, 0);
+  });
+  second.run_until(5.0);
+
+  const auto events = obs::trace().events_in_order();
+  ASSERT_FALSE(events.empty());
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    EXPECT_GE(events[i].t, events[i - 1].t) << "event " << i;
+  }
+}
+
+#endif  // NCAST_OBS_ENABLED
+
 }  // namespace
 }  // namespace ncast

@@ -3,7 +3,7 @@
 // decoded fractions, message tallies — for every shard count and worker
 // count. This is the end-to-end enforcement of the sharded kernel's
 // determinism contract on the regression protocol spec (the same spec
-// test_sim_determinism.cpp pins for the single-queue runner).
+// test_sim_determinism.cpp pins run over run on one shard).
 
 #include <gtest/gtest.h>
 
@@ -157,66 +157,6 @@ TEST(ShardedScenario, StructuredReportsInvariantAcrossShardsAndWorkers) {
           (std::string(lane.name) + " shards=" + std::to_string(shards))
               .c_str());
     }
-  }
-}
-
-// The sharded runner agrees with run_scenario on protocol-level outcomes
-// under a LOSSLESS transport: with no random draws consumed, both planes
-// see the same message timeline shape, so membership must converge to the
-// same place. (Under loss the two runners consume different RNG streams by
-// design — see protocol_scenario.hpp.)
-TEST(ShardedScenario, LosslessRunMatchesSingleQueueRunnerOutcomes) {
-  node::ProtocolScenarioSpec spec;
-  spec.k = 4;
-  spec.default_degree = 2;
-  spec.generations = 1;
-  spec.generation_size = 4;
-  spec.symbols = 4;
-  spec.seed = 5;
-  spec.transport.latency = LatencySpec::fixed_delay(0.7);
-  spec.initial_clients = 6;
-
-  const auto single = node::run_scenario(spec);
-  const auto sharded = node::run_scenario_sharded(spec, 4, 0);
-  EXPECT_EQ(single.matrix.nodes_in_order(), sharded.matrix.nodes_in_order());
-  ASSERT_EQ(single.outcomes.size(), sharded.outcomes.size());
-  for (std::size_t i = 0; i < single.outcomes.size(); ++i) {
-    EXPECT_EQ(single.outcomes[i].address, sharded.outcomes[i].address);
-    EXPECT_EQ(single.outcomes[i].joined, sharded.outcomes[i].joined);
-    EXPECT_EQ(single.outcomes[i].decoded, sharded.outcomes[i].decoded);
-  }
-  EXPECT_EQ(single.decoded_fraction(), sharded.decoded_fraction());
-}
-
-// Cross-runner agreement holds per structure as well: the lossless spec
-// run banded and overlapped must decode everywhere on both runners.
-TEST(ShardedScenario, LosslessStructuredRunsMatchAcrossRunners) {
-  const coding::StructureSpec structures[] = {
-      coding::StructureSpec::banded(2, true),
-      coding::StructureSpec::overlapping(6, 2),
-  };
-  for (const auto& structure : structures) {
-    node::ProtocolScenarioSpec spec;
-    spec.k = 4;
-    spec.default_degree = 2;
-    spec.generations = 1;
-    spec.generation_size = 16;
-    spec.symbols = 4;
-    spec.seed = 5;
-    spec.structure = structure;
-    spec.transport.latency = LatencySpec::fixed_delay(0.7);
-    spec.initial_clients = 6;
-
-    const auto single = node::run_scenario(spec);
-    const auto sharded = node::run_scenario_sharded(spec, 4, 2);
-    EXPECT_EQ(single.matrix.nodes_in_order(), sharded.matrix.nodes_in_order());
-    ASSERT_EQ(single.outcomes.size(), sharded.outcomes.size());
-    for (std::size_t i = 0; i < single.outcomes.size(); ++i) {
-      EXPECT_EQ(single.outcomes[i].joined, sharded.outcomes[i].joined);
-      EXPECT_EQ(single.outcomes[i].decoded, sharded.outcomes[i].decoded);
-    }
-    EXPECT_EQ(single.decoded_fraction(), 1.0);
-    EXPECT_EQ(sharded.decoded_fraction(), 1.0);
   }
 }
 

@@ -149,8 +149,8 @@ TEST(Determinism, ProtocolScenarioReproducesWithIdenticalEventCounts) {
   spec.faults.crash_join_at(30.0, 1);
   spec.faults.leave_join_at(35.0, 4);
 
-  const auto a = node::run_scenario(spec);
-  const auto b = node::run_scenario(spec);
+  const auto a = node::run_scenario_sharded(spec, 1, 0);
+  const auto b = node::run_scenario_sharded(spec, 1, 0);
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_EQ(a.messages_dropped, b.messages_dropped);

@@ -1,18 +1,26 @@
-// KernelTransport: the event-driven message fabric. Latency scheduling,
-// plane-separated loss, partitions, crash semantics (including mail lost in
-// flight), the in-flight queue-depth gauge, and the counter contract shared
-// with InMemoryNetwork through the Transport base.
+// ShardedTransport: the message fabric on the sharded event kernel. Latency
+// scheduling, plane-separated loss, partitions, crash semantics (including
+// mail lost in flight), the in-flight gauge, the counter contract of the
+// Transport base, and shard/worker invariance of what arrives when.
+//
+// One semantic detail the crash tests pin down: the receiver's crash flag is
+// only read on the receiver's own lane, so a send to an already-crashed
+// receiver is dropped as kBlackhole when it lands, not as kCrashed at send.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
 #include <vector>
 
-#include "node/network.hpp"
+#include "node/sharded_transport.hpp"
 #include "node/transport.hpp"
-#include "sim/event_engine.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace ncast::node {
 namespace {
+
+constexpr std::size_t kAddresses = 64;
 
 /// Records every delivery with its arrival time.
 struct Sink final : Endpoint {
@@ -20,11 +28,11 @@ struct Sink final : Endpoint {
     Message msg;
     double at = 0.0;
   };
-  explicit Sink(sim::EventEngine& engine) : engine_(engine) {}
+  explicit Sink(sim::ShardedEngine& engine) : engine_(engine) {}
   void on_message(const Message& m) override {
     arrivals.push_back({m, engine_.now()});
   }
-  sim::EventEngine& engine_;
+  sim::ShardedEngine& engine_;
   std::vector<Arrival> arrivals;
 };
 
@@ -45,11 +53,11 @@ Message data(Address from, Address to) {
   return m;
 }
 
-TEST(KernelTransport, DeliversAtSampledLatency) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, DeliversAtSampledLatency) {
+  sim::ShardedEngine engine(1, 0, 2.5);
   TransportSpec spec;
   spec.latency = sim::LatencySpec::fixed_delay(2.5);
-  KernelTransport net(engine, spec, Rng(1));
+  ShardedTransport net(engine, spec, 1, kAddresses);
   Sink sink(engine);
   net.attach(7, &sink);
 
@@ -67,11 +75,11 @@ TEST(KernelTransport, DeliversAtSampledLatency) {
   EXPECT_EQ(net.messages_dropped(), 0u);
 }
 
-TEST(KernelTransport, EqualTimeDeliveriesKeepSendOrder) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, EqualTimeDeliveriesKeepSendOrder) {
+  sim::ShardedEngine engine(1, 0, 1.0);
   TransportSpec spec;
   spec.latency = sim::LatencySpec::fixed_delay(1.0);
-  KernelTransport net(engine, spec, Rng(1));
+  ShardedTransport net(engine, spec, 1, kAddresses);
   Sink sink(engine);
   net.attach(1, &sink);
 
@@ -88,11 +96,11 @@ TEST(KernelTransport, EqualTimeDeliveriesKeepSendOrder) {
   }
 }
 
-TEST(KernelTransport, ControlLossLeavesDataPlaneAlone) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, ControlLossLeavesDataPlaneAlone) {
+  sim::ShardedEngine engine(1, 0, 1.0);
   TransportSpec spec;
   spec.control_loss = sim::LossSpec::bernoulli(1.0);  // drop all control
-  KernelTransport net(engine, spec, Rng(1));
+  ShardedTransport net(engine, spec, 1, kAddresses);
   Sink sink(engine);
   net.attach(1, &sink);
 
@@ -110,11 +118,11 @@ TEST(KernelTransport, ControlLossLeavesDataPlaneAlone) {
   EXPECT_EQ(net.control_dropped(), 1u);
 }
 
-TEST(KernelTransport, DataLossLeavesControlPlaneAlone) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, DataLossLeavesControlPlaneAlone) {
+  sim::ShardedEngine engine(1, 0, 1.0);
   TransportSpec spec;
   spec.data_loss = sim::LossSpec::bernoulli(1.0);
-  KernelTransport net(engine, spec, Rng(1));
+  ShardedTransport net(engine, spec, 1, kAddresses);
   Sink sink(engine);
   net.attach(1, &sink);
 
@@ -128,11 +136,11 @@ TEST(KernelTransport, DataLossLeavesControlPlaneAlone) {
   EXPECT_EQ(net.control_dropped(), 0u);
 }
 
-TEST(KernelTransport, BernoulliLossRateIsRoughlyHonored) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, BernoulliLossRateIsRoughlyHonored) {
+  sim::ShardedEngine engine(1, 0, 1.0);
   TransportSpec spec;
   spec.control_loss = sim::LossSpec::bernoulli(0.3);
-  KernelTransport net(engine, spec, Rng(99));
+  ShardedTransport net(engine, spec, 99, kAddresses);
   Sink sink(engine);
   net.attach(1, &sink);
 
@@ -147,12 +155,12 @@ TEST(KernelTransport, BernoulliLossRateIsRoughlyHonored) {
   EXPECT_EQ(sink.arrivals.size(), n - net.messages_dropped());
 }
 
-TEST(KernelTransport, GilbertElliottLossIsBursty) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, GilbertElliottLossIsBursty) {
+  sim::ShardedEngine engine(1, 0, 1.0);
   TransportSpec spec;
   // Sticky bad state: once bad, stays bad for ~10 deliveries.
   spec.data_loss = sim::LossSpec::gilbert_elliott(0.05, 0.1, 0.0, 1.0);
-  KernelTransport net(engine, spec, Rng(5));
+  ShardedTransport net(engine, spec, 5, kAddresses);
   Sink sink(engine);
   net.attach(1, &sink);
 
@@ -166,45 +174,54 @@ TEST(KernelTransport, GilbertElliottLossIsBursty) {
   EXPECT_NEAR(loss, 1.0 / 3.0, 0.08);
 }
 
-TEST(KernelTransport, CrashedDestinationDropsIncludingInFlight) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, CrashedDestinationDropsIncludingInFlight) {
+  sim::ShardedEngine engine(1, 0, 3.0);
   TransportSpec spec;
   spec.latency = sim::LatencySpec::fixed_delay(3.0);
-  KernelTransport net(engine, spec, Rng(1));
+  ShardedTransport net(engine, spec, 1, kAddresses);
   Sink sink(engine);
   net.attach(1, &sink);
 
   net.send(control(2, 1));   // in flight, arrives t=3
   engine.run_until(1.0);
   net.crash(1);              // dies at t=1 with mail inbound
-  net.send(control(2, 1));   // dropped at send
+  net.send(control(2, 1));   // the sender never reads the receiver's flag:
+  EXPECT_EQ(net.in_flight(), 2u);  // in flight too, dropped when it lands
+  EXPECT_EQ(net.messages_dropped(), 0u);
   engine.run_until(10.0);
 
   EXPECT_TRUE(sink.arrivals.empty());
   EXPECT_EQ(net.messages_dropped(), 2u);
-  EXPECT_EQ(net.in_flight(), 0u);  // the flight unwound on arrival
+  EXPECT_EQ(net.in_flight(), 0u);  // the flights unwound on arrival
 
   net.revive(1);
   net.send(control(2, 1));
   engine.run_until(20.0);
   EXPECT_EQ(sink.arrivals.size(), 1u);
+
+  // A crashed sender is the one case dropped at send.
+  net.crash(2);
+  net.send(control(2, 1));
+  EXPECT_EQ(net.messages_dropped(), 3u);
+  EXPECT_EQ(net.in_flight(), 0u);
 }
 
-TEST(KernelTransport, UnattachedAddressDrops) {
-  sim::EventEngine engine;
-  KernelTransport net(engine, TransportSpec{}, Rng(1));
-  net.send(control(2, 42));
+TEST(ShardedTransport, UnattachedAddressDrops) {
+  sim::ShardedEngine engine(1, 0, 1.0);
+  ShardedTransport net(engine, TransportSpec{}, 1, kAddresses);
+  net.send(control(2, 42));               // in range, nobody attached
+  net.send(control(2, kAddresses + 10));  // beyond the address table
   engine.run_until(5.0);
-  EXPECT_EQ(net.messages_dropped(), 1u);
+  EXPECT_EQ(net.messages_dropped(), 2u);
   EXPECT_EQ(net.delivered(), 0u);
 }
 
-TEST(KernelTransport, PartitionDropsCrossingDeliveriesDuringWindow) {
-  sim::EventEngine engine;
+TEST(ShardedTransport, PartitionDropsCrossingDeliveriesDuringWindow) {
+  sim::ShardedEngine engine(1, 0, 1.0);
   TransportSpec spec;
   spec.latency = sim::LatencySpec::fixed_delay(1.0);
   spec.partition = sim::PartitionSpec::window(10.0, 20.0, 0.5);
-  KernelTransport net(engine, spec, Rng(3));
+  ShardedTransport net(engine, spec, 3, kAddresses);
   Sink sink(engine);
   net.attach(1, &sink);
 
@@ -212,7 +229,7 @@ TEST(KernelTransport, PartitionDropsCrossingDeliveriesDuringWindow) {
   engine.run_until(10.0);
   Address other = 0;
   std::uint64_t dropped_before = net.messages_dropped();
-  for (Address a = 2; a < 64; ++a) {
+  for (Address a = 2; a < kAddresses; ++a) {
     net.send(control(a, 1));
     if (net.messages_dropped() > dropped_before) {
       other = a;
@@ -230,13 +247,13 @@ TEST(KernelTransport, PartitionDropsCrossingDeliveriesDuringWindow) {
   EXPECT_EQ(sink.arrivals.size(), before + 1);
 }
 
-TEST(KernelTransport, SameSeedSameDropPattern) {
+TEST(ShardedTransport, SameSeedSameDropPattern) {
   const auto run = [](std::uint64_t seed) {
-    sim::EventEngine engine;
+    sim::ShardedEngine engine(1, 0, 0.5);
     TransportSpec spec;
     spec.latency = sim::LatencySpec::uniform(0.5, 1.5);
     spec.control_loss = sim::LossSpec::bernoulli(0.25);
-    KernelTransport net(engine, spec, Rng(seed));
+    ShardedTransport net(engine, spec, seed, kAddresses);
     Sink sink(engine);
     net.attach(1, &sink);
     for (int i = 0; i < 500; ++i) {
@@ -253,30 +270,79 @@ TEST(KernelTransport, SameSeedSameDropPattern) {
   EXPECT_NE(run(11), run(12));  // and the seed actually matters
 }
 
-TEST(TransportBase, InMemoryNetworkCountsThroughSharedBase) {
-  InMemoryNetwork net;
+// Every node sends to every other node from its own lane, through lossy,
+// jittered links; what each receiver sees, and when, must not depend on how
+// lanes are spread over shards or threads.
+TEST(ShardedTransport, ArrivalsInvariantAcrossShardsAndWorkers) {
+  using Log = std::vector<std::tuple<double, Address, overlay::ColumnId>>;
+  const auto run = [](std::uint32_t shards, std::uint32_t workers) {
+    constexpr Address kNodes = 8;
+    sim::ShardedEngine engine(shards, workers, 0.5);
+    TransportSpec spec;
+    spec.latency = sim::LatencySpec::uniform(0.5, 1.5);
+    spec.control_loss = sim::LossSpec::bernoulli(0.2);
+    spec.data_loss = sim::LossSpec::gilbert_elliott(0.05, 0.45);
+    ShardedTransport net(engine, spec, 77, kNodes + 1);
+    std::vector<std::unique_ptr<Sink>> sinks;
+    for (Address a = 1; a <= kNodes; ++a) {
+      sinks.push_back(std::make_unique<Sink>(engine));
+      net.attach(a, sinks.back().get());
+    }
+    for (Address a = 1; a <= kNodes; ++a) {
+      for (int round = 0; round < 20; ++round) {
+        engine.schedule_on(a, 0.7 * round, [&net, a, round] {
+          for (Address to = 1; to <= kNodes; ++to) {
+            if (to == a) continue;
+            Message m = round % 2 == 0 ? control(a, to) : data(a, to);
+            m.column = static_cast<overlay::ColumnId>(round);
+            net.send(std::move(m));
+          }
+        });
+      }
+    }
+    engine.run_until(30.0);
+    std::vector<Log> logs;
+    for (const auto& s : sinks) {
+      Log log;
+      for (const auto& a : s->arrivals) log.emplace_back(a.at, a.msg.from, a.msg.column);
+      logs.push_back(std::move(log));
+    }
+    return std::make_pair(logs, net.messages_dropped());
+  };
+  const auto sequential = run(1, 0);
+  EXPECT_GT(sequential.second, 0u);  // the loss processes did fire
+  EXPECT_EQ(sequential, run(4, 2));
+}
+
+TEST(TransportBase, CountsThroughSharedBase) {
+  sim::ShardedEngine engine(1, 0, 1.0);
+  ShardedTransport net(engine, TransportSpec{}, 1, kAddresses);
+  Sink sink(engine);
+  net.attach(2, &sink);
   Transport& base = net;  // the benches/tests talk to the base interface
   base.send(data(1, 2));
   base.send(control(1, 2));
   net.crash(3);
   base.send(control(1, 3));
+  engine.run_until(5.0);
   EXPECT_EQ(base.messages_sent(), 3u);
   EXPECT_EQ(base.data_messages(), 1u);
   EXPECT_EQ(base.control_messages(), 2u);
   EXPECT_EQ(base.messages_dropped(), 1u);
   EXPECT_EQ(base.control_dropped(), 1u);
   EXPECT_GT(base.control_bytes(), 0u);
-  EXPECT_TRUE(net.poll(2).has_value());
+  EXPECT_EQ(sink.arrivals.size(), 2u);
 }
 
 TEST(TransportBase, ControlBytesUseControlSize) {
-  InMemoryNetwork net;
+  sim::ShardedEngine engine(1, 0, 1.0);
+  ShardedTransport net(engine, TransportSpec{}, 1, kAddresses);
   Message m = control(1, 2);
   const std::size_t expect = m.control_size();
   net.send(std::move(m));
   EXPECT_EQ(net.control_bytes(), expect);
 
-  // The satellite fix: accepts carry plan + key bundles + columns now.
+  // Accepts carry plan + key bundles + columns.
   Message accept;
   accept.type = MessageType::kJoinAccept;
   accept.columns = {1, 2, 3};

@@ -21,7 +21,9 @@
 #include <memory>
 #include <string>
 
-#include "node/driver.hpp"
+#include "node/client_node.hpp"
+#include "node/server_node.hpp"
+#include "node/sharded_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "overlay/curtain_server.hpp"
@@ -29,6 +31,7 @@
 #include "overlay/flow_graph.hpp"
 #include "overlay/polymatroid.hpp"
 #include "sim/broadcast.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -202,17 +205,31 @@ int cmd_stream(const Args& a) {
   for (auto& b : content) b = static_cast<std::uint8_t>(data_rng.below(256));
   node::ServerNode server(scfg, content);
 
+  // One lane per endpoint (lane = address) on a single-shard kernel; ideal
+  // links with a one-unit delay.
+  sim::ShardedEngine engine(1, 0, 1.0);
+  node::ShardedTransport net(engine, node::TransportSpec{}, seed, n + 1);
+  server.start(engine.lane(node::kServerAddress), net);
+
   node::ClientConfig ccfg;
   std::vector<std::unique_ptr<node::ClientNode>> clients;
-  std::vector<node::ClientNode*> ptrs;
   for (std::uint64_t i = 0; i < n; ++i) {
-    clients.push_back(std::make_unique<node::ClientNode>(
-        static_cast<node::Address>(i + 1), ccfg));
-    ptrs.push_back(clients.back().get());
+    const auto addr = static_cast<node::Address>(i + 1);
+    clients.push_back(std::make_unique<node::ClientNode>(addr, ccfg));
+    clients.back()->start(engine.lane(addr), net);
   }
-  node::TickDriver driver(server, ptrs);
-  for (auto& c : clients) c->join(driver.network());
-  const bool done = driver.run_until_decoded(20000);
+  const auto all_decoded = [&] {
+    for (const auto& c : clients) {
+      if (!c->joined() || !c->decoded()) return false;
+    }
+    return !clients.empty();
+  };
+  std::uint64_t ticks = 0;
+  bool done = false;
+  while (!done && ticks < 20000) {
+    engine.run_until(static_cast<double>(++ticks));
+    done = all_decoded();
+  }
 
   std::size_t verified = 0;
   for (auto& c : clients) {
@@ -220,10 +237,10 @@ int cmd_stream(const Args& a) {
   }
   Table t({"metric", "value"});
   t.add_row({"completed", done ? "yes" : "NO"});
-  t.add_row({"ticks", std::to_string(driver.now())});
+  t.add_row({"ticks", std::to_string(ticks)});
   t.add_row({"verified payloads", std::to_string(verified) + "/" + std::to_string(n)});
-  t.add_row({"data msgs", std::to_string(driver.network().data_messages())});
-  t.add_row({"control msgs", std::to_string(driver.network().control_messages())});
+  t.add_row({"data msgs", std::to_string(net.data_messages())});
+  t.add_row({"control msgs", std::to_string(net.control_messages())});
   t.print();
   return 0;
 }
