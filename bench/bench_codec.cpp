@@ -8,7 +8,6 @@
 
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/recoder.hpp"
 #include "coding/reed_solomon.hpp"
 #include "gf/dispatch.hpp"
 #include "gf/gf256.hpp"
@@ -104,7 +103,7 @@ void BM_RlncRecode(benchmark::State& state) {
   const std::size_t symbols = 1024;
   Rng rng(5);
   ncast::coding::SourceEncoder<Gf> enc(0, random_source(g, symbols, rng));
-  ncast::coding::Recoder<Gf> rec(0, g, symbols);
+  ncast::coding::Decoder<Gf> rec(0, g, symbols);
   while (!rec.complete()) rec.absorb(enc.emit(rng));
   for (auto _ : state) {
     auto p = rec.emit(rng);
@@ -123,7 +122,7 @@ void BM_RlncRecodeInto(benchmark::State& state) {
   const std::size_t symbols = 1024;
   Rng rng(5);
   ncast::coding::SourceEncoder<Gf> enc(0, random_source(g, symbols, rng));
-  ncast::coding::Recoder<Gf> rec(0, g, symbols);
+  ncast::coding::Decoder<Gf> rec(0, g, symbols);
   while (!rec.complete()) rec.absorb(enc.emit(rng));
   ncast::coding::CodedPacket<Gf> out;
   for (auto _ : state) {

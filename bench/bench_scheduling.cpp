@@ -16,8 +16,8 @@
 #include <map>
 
 #include "bench_common.hpp"
+#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/recoder.hpp"
 #include "gf/gf256.hpp"
 #include "util/stats.hpp"
 
@@ -54,7 +54,7 @@ Outcome run(Policy policy, std::uint64_t seed) {
   }
 
   struct Peer {
-    std::vector<coding::Recoder<Gf>> bufs;
+    std::vector<coding::Decoder<Gf>> bufs;
     std::size_t cursor = 0;
   };
   std::map<overlay::NodeId, Peer> swarm;
@@ -66,7 +66,7 @@ Outcome run(Policy policy, std::uint64_t seed) {
     swarm.emplace(n, std::move(p));
   }
 
-  auto pick = [&](Peer& p) -> coding::Recoder<Gf>* {
+  auto pick = [&](Peer& p) -> coding::Decoder<Gf>* {
     std::size_t with_data = 0;
     for (auto& b : p.bufs) {
       if (b.rank() > 0) ++with_data;

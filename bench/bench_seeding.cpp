@@ -14,8 +14,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/recoder.hpp"
 #include "gf/gf256.hpp"
 #include "overlay/random_graph.hpp"
 #include "util/stats.hpp"
@@ -46,7 +46,7 @@ Outcome run(std::size_t n_peers, std::size_t seed_rounds, std::size_t g,
   }
   coding::SourceEncoder<Gf> encoder(0, source);
 
-  std::vector<coding::Recoder<Gf>> state;
+  std::vector<coding::Decoder<Gf>> state;
   for (graph::Vertex v = 0; v < o.graph().vertex_count(); ++v) {
     state.emplace_back(0, g, symbols);
   }

@@ -10,8 +10,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "coding/decoder.hpp"
 #include "coding/file_codec.hpp"
-#include "coding/recoder.hpp"
 #include "overlay/curtain_server.hpp"
 #include "overlay/flow_graph.hpp"
 #include "util/rng.hpp"
@@ -38,15 +38,15 @@ int main() {
   const std::size_t peers = 40;
   for (std::size_t i = 0; i < peers; ++i) server.join();
 
-  // Per-peer state: one recoder per generation (the upload buffer) and a
-  // FileDecoder view for progress; the recoder basis doubles as the decoder.
+  // Per-peer state: one decoder per generation, which is also the upload
+  // buffer — a peer recodes straight from the basis it decodes from.
   struct Peer {
-    std::vector<coding::Recoder<gf::Gf256>> buffers;
+    std::vector<coding::Decoder<gf::Gf256>> buffers;
 
     /// A uniformly random generation buffer with anything to give.
     /// (Random, not round-robin: a deterministic rotation can lock an edge
     /// into a residue class of generations and starve a descendant forever.)
-    coding::Recoder<gf::Gf256>* next_upload(Rng& rng) {
+    coding::Decoder<gf::Gf256>* next_upload(Rng& rng) {
       std::size_t with_data = 0;
       for (const auto& b : buffers) {
         if (b.rank() > 0) ++with_data;

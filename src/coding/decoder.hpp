@@ -4,25 +4,34 @@
 // that (a) innovation of an incoming packet is detected in O(rank * width)
 // and (b) once the rank reaches g the original packets are read off directly.
 //
+// The basis is also the node's recoding buffer — the "mixing at each clip"
+// of the curtain model: emit_into() sends a fresh random combination of the
+// rows received so far (practical network coding: a relay's buffer is its
+// decoding matrix, reduced form being information-equivalent to the raw
+// packets and bounded by g rows).
+//
 // Hot-path memory discipline: the basis rows live in one contiguous arena
 // (allocated at construction, one row per possible pivot plus a scratch row)
 // and absorb() builds the candidate directly in the arena's next free slot,
-// so absorbing a packet performs zero heap allocations and zero row copies —
-// see linalg/reduced_basis.hpp for the elimination core and
+// so absorbing a packet performs zero heap allocations and zero row copies;
+// emit_into() mixes straight from the arena rows into the caller's packet
+// buffers. See linalg/reduced_basis.hpp for the elimination core and
 // tests/test_codec_alloc.cpp for the enforcement.
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "coding/packet.hpp"
 #include "linalg/reduced_basis.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace ncast::coding {
 
-/// Decoder (and basis store) for one generation.
+/// Decoder (and recoding buffer) for one generation.
 template <typename Field>
 class Decoder {
  public:
@@ -53,50 +62,40 @@ class Decoder {
   std::uint64_t packets_innovative() const { return innovative_; }
   std::uint64_t packets_redundant() const { return received_ - innovative_; }
 
-  // ncast:hot-begin — per-packet absorb/innovation probes: no allocation, no
-  // throw (stray packets are data, not errors).
+  // ncast:hot-begin — per-packet absorb/innovation probes and recode mixing:
+  // no allocation, no throw (stray packets are data, not errors).
 
   /// Consumes a packet; returns true iff it was innovative.
   /// Packets from other generations or with wrong shape are rejected
   /// (returns false) rather than throwing, since in a network simulation
   /// stray packets are data, not programming errors.
   bool absorb(const Packet& p) {
-    obs::ScopeTimer timer(reg().absorb_ns);
-    ++received_;
-    reg().received.inc();
     if (p.generation != generation_ || p.coeffs.size() != g_ ||
         p.payload.size() != symbols_) {
-      reg().redundant.inc();
-      return false;
+      return reject();
     }
-    // Working row: [coeffs | payload] concatenated into the basis's scratch
-    // row — the arena slot the row will occupy if it proves innovative.
-    value_type* r = basis_.scratch_row();
-    std::copy(p.coeffs.begin(), p.coeffs.end(), r);
-    std::copy(p.payload.begin(), p.payload.end(), r + g_);
-    if (!basis_.absorb()) {
-      reg().redundant.inc();
-      return false;  // not innovative
-    }
-    ++innovative_;
-    reg().innovative.inc();
-    return true;
+    return absorb_row(p.coeffs.data(), p.payload.data());
   }
 
   /// Absorbs a pre-validated raw row: `coeffs` (g entries) and `payload`
-  /// (symbols entries) already laid out by the caller. Same counting and
-  /// timing as absorb(); used by the structured decoders (band offset /
-  /// class routing happens there, shape checks included).
+  /// (symbols entries) already laid out by the caller. Counted like
+  /// absorb(); used by it and by the structured decoders (band offset /
+  /// class routing happens there, shape checks included). A complete
+  /// decoder rejects in O(1) — nothing is innovative at full rank, and
+  /// relays keep receiving long after they decode.
   bool absorb_row(const value_type* coeffs, const value_type* payload) {
-    obs::ScopeTimer timer(reg().absorb_ns);
+    if (complete()) return reject();
     ++received_;
     reg().received.inc();
+    obs::ScopeTimer timer(reg().absorb_ns);
+    // Working row: [coeffs | payload] concatenated into the basis's scratch
+    // row — the arena slot the row will occupy if it proves innovative.
     value_type* r = basis_.scratch_row();
     std::copy(coeffs, coeffs + g_, r);
     std::copy(payload, payload + symbols_, r + g_);
     if (!basis_.absorb()) {
       reg().redundant.inc();
-      return false;
+      return false;  // not innovative
     }
     ++innovative_;
     reg().innovative.inc();
@@ -137,7 +136,56 @@ class Decoder {
     return false;
   }
 
+  /// Writes a random combination of everything received so far into `out`,
+  /// reusing its buffers (zero heap allocations once they are sized).
+  /// Returns false (and leaves `out` unspecified) if nothing has been
+  /// received — a node with an empty buffer stays silent.
+  bool emit_into(Packet& out, Rng& rng) const {
+    const std::size_t r = basis_.rank();
+    if (r == 0) return false;
+    static obs::Histogram& emit_ns = obs::metrics().histogram("recoder.emit_ns");
+    obs::ScopeTimer timer(emit_ns);
+
+    // Draw the mixing coefficients first (into the probe row: r <= g). A
+    // degenerate all-zero draw is not retried against the basis: one
+    // uniformly random position is forced to a uniformly random nonzero value
+    // instead, so the fix-up costs O(1) and the emitted packet still carries
+    // information.
+    value_type* mix = probe_.data();
+    bool nonzero = false;
+    for (std::size_t i = 0; i < r; ++i) {
+      mix[i] = static_cast<value_type>(rng.below(Field::order));
+      nonzero = nonzero || mix[i] != value_type{0};
+    }
+    if (!nonzero) {
+      mix[rng.below(r)] = static_cast<value_type>(1 + rng.below(Field::order - 1));
+    }
+
+    out.generation = generation_;
+    out.band_offset = 0;  // dense emission; clears a recycled packet's strip
+    out.class_id = 0;
+    out.coeffs.assign(g_, value_type{0});
+    out.payload.assign(symbols_, value_type{0});
+    for (std::size_t i = 0; i < r; ++i) {
+      const value_type c = mix[i];
+      if (c == value_type{0}) continue;
+      const value_type* row = basis_.row(i);  // [coeffs | payload]
+      Field::region_madd(out.coeffs.data(), row, c, g_);
+      Field::region_madd(out.payload.data(), row + g_, c, symbols_);
+    }
+    return true;
+  }
+
   // ncast:hot-end
+
+  /// Emits a random combination of everything received so far, or nullopt if
+  /// nothing has been received. Allocates a fresh packet; loops that care
+  /// about allocation churn use emit_into().
+  std::optional<Packet> emit(Rng& rng) const {
+    Packet out;
+    if (!emit_into(out, rng)) return std::nullopt;
+    return out;
+  }
 
   /// True iff source packet `index` is already individually recoverable,
   /// i.e. the unit vector e_index lies in the received row space. Because
@@ -203,26 +251,16 @@ class Decoder {
     return out;
   }
 
-  /// Basis row `i` as [coeffs | payload], without copying. Rows are in
-  /// arrival order; the recoder mixes straight from these pointers.
-  const value_type* basis_row(std::size_t i) const {
-    if (i >= basis_.rank()) throw std::out_of_range("Decoder::basis_row");
-    return basis_.row(i);
-  }
-
-  /// Basis row i as a coded packet (allocating; kept for inspection and
-  /// tests — the hot path uses basis_row()).
-  Packet basis_packet(std::size_t i) const {
-    const value_type* r = basis_row(i);
-    Packet p;
-    p.generation = generation_;
-    p.coeffs.assign(r, r + g_);
-    p.payload.assign(r + g_, r + g_ + symbols_);
-    return p;
-  }
-
  private:
   using Basis = linalg::ReducedBasis<Field>;
+
+  /// Counts a packet turned away without elimination (received, redundant).
+  bool reject() {
+    ++received_;
+    reg().received.inc();
+    reg().redundant.inc();
+    return false;
+  }
 
   /// True iff basis row `i`'s coefficient part is exactly e_pivot(i).
   bool row_is_unit(std::size_t i) const {
@@ -253,7 +291,8 @@ class Decoder {
   std::uint64_t received_ = 0;    // per-instance; backs packets_received()
   std::uint64_t innovative_ = 0;  // per-instance; backs packets_innovative()
   Basis basis_;                         // RREF of [coeffs | payload], arena-backed
-  mutable std::vector<value_type> probe_;  // reusable is_innovative() row
+  // Reusable g-entry row: the is_innovative() probe and the emit_into() mix.
+  mutable std::vector<value_type> probe_;
 };
 
 }  // namespace ncast::coding

@@ -16,6 +16,12 @@
 // With a single class (class_size == g, overlap == 0) there is nothing to
 // propagate and this decoder is the dense Decoder bit-for-bit — the parity
 // tests pin that down.
+//
+// Recoding is class-local: emit_into() mixes one class's rows, which keeps
+// the structure exactly (a recoded packet is a valid class packet that a
+// downstream OverlapDecoder absorbs unchanged). Because the class decoders
+// are the relay's buffers, boundary packets that propagation placed in a
+// class are forwarded too, not just what arrived for that class.
 
 #include <cstdint>
 #include <stdexcept>
@@ -25,10 +31,12 @@
 #include "coding/packet.hpp"
 #include "coding/structure.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace ncast::coding {
 
-/// Decoder for one generation under an overlapping-class structure.
+/// Decoder (and recoding buffer) for one generation under an
+/// overlapping-class structure.
 template <typename Field>
 class OverlapDecoder {
  public:
@@ -94,8 +102,9 @@ class OverlapDecoder {
   std::uint64_t packets_innovative() const { return innovative_; }
   std::uint64_t packets_redundant() const { return received_ - innovative_; }
 
-  // ncast:hot-begin — per-packet routed absorb + propagation drain: no
-  // allocation (buffers preallocated at construction), no throw.
+  // ncast:hot-begin — per-packet routed absorb + propagation drain and
+  // class-local recode: no allocation (buffers preallocated at
+  // construction), no throw.
 
   /// Consumes a packet; returns true iff it was innovative for its class.
   /// Malformed placements (class id out of range, wrong offset/width) and
@@ -118,6 +127,25 @@ class OverlapDecoder {
     ++innovative_;
     propagate(k);
     return true;
+  }
+
+  /// Writes a random recombination of one uniformly chosen class with data
+  /// into `out`, stamped with that class's placement. Returns false if
+  /// nothing has been received. No draw is spent when only one class has
+  /// data, so the single-class case is the dense Decoder's stream.
+  bool emit_into(Packet& out, Rng& rng) const {
+    std::size_t with_data = 0;
+    for (const auto& d : classes_) with_data += d.rank() > 0 ? 1 : 0;
+    if (with_data == 0) return false;
+    std::size_t pick = with_data > 1 ? rng.below(with_data) : 0;
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      if (classes_[c].rank() == 0 || pick-- != 0) continue;
+      if (!classes_[c].emit_into(out, rng)) return false;
+      out.band_offset = static_cast<std::uint16_t>(structure_.class_begin(c));
+      out.class_id = static_cast<std::uint16_t>(c);
+      return true;
+    }
+    return false;
   }
 
  private:

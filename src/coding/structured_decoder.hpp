@@ -19,10 +19,24 @@
 // so policy choice trades CPU only — never correctness or overhead. The
 // parity tests (tests/test_structured_codec.cpp) pin the policies against
 // each other bit-for-bit.
+//
+// The decoder is also the relay's recoding buffer (emit_into). How recoding
+// interacts with the structure:
+//
+//   dense       the Decoder's own mix, draw for draw.
+//   banded      mixing two bands with different offsets widens the support,
+//               so recoding densifies banded codes — a known property of
+//               sparse network codes. A relay on a banded stream therefore
+//               runs the dense policy (select_stream_policy) and emits dense
+//               rows; banded decoding pays off on encoder-direct traffic, and
+//               the band policy never relays.
+//   overlapped  class-local mixing (OverlapDecoder::emit_into) preserves the
+//               structure exactly, so its sparsity survives every hop.
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -32,6 +46,7 @@
 #include "coding/packet.hpp"
 #include "coding/structure.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace ncast::coding {
 
@@ -70,10 +85,10 @@ inline DecoderPolicy select_policy(const GenerationStructure& s) {
 /// The cheapest policy that is sound for a *stream* of `s`-structured
 /// traffic crossing recoding relays. Differs from select_policy() in one
 /// case: banded streams map to the dense policy, because recoding densifies
-/// banded codes (structured_recoder.hpp) — an overlay receive buffer sees
-/// mixed band strips and full-width relay rows, and the BandDecoder cannot
-/// absorb the latter. Encoder-direct consumers (no relays in the path)
-/// should keep select_policy(), which is where the banded speedup lives.
+/// banded codes — an overlay receive buffer sees mixed band strips and
+/// full-width relay rows, and the BandDecoder can neither absorb the latter
+/// nor recode. Encoder-direct consumers (no relays in the path) should keep
+/// select_policy(), which is where the banded speedup lives.
 inline DecoderPolicy select_stream_policy(const GenerationStructure& s) {
   return s.kind == StructureKind::kBanded ? DecoderPolicy::kDense
                                           : select_policy(s);
@@ -106,7 +121,8 @@ class ScatterDecoder {
   std::uint64_t packets_innovative() const { return inner_.packets_innovative(); }
   std::uint64_t packets_redundant() const { return packets_received() - packets_innovative(); }
 
-  // ncast:hot-begin — scatter + dense absorb: no allocation, no throw.
+  // ncast:hot-begin — scatter + dense absorb, dense recode: no allocation,
+  // no throw.
 
   /// Consumes a packet; returns true iff it was innovative. Malformed
   /// placements and stray generations are rejected as data. Admission uses
@@ -136,6 +152,12 @@ class ScatterDecoder {
       expand_[i] = p.coeffs[j];
     }
     return inner_.absorb_row(expand_.data(), p.payload.data());
+  }
+
+  /// Recodes from the dense basis: always a dense row, whatever the stream's
+  /// structure (mixing densifies bands).
+  bool emit_into(Packet& out, Rng& rng) const {
+    return inner_.emit_into(out, rng);
   }
 
   // ncast:hot-end
@@ -217,6 +239,23 @@ class StructuredDecoder {
   }
   std::vector<std::vector<value_type>> source_packets() const {
     return std::visit([](const auto& d) { return d.source_packets(); }, impl_);
+  }
+
+  /// Writes a random recombination of what this decoder holds into `out`
+  /// (see the structure notes at the top of this file). Returns false if
+  /// nothing has been received, and always under the band policy, which
+  /// never relays.
+  bool emit_into(Packet& out, Rng& rng) const {
+    return std::visit(
+        [&](const auto& d) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(d)>,
+                                       BandDecoder<Field>>) {
+            return false;
+          } else {
+            return d.emit_into(out, rng);
+          }
+        },
+        impl_);
   }
 
  private:

@@ -221,7 +221,7 @@ void ClientNode::handle_accept(const Message& m) {
                              m.structure_wrap != 0, m.class_overlap);
   if (!structure) return;
   if (!stream_.initialize(m.data_size, m.gen_count, m.gen_size, m.symbols,
-                          *structure, config_.decode_policy)) {
+                          *structure)) {
     return;
   }
   joined_ = true;

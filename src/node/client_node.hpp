@@ -28,10 +28,6 @@ struct ClientConfig {
   std::uint64_t silence_timeout = 4;  ///< time without liveness -> complain
   double join_retry = 4.0;            ///< hello retransmit delay
   std::uint32_t max_backoff_exp = 4;  ///< cap retransmit doubling at 2^this
-  /// Decoder policy for the stream buffers. kAuto resolves per the structure
-  /// announced in the join accept (select_stream_policy — relay traffic on
-  /// banded streams is densified, so kAuto never picks the band decoder).
-  coding::DecoderPolicy decode_policy = coding::DecoderPolicy::kAuto;
   std::uint64_t seed = 1;
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 // Per-endpoint stream state shared by the centralized client and the
-// decentralized gossip peer: the generation plan, structured receive buffers
-// (one StructuredDecoder + StructuredRecoder per generation), optional
+// decentralized gossip peer: the generation plan, one structured buffer per
+// generation (a StructuredDecoder, which both decodes and recodes), optional
 // null-key verification, and the random-generation upload policy.
 //
 // The stream's GenerationStructure arrives with the plan (join accept / slot
@@ -10,12 +10,13 @@
 //     (coding/wire.hpp deserialize_stream): v2 strips must match the
 //     structure exactly, v1 dense rows are admitted on dense and banded
 //     streams (recoding densifies banded codes), never on overlapped ones;
-//   - the decode side runs the policy select_stream_policy() picks (or the
-//     caller's override) — dense elimination for dense/banded streams,
-//     overlap propagation for overlapped ones;
-//   - the recode side is structure-preserving where the mathematics allows
-//     (overlapped classes) and densifying where it does not (bands), so an
-//     upload is always a packet a downstream StreamState admits.
+//   - the buffers run the policy select_stream_policy() picks — dense
+//     elimination for dense/banded streams, overlap propagation for
+//     overlapped ones;
+//   - recoding mixes straight from those buffers: structure-preserving where
+//     the mathematics allows (overlapped classes) and densifying where it
+//     does not (bands), so an upload is always a packet a downstream
+//     StreamState admits.
 
 #include <cstdint>
 #include <optional>
@@ -25,7 +26,6 @@
 #include "coding/null_keys.hpp"
 #include "coding/structure.hpp"
 #include "coding/structured_decoder.hpp"
-#include "coding/structured_recoder.hpp"
 #include "coding/wire.hpp"
 #include "gf/gf256.hpp"
 #include "sim/packet_pool.hpp"
@@ -47,13 +47,13 @@ class StreamState {
   /// `data_size` (a lying or corrupted announcement would otherwise silently
   /// build the wrong buffer count and the stream could never reassemble),
   /// and on a structure whose g is not the plan's generation size.
-  /// `structure` defaults to dense; `policy` kAuto resolves to the cheapest
-  /// policy sound for relayed traffic (select_stream_policy).
+  /// `structure` defaults to dense. The buffers run the cheapest policy
+  /// sound for relayed traffic (select_stream_policy) — the only sound
+  /// choice, since every buffer also recodes.
   bool initialize(
       std::uint64_t data_size, std::uint32_t gen_count, std::uint16_t gen_size,
       std::uint16_t symbols,
-      std::optional<coding::GenerationStructure> structure = std::nullopt,
-      coding::DecoderPolicy policy = coding::DecoderPolicy::kAuto) {
+      std::optional<coding::GenerationStructure> structure = std::nullopt) {
     if (gen_count == 0 || gen_size == 0 || symbols == 0) return false;
     const auto plan = coding::plan_generations(data_size, gen_size, symbols);
     if (plan.generations != gen_count) return false;
@@ -62,16 +62,11 @@ class StreamState {
     if (s.g != gen_size) return false;
     plan_ = plan;
     structure_ = s;
-    if (policy == coding::DecoderPolicy::kAuto) {
-      policy = coding::select_stream_policy(structure_);
-    }
+    const auto policy = coding::select_stream_policy(structure_);
     decoders_.clear();
-    recoders_.clear();
     decoders_.reserve(gen_count);
-    recoders_.reserve(gen_count);
     for (std::uint32_t g = 0; g < gen_count; ++g) {
       decoders_.emplace_back(g, structure_, symbols, policy);
-      recoders_.emplace_back(g, structure_, symbols);
     }
     return true;
   }
@@ -89,16 +84,17 @@ class StreamState {
     keys_ = std::move(parsed);
   }
 
-  /// Absorbs a wire-encoded packet into both the decode and the recode
-  /// basis. Returns false if the packet was dropped (malformed, wrong shape
-  /// for the stream's structure, out of range, or failed verification).
+  /// Absorbs a wire-encoded packet into its generation's buffer. Returns
+  /// false if the packet was dropped (malformed, wrong shape for the
+  /// stream's structure or symbol count, out of range, or failed
+  /// verification).
   bool absorb_wire(const std::vector<std::uint8_t>& wire) {
     const auto packet = coding::deserialize_stream<gf::Gf256>(wire, structure_);
     if (!packet) return false;
     if (packet->generation >= decoders_.size()) return false;
+    if (packet->payload.size() != plan_.symbols) return false;
     if (!keys_.empty() && !verify_against_keys(*packet)) return false;
     decoders_[packet->generation].absorb(*packet);
-    recoders_[packet->generation].absorb(*packet);
     return true;
   }
 
@@ -110,17 +106,17 @@ class StreamState {
   /// so the structure's sparsity survives every hop.
   std::optional<std::vector<std::uint8_t>> emit_wire(Rng& rng) {
     std::size_t with_data = 0;
-    for (const auto& r : recoders_) {
-      if (r.rank() > 0) ++with_data;
+    for (const auto& d : decoders_) {
+      if (d.rank() > 0) ++with_data;
     }
     if (with_data == 0) return std::nullopt;
     std::size_t pick = rng.below(with_data);
-    for (auto& r : recoders_) {
-      if (r.rank() == 0 || pick-- != 0) continue;
+    for (const auto& d : decoders_) {
+      if (d.rank() == 0 || pick-- != 0) continue;
       // The pooled packet recycles its buffers across emissions; only the
       // wire serialization below allocates.
       sim::PacketLease<gf::Gf256> scratch(pool_);
-      if (r.emit_into(*scratch, rng)) {
+      if (d.emit_into(*scratch, rng)) {
         return coding::serialize_stream(*scratch, structure_);
       }
       return std::nullopt;
@@ -179,8 +175,7 @@ class StreamState {
   coding::GenerationPlan plan_;
   coding::GenerationStructure structure_ =
       coding::GenerationStructure::dense(1);
-  std::vector<coding::StructuredDecoder<gf::Gf256>> decoders_;
-  std::vector<coding::StructuredRecoder<gf::Gf256>> recoders_;
+  std::vector<coding::StructuredDecoder<gf::Gf256>> decoders_;  // decode + recode
   std::vector<coding::NullKeySet<gf::Gf256>> keys_;
   sim::PacketPool<gf::Gf256> pool_;  // recycled emit_wire() scratch packets
   coding::CodedPacket<gf::Gf256> verify_scratch_;  // key-check expansion row

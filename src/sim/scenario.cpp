@@ -6,9 +6,9 @@
 #include <optional>
 #include <stdexcept>
 
+#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "coding/null_keys.hpp"
-#include "coding/recoder.hpp"
 #include "gf/gf256.hpp"
 #include "graph/maxflow.hpp"
 #include "obs/metrics.hpp"
@@ -141,8 +141,8 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
                         4.0 * static_cast<double>(gs) * period + 4.0;
   }
 
-  // Receiver state and per-vertex milestone clocks.
-  std::vector<coding::Recoder<Gf>> state;
+  // Receiver/recoding buffers and per-vertex milestone clocks.
+  std::vector<coding::Decoder<Gf>> state;
   state.reserve(vertex_count);
   for (graph::Vertex v = 0; v < vertex_count; ++v) {
     state.emplace_back(0, gs, spec.symbols);
@@ -387,7 +387,7 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
     o.two_thirds_time = two_thirds_time[v];
     o.depth = depths[v];
     if (o.decoded && check_corruption) {
-      o.corrupted = state[v].decoder().source_packets() != source_data;
+      o.corrupted = state[v].source_packets() != source_data;
     }
     report.outcomes.push_back(o);
   }

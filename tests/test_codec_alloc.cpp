@@ -1,6 +1,6 @@
 // Proof that the codec hot path is allocation-free in steady state: global
 // operator new/new[] are replaced with counting versions, and the count must
-// not move across Decoder::absorb, Recoder::emit_into, and
+// not move across Decoder::absorb, Decoder::emit_into, and
 // SourceEncoder::emit_into loops once construction and first-use metric
 // registration are behind us. This is the enforcement half of the contract
 // documented in coding/decoder.hpp and linalg/reduced_basis.hpp.
@@ -21,9 +21,8 @@
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "coding/overlap_decoder.hpp"
-#include "coding/recoder.hpp"
 #include "coding/structure.hpp"
-#include "coding/structured_recoder.hpp"
+#include "coding/structured_decoder.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
 #include "util/rng.hpp"
@@ -91,13 +90,13 @@ TEST(CodecAllocFree, DecoderAbsorbGf2_16) {
   run_absorb_alloc_free<gf::Gf2_16>(32);
 }
 
-TEST(CodecAllocFree, RecoderEmitIntoSteadyState) {
+TEST(CodecAllocFree, DecoderEmitIntoSteadyState) {
   using Field = gf::Gf256;
   const std::size_t g = 16, symbols = 128;
   Rng rng(33);
   const auto source = random_source<Field>(g, symbols, rng);
   const coding::SourceEncoder<Field> enc(0, source);
-  coding::Recoder<Field> rec(0, g, symbols);
+  coding::Decoder<Field> rec(0, g, symbols);
   while (!rec.complete()) rec.absorb(enc.emit(rng));
 
   // Warm-up sizes the packet's buffers and registers recoder.emit_ns.
@@ -200,10 +199,11 @@ TEST(CodecAllocFree, OverlapDecoderAbsorbAndPropagate) {
   EXPECT_EQ(delta, 0u);
 }
 
-// Structured recoding: scattering banded strips into the dense basis reuses
-// one scratch packet, and class-routed overlapped emission reuses the
-// nonempty-class list. Both are free once the buffers are sized.
-TEST(CodecAllocFree, StructuredRecoderSteadyState) {
+// Structured recoding: a banded-stream relay scatters strips into its
+// preallocated dense row and mixes dense rows out, and class-routed
+// overlapped emission mixes one class in place. All free once the caller's
+// packet buffers are sized.
+TEST(CodecAllocFree, StructuredEmitIntoSteadyState) {
   using Field = gf::Gf256;
   const std::size_t g = 16, symbols = 64;
   Rng rng(38);
@@ -213,20 +213,25 @@ TEST(CodecAllocFree, StructuredRecoderSteadyState) {
       0, banded, random_flat<Field>(g * symbols, rng), symbols);
   std::vector<coding::CodedPacket<Field>> strips;
   for (std::size_t i = 0; i < 3 * g; ++i) strips.push_back(benc.emit(rng));
-  coding::StructuredRecoder<Field> brec(0, banded, symbols);
+  coding::ScatterDecoder<Field> brec(0, banded, symbols);
   brec.absorb(strips[0]);
-  brec.absorb(strips[1]);  // warm-up sizes the scatter scratch packet
+  brec.absorb(strips[1]);  // warm-up registers the decode metrics
+  coding::CodedPacket<Field> dense;
+  bool ok = brec.emit_into(dense, rng);  // warm-up sizes the dense packet
 
   std::uint64_t before = g_news.load();
   for (std::size_t i = 2; i < strips.size(); ++i) brec.absorb(strips[i]);
+  for (int i = 0; i < 200; ++i) ok = brec.emit_into(dense, rng) && ok;
   std::uint64_t delta = g_news.load() - before;
   ASSERT_TRUE(brec.complete());
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(dense.coeffs.size(), g);
   EXPECT_EQ(delta, 0u);
 
   const auto over = coding::GenerationStructure::overlapping(g, 8, 2);
   const coding::SourceEncoder<Field> oenc(
       0, over, random_flat<Field>(g * symbols, rng), symbols);
-  coding::StructuredRecoder<Field> orec(0, over, symbols);
+  coding::OverlapDecoder<Field> orec(0, over, symbols);
   std::size_t fed = 0;
   while (!orec.complete()) {
     ASSERT_LT(fed++, 50 * g);
@@ -235,7 +240,6 @@ TEST(CodecAllocFree, StructuredRecoderSteadyState) {
   // Warm-up long enough for the recycled packet to have seen every class
   // width (classes differ, and assign() only reuses existing capacity).
   coding::CodedPacket<Field> out;
-  bool ok = true;
   for (int i = 0; i < 20; ++i) ok = orec.emit_into(out, rng) && ok;
 
   before = g_news.load();
@@ -245,11 +249,11 @@ TEST(CodecAllocFree, StructuredRecoderSteadyState) {
   EXPECT_EQ(delta, 0u);
 }
 
-// A rank-0 recoder declines without touching the heap either.
-TEST(CodecAllocFree, EmptyRecoderEmitIntoIsFreeAndSilent) {
+// A rank-0 decoder declines to emit without touching the heap either.
+TEST(CodecAllocFree, EmptyDecoderEmitIntoIsFreeAndSilent) {
   using Field = gf::Gf256;
   Rng rng(35);
-  coding::Recoder<Field> rec(0, 8, 64);
+  coding::Decoder<Field> rec(0, 8, 64);
   coding::CodedPacket<Field> out;
   const std::uint64_t before = g_news.load();
   const bool emitted = rec.emit_into(out, rng);

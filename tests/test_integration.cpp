@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "coding/decoder.hpp"
 #include "coding/file_codec.hpp"
-#include "coding/recoder.hpp"
 #include "overlay/curtain_server.hpp"
 #include "overlay/defect.hpp"
 #include "overlay/flow_graph.hpp"
@@ -54,13 +54,12 @@ TEST(Integration, FileDistributionThroughRelayChain) {
   coding::FileEncoder encoder(file, 16, 64);  // 1 KiB generations
   coding::FileDecoder decoder(encoder.plan());
 
-  std::vector<coding::Recoder<gf::Gf256>> relays;
   const auto gens = encoder.generations();
   // One relay pipeline per generation (relays are per-generation objects).
   for (std::size_t g = 0; g < gens; ++g) {
     // Feed enough packets for the relay to hold full rank, then let the
     // decoder drink from the relay only.
-    coding::Recoder<gf::Gf256> relay(static_cast<std::uint32_t>(g), 16, 64);
+    coding::Decoder<gf::Gf256> relay(static_cast<std::uint32_t>(g), 16, 64);
     while (!relay.complete()) relay.absorb(encoder.emit(g, rng));
     while (decoder.decoder(g).rank() < 16) {
       const auto p = relay.emit(rng);

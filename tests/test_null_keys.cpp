@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/recoder.hpp"
 #include "gf/gf256.hpp"
 #include "overlay/curtain_server.hpp"
 #include "sim/broadcast.hpp"
@@ -60,7 +60,7 @@ TEST(NullKeys, RecodedPacketsStillPass) {
   coding::SourceEncoder<Gf> enc(0, source);
   const auto keys = coding::NullKeySet<Gf>::generate(0, source, 4, rng);
 
-  coding::Recoder<Gf> relay1(0, 6, 12), relay2(0, 6, 12);
+  coding::Decoder<Gf> relay1(0, 6, 12), relay2(0, 6, 12);
   for (int i = 0; i < 10; ++i) relay1.absorb(enc.emit(rng));
   for (int i = 0; i < 10; ++i) {
     if (auto p = relay1.emit(rng)) relay2.absorb(*p);

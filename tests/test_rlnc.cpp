@@ -8,7 +8,6 @@
 
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/recoder.hpp"
 #include "gf/gf2.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
@@ -58,8 +57,9 @@ TEST_P(RlncRoundTrip, EncodeRecodeDecode) {
   coding::SourceEncoder<Gf> enc(1, source);
 
   // Chain: encoder -> relay1 -> relay2 -> decoder, one packet per hop per
-  // round, exactly like a depth-3 path in the overlay.
-  coding::Recoder<Gf> relay1(1, g, symbols), relay2(1, g, symbols);
+  // round, exactly like a depth-3 path in the overlay. A relay is a decoder
+  // that also emits.
+  coding::Decoder<Gf> relay1(1, g, symbols), relay2(1, g, symbols);
   coding::Decoder<Gf> dec(1, g, symbols);
 
   for (int round = 0; round < g * 6 && !dec.complete(); ++round) {
@@ -242,18 +242,18 @@ TEST(Decoder, SourcePacketBeforeCompleteThrows) {
   EXPECT_THROW(dec.source_packet(0), std::logic_error);
 }
 
-TEST(Recoder, SilentWhenEmpty) {
+TEST(Recoding, SilentWhenEmpty) {
   Rng rng(10);
-  coding::Recoder<Gf> rec(0, 4, 4);
+  coding::Decoder<Gf> rec(0, 4, 4);
   EXPECT_FALSE(rec.emit(rng).has_value());
 }
 
-TEST(Recoder, EmitsDecodablePackets) {
+TEST(Recoding, EmitsDecodablePackets) {
   Rng rng(11);
   const auto source = random_source<Gf>(6, 10, rng);
   coding::SourceEncoder<Gf> enc(0, source);
-  coding::Recoder<Gf> rec(0, 6, 10);
-  // Partial knowledge: recoder holds rank 3.
+  coding::Decoder<Gf> rec(0, 6, 10);
+  // Partial knowledge: the relay holds rank 3.
   while (rec.rank() < 3) rec.absorb(enc.emit(rng));
   // Everything it emits must be consistent with the true source data.
   for (int i = 0; i < 50; ++i) {
@@ -267,11 +267,11 @@ TEST(Recoder, EmitsDecodablePackets) {
   }
 }
 
-TEST(Recoder, RankNeverExceedsUpstream) {
+TEST(Recoding, RankNeverExceedsUpstream) {
   Rng rng(12);
   const auto source = random_source<Gf>(8, 4, rng);
   coding::SourceEncoder<Gf> enc(0, source);
-  coding::Recoder<Gf> upstream(0, 8, 4), downstream(0, 8, 4);
+  coding::Decoder<Gf> upstream(0, 8, 4), downstream(0, 8, 4);
   while (upstream.rank() < 5) upstream.absorb(enc.emit(rng));
   for (int i = 0; i < 200; ++i) {
     if (auto p = upstream.emit(rng)) downstream.absorb(*p);
@@ -316,12 +316,12 @@ TEST(Packet, WireSizeAndDegeneracy) {
   EXPECT_EQ(p.wire_size(), sizeof(std::uint32_t) + 8 + 16);
 }
 
-TEST(RecoderEmitInto, ReusesBuffersAndMatchesEmit) {
+TEST(DecoderEmitInto, ReusesBuffersAndMatchesEmit) {
   const std::size_t g = 8, symbols = 32;
   Rng rng(21);
   const auto source = random_source<Gf>(g, symbols, rng);
   coding::SourceEncoder<Gf> enc(0, source);
-  coding::Recoder<Gf> rec(0, g, symbols);
+  coding::Decoder<Gf> rec(0, g, symbols);
   while (!rec.complete()) rec.absorb(enc.emit(rng));
 
   coding::CodedPacket<Gf> p;
@@ -336,8 +336,8 @@ TEST(RecoderEmitInto, ReusesBuffersAndMatchesEmit) {
   EXPECT_EQ(p.coeffs.data(), coeffs_buf);
   EXPECT_EQ(p.payload.data(), payload_buf);
 
-  // emit() and emit_into() draw from the same RNG stream: two recoders with
-  // identical state and identical RNGs produce identical packets either way.
+  // emit() and emit_into() draw from the same RNG stream: identical state
+  // and identical RNGs produce identical packets either way.
   Rng a(77), b(77);
   const auto via_emit = rec.emit(a);
   coding::CodedPacket<Gf> via_into;
@@ -357,9 +357,9 @@ TEST(RecoderEmitInto, ReusesBuffersAndMatchesEmit) {
   EXPECT_EQ(dec.source_packets(), source);
 }
 
-TEST(RecoderEmitInto, EmptyRecoderStaysSilent) {
+TEST(DecoderEmitInto, EmptyDecoderStaysSilent) {
   Rng rng(22);
-  coding::Recoder<Gf> rec(0, 4, 8);
+  coding::Decoder<Gf> rec(0, 4, 8);
   coding::CodedPacket<Gf> p;
   EXPECT_FALSE(rec.emit_into(p, rng));
   EXPECT_FALSE(rec.emit(rng).has_value());

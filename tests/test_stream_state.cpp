@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "coding/file_codec.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
@@ -65,7 +66,36 @@ TEST(StreamState, DropsMalformedAndForeignWire) {
   p.coeffs.assign(8, 1);
   p.payload.assign(8, 1);
   EXPECT_FALSE(s.absorb_wire(coding::serialize(p)));
+  // Right generation and g, wrong symbol count: dropped before any decoder
+  // sees (and counts) it.
+  const auto& received = obs::metrics().counter("decoder.packets_received");
+  const std::uint64_t before = received.value();
+  p.generation = 0;
+  p.payload.assign(16, 1);
+  EXPECT_FALSE(s.absorb_wire(coding::serialize(p)));
+  EXPECT_EQ(received.value(), before);
   EXPECT_EQ(s.rank(), 0u);
+}
+
+TEST(StreamState, OneAbsorbPerAcceptedFrame) {
+  // The generation's one buffer both decodes and recodes, so every accepted
+  // frame is eliminated exactly once — redundant ones after decode included.
+  Rng rng(9);
+  const auto content = random_bytes(256, rng);
+  coding::FileEncoder encoder(content, 8, 16);  // 2 generations
+  StreamState s;
+  ASSERT_TRUE(s.initialize(content.size(), 2, 8, 16));
+  const auto& received = obs::metrics().counter("decoder.packets_received");
+  const std::uint64_t before = received.value();
+  std::uint64_t accepted = 0;
+  for (int i = 0; i < 60; ++i) {
+    const auto gen = rng.below(encoder.generations());
+    accepted += s.absorb_wire(coding::serialize(encoder.emit(gen, rng))) ? 1 : 0;
+    EXPECT_FALSE(s.absorb_wire({1, 2, 3}));
+  }
+  EXPECT_TRUE(s.decoded());
+  EXPECT_EQ(accepted, 60u);
+  EXPECT_EQ(received.value() - before, NCAST_OBS_ENABLED ? accepted : 0u);
 }
 
 TEST(StreamState, RelayRoundTripThroughEmit) {

@@ -17,10 +17,8 @@
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "coding/overlap_decoder.hpp"
-#include "coding/recoder.hpp"
 #include "coding/structure.hpp"
 #include "coding/structured_decoder.hpp"
-#include "coding/structured_recoder.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
 #include "util/rng.hpp"
@@ -390,7 +388,7 @@ TEST(StructuredCodec, OverlapDecoderProgressTracking) {
   EXPECT_EQ(dec.source_packets(), rows_of<Field>(flat, symbols));
 }
 
-// Dense structured recoding is the original recoder draw for draw.
+// Dense structured recoding is the Decoder's own mix, draw for draw.
 TEST(StructuredRecoding, DenseDelegatesDrawForDraw) {
   using Field = gf::Gf256;
   const std::size_t g = 12, symbols = 32;
@@ -398,8 +396,8 @@ TEST(StructuredRecoding, DenseDelegatesDrawForDraw) {
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, GenerationStructure::dense(g), flat,
                                          symbols);
-  coding::Recoder<Field> plain(0, g, symbols);
-  coding::StructuredRecoder<Field> structured(0, GenerationStructure::dense(g),
+  coding::Decoder<Field> plain(0, g, symbols);
+  coding::StructuredDecoder<Field> structured(0, GenerationStructure::dense(g),
                                               symbols);
   for (std::size_t i = 0; i < g / 2; ++i) {
     const auto p = enc.emit(rng);
@@ -416,11 +414,13 @@ TEST(StructuredRecoding, DenseDelegatesDrawForDraw) {
     EXPECT_EQ(pb.band_offset, 0);
     EXPECT_EQ(pb.class_id, 0);
   }
+  EXPECT_EQ(a.below(1u << 30), b.below(1u << 30));  // streams still in step
 }
 
 // Banded recoding densifies (mixing bands at different offsets widens the
-// support): the recoder absorbs compact strips but emits dense packets, and
-// downstream must decode with the dense structure.
+// support): a relay on a banded stream runs the dense policy, absorbs
+// compact strips, emits dense packets, and downstream must decode with the
+// dense structure.
 TEST(StructuredRecoding, BandedRecodingDensifies) {
   using Field = gf::Gf256;
   const std::size_t g = 24, symbols = 32;
@@ -428,7 +428,9 @@ TEST(StructuredRecoding, BandedRecodingDensifies) {
   Rng rng(18);
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
-  coding::StructuredRecoder<Field> rec(0, s, symbols);
+  coding::StructuredDecoder<Field> rec(0, s, symbols,
+                                       coding::select_stream_policy(s));
+  EXPECT_EQ(rec.policy(), DecoderPolicy::kDense);
   coding::CodedPacket<Field> p;
   std::size_t fed = 0;
   while (!rec.complete()) {
@@ -449,9 +451,10 @@ TEST(StructuredRecoding, BandedRecodingDensifies) {
     dec.absorb(p);
   }
   EXPECT_EQ(dec.source_packets(), rows_of<Field>(flat, symbols));
-  // A recoder may also sit behind another recoder: densified packets are
-  // themselves absorbable.
-  coding::StructuredRecoder<Field> second(0, s, symbols);
+  // A relay may also sit behind another relay: densified packets are
+  // themselves absorbable on the banded stream.
+  coding::StructuredDecoder<Field> second(0, s, symbols,
+                                          coding::select_stream_policy(s));
   ASSERT_TRUE(rec.emit_into(p, rng));
   EXPECT_TRUE(second.absorb(p));
 }
@@ -465,7 +468,8 @@ TEST(StructuredRecoding, OverlappedRecodingPreservesStructure) {
   Rng rng(19);
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
-  coding::StructuredRecoder<Field> rec(0, s, symbols);
+  coding::StructuredDecoder<Field> rec(0, s, symbols);
+  EXPECT_EQ(rec.policy(), DecoderPolicy::kOverlap);
   coding::CodedPacket<Field> p;
   std::size_t fed = 0;
   while (!rec.complete()) {
@@ -475,7 +479,6 @@ TEST(StructuredRecoding, OverlappedRecodingPreservesStructure) {
   }
   EXPECT_EQ(rec.rank(), g);
   coding::StructuredDecoder<Field> dec(0, s, symbols);
-  EXPECT_EQ(dec.policy(), DecoderPolicy::kOverlap);
   std::size_t sent = 0;
   while (!dec.complete()) {
     ASSERT_LT(sent++, 100 * g);
@@ -486,11 +489,49 @@ TEST(StructuredRecoding, OverlappedRecodingPreservesStructure) {
   EXPECT_EQ(dec.source_packets(), rows_of<Field>(flat, symbols));
 }
 
+// The relay's class buffers are its decoder's classes, so boundary packets
+// that propagation pinned into a neighboring class are forwarded too: a
+// relay that only ever heard class 0 still speaks for class 1.
+TEST(StructuredRecoding, OverlappedRelayForwardsPropagatedClasses) {
+  using Field = gf::Gf256;
+  const std::size_t g = 24, symbols = 16;
+  const auto s = GenerationStructure::overlapping(g, 8, 2);
+  Rng rng(23);
+  const auto flat = random_flat<Field>(g * symbols, rng);
+  const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
+  coding::OverlapDecoder<Field> relay(0, s, symbols);
+  coding::CodedPacket<Field> p;
+  std::size_t fed = 0;
+  while (!relay.class_decoder(0).complete()) {
+    ASSERT_LT(fed++, 200 * g);
+    enc.emit_into(p, rng);
+    if (p.class_id == 0) relay.absorb(p);
+  }
+  // Class 0 shares its last `overlap` columns with class 1.
+  ASSERT_EQ(relay.class_decoder(1).rank(), 2u);
+  std::size_t tries = 0;
+  do {
+    ASSERT_LT(tries++, 64u);
+    ASSERT_TRUE(relay.emit_into(p, rng));
+  } while (p.class_id != 1);
+  EXPECT_TRUE(s.matches_packet(p.band_offset, p.coeffs.size(), p.class_id));
+  // The payload is the advertised combination of class 1's source packets.
+  std::vector<Field::value_type> expect(symbols, 0);
+  for (std::size_t j = 0; j < p.coeffs.size(); ++j) {
+    Field::region_madd(expect.data(), flat.data() + (p.band_offset + j) * symbols,
+                       p.coeffs[j], symbols);
+  }
+  EXPECT_EQ(p.payload, expect);
+  coding::OverlapDecoder<Field> sink(0, s, symbols);
+  EXPECT_TRUE(sink.absorb(p));
+  EXPECT_EQ(sink.class_decoder(1).rank(), 1u);
+}
+
 TEST(StructuredRecoding, RejectsMalformedAndStaysSilentWhenEmpty) {
   using Field = gf::Gf256;
   const std::size_t g = 16, symbols = 8;
   const auto over = GenerationStructure::overlapping(g, 8, 2);
-  coding::StructuredRecoder<Field> rec(0, over, symbols);
+  coding::StructuredDecoder<Field> rec(0, over, symbols);
   Rng rng(20);
   coding::CodedPacket<Field> out;
   EXPECT_FALSE(rec.emit_into(out, rng));  // nothing absorbed yet
@@ -504,15 +545,24 @@ TEST(StructuredRecoding, RejectsMalformedAndStaysSilentWhenEmpty) {
   bad.class_id = 0;
   bad.band_offset = 3;  // class 0 starts at 0
   EXPECT_FALSE(rec.absorb(bad));
+  EXPECT_FALSE(rec.emit_into(out, rng));  // rejects left nothing to mix
 
   const auto banded = GenerationStructure::banded(g, 4);
-  coding::StructuredRecoder<Field> brec(0, banded, symbols);
+  coding::StructuredDecoder<Field> brec(0, banded, symbols,
+                                        coding::select_stream_policy(banded));
   coding::CodedPacket<Field> strip;
   strip.generation = 0;
   strip.coeffs.assign(3, 1);  // wrong width: neither a strip nor densified
   strip.payload.assign(symbols, 1);
   EXPECT_FALSE(brec.absorb(strip));
   EXPECT_EQ(brec.rank(), 0u);
+  EXPECT_FALSE(brec.emit_into(out, rng));
+
+  // The band policy decodes encoder-direct traffic only and never relays.
+  coding::StructuredDecoder<Field> band(0, banded, symbols, DecoderPolicy::kBand);
+  strip.coeffs.assign(4, 1);
+  ASSERT_TRUE(band.absorb(strip));
+  EXPECT_FALSE(band.emit_into(out, rng));
 }
 
 }  // namespace
