@@ -4,11 +4,11 @@
 // churn (graceful leaves and crashes) follows, and every crash must be
 // repaired (complaint -> failure tag -> splice-out) before the horizon.
 // Each client owns a kernel lane; joins and churn initiations are
-// cross-lane posts into the server's lane, so the run exercises exactly the
-// paths the tentpole rebuilt: the order-statistic treap under
-// insert-at-random-position, the CSR column arena under heavy splice
-// traffic, per-shard event queues, outbox merges, and the conservative
-// epoch barrier.
+// cross-lane posts into the server's lane, so the run exercises the blocked
+// curtain under insert-at-random-position (each join lands mid-curtain and
+// scans block signatures for its d links), the CSR column arena under heavy
+// splice traffic, per-shard event queues, outbox merges, and the
+// conservative epoch barrier.
 //
 // Reported: wall clock, events per second, peak RSS (the telemetry fields
 // tools/bench_validate now requires), and convergence — the final matrix
@@ -74,8 +74,9 @@ int main() {
       "SCALE: million-node join wave + Poisson churn on the sharded kernel",
       "Every client owns a lane; joins and churn are cross-lane posts into\n"
       "the server lane, where the SoA/CSR curtain absorbs them (uniform\n"
-      "random insert positions -> worst case for the order index). Crashes\n"
-      "must repair before the horizon; the final matrix must balance.");
+      "random insert positions: every join lands mid-curtain and scans for\n"
+      "its d links). Crashes must repair before the horizon; the final\n"
+      "matrix must balance.");
 
   sim::ShardedEngine engine(shards, workers, epoch);
   engine.reserve_lanes(static_cast<std::size_t>(n) + 1);

@@ -37,14 +37,13 @@ CurtainServer::CurtainServer(std::uint32_t k, std::uint32_t default_degree, Rng 
   }
 }
 
-std::size_t CurtainServer::pick_position() {
-  switch (policy_) {
-    case InsertPolicy::kAppend:
-      return matrix_.row_count();
-    case InsertPolicy::kRandomPosition:
-      return static_cast<std::size_t>(rng_.below(matrix_.row_count() + 1));
-  }
-  throw std::logic_error("CurtainServer: bad policy");
+NodeId CurtainServer::random_anchor() {
+  // One draw over the n + 1 gaps: u = n is the top, any other u the gap
+  // directly below roster row u. The roster is a permutation of the rows,
+  // so every gap has probability 1 / (n + 1) and no curtain rank is needed.
+  const std::size_t n = matrix_.row_count();
+  const auto u = static_cast<std::size_t>(rng_.below(n + 1));
+  return u == n ? kServerNode : matrix_.member(u);
 }
 
 std::vector<ColumnId> CurtainServer::pick_threads(std::uint32_t degree) {
@@ -60,7 +59,11 @@ JoinTicket CurtainServer::join(std::optional<std::uint32_t> degree) {
   JoinTicket ticket;
   ticket.node = next_id_++;
   ticket.threads = pick_threads(d);
-  matrix_.insert_row(pick_position(), ticket.node, ticket.threads);
+  if (policy_ == InsertPolicy::kRandomPosition) {
+    matrix_.insert_row_below(random_anchor(), ticket.node, ticket.threads);
+  } else {
+    matrix_.append_row(ticket.node, ticket.threads);
+  }
   ticket.parents = matrix_.parents(ticket.node);
 
   ++stats_.joins;

@@ -17,8 +17,8 @@ namespace ncast::overlay {
 /// Where a new row is placed in the curtain.
 enum class InsertPolicy {
   kAppend,          ///< Section 3: newcomers clip at the bottom.
-  kRandomPosition,  ///< Section 5: random row insertion, defeats coordinated
-                    ///< adversarial arrivals.
+  kRandomPosition,  ///< Section 5: random row insertion, uniform over the
+                    ///< n + 1 gaps; defeats coordinated adversarial arrivals.
 };
 
 /// Running totals of protocol traffic at the server.
@@ -83,7 +83,7 @@ class CurtainServer {
   std::optional<ColumnId> congestion_restore(NodeId node);
 
  private:
-  std::size_t pick_position();
+  NodeId random_anchor();
   std::vector<ColumnId> pick_threads(std::uint32_t degree);
 
   ThreadMatrix matrix_;

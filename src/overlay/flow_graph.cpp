@@ -12,12 +12,11 @@ FlowGraph build_flow_graph(const ThreadMatrix& m) {
   fg.graph = graph::Digraph(1);  // server
   fg.vertex_to_node.push_back(kServerNode);
 
-  const OrderIndex& order = m.order();
   NodeId max_id = 0;
-  for (NodeId n : order) max_id = std::max(max_id, n);
-  fg.node_vertex.assign(order.empty() ? 0 : max_id + 1, FlowGraph::kNoVertex);
+  for (NodeId n : m.order()) max_id = std::max(max_id, n);
+  fg.node_vertex.assign(m.row_count() == 0 ? 0 : max_id + 1, FlowGraph::kNoVertex);
 
-  for (NodeId n : order) {
+  for (NodeId n : m.order()) {
     const graph::Vertex v = fg.graph.add_vertex();
     fg.node_vertex[n] = v;
     fg.vertex_to_node.push_back(n);
@@ -30,7 +29,7 @@ FlowGraph build_flow_graph(const ThreadMatrix& m) {
   fg.tap.assign(m.k(), FlowGraph::kServerVertex);
   fg.tap_alive.assign(m.k(), true);
 
-  for (NodeId n : order) {
+  for (NodeId n : m.order()) {
     const Row& r = m.row(n);
     const graph::Vertex v = fg.node_vertex[n];
     for (ColumnId c : r.threads) {

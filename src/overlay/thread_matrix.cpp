@@ -57,36 +57,162 @@ std::uint32_t ThreadMatrix::slot_of(NodeId node, ColumnId column) const {
   return m.off + static_cast<std::uint32_t>(it - first);
 }
 
-void ThreadMatrix::append_row(NodeId node, std::vector<ColumnId> threads) {
-  insert_row(order_.size(), node, std::move(threads));
+bool ThreadMatrix::clips(NodeId node, ColumnId column) const {
+  const std::uint32_t slot = slot_of(node, column);
+  const RowMeta& m = meta_[node];
+  return slot < m.off + m.len && cols_[slot] == column;
 }
 
-void ThreadMatrix::insert_row(std::size_t pos, NodeId node,
-                              std::vector<ColumnId> threads) {
-  if (pos > order_.size()) throw std::out_of_range("ThreadMatrix::insert_row: pos");
-  if (node == kServerNode) throw std::invalid_argument("ThreadMatrix: reserved node id");
-  std::sort(threads.begin(), threads.end());
-  insert_row(pos, node, threads.data(), threads.size());
+std::uint64_t ThreadMatrix::signature(NodeId node) const {
+  const RowMeta& m = meta_[node];
+  std::uint64_t sig = 0;
+  for (std::uint32_t i = 0; i < m.len; ++i) {
+    sig |= std::uint64_t{1} << (cols_[m.off + i] % 64);
+  }
+  return sig;
 }
 
-void ThreadMatrix::insert_row(std::size_t pos, NodeId node,
-                              const ColumnId* threads, std::size_t count) {
-  if (pos > order_.size()) throw std::out_of_range("ThreadMatrix::insert_row: pos");
-  if (node == kServerNode) throw std::invalid_argument("ThreadMatrix: reserved node id");
-  verify_threads(threads, count);
-  if (contains(node)) throw std::invalid_argument("ThreadMatrix: node already present");
-  if (node >= meta_.size()) meta_.resize(node + 1);
+std::uint32_t ThreadMatrix::index_in_block(NodeId node) const {
+  const Block& b = block(meta_[node].block);
+  return static_cast<std::uint32_t>(std::find(b.ids, b.ids + b.count, node) - b.ids);
+}
 
-  RowMeta& m = meta_[node];
-  m.cap_log2 = cap_log2_for(count);
-  m.off = alloc_span(m.cap_log2);
-  m.len = static_cast<std::uint32_t>(count);
-  m.present = true;
-  m.failed = false;
-  std::copy(threads, threads + count, cols_.begin() + m.off);
+// ncast:hot-begin — join path: block shift, signature scan and link splice.
+// No allocation beyond amortized chunk and scratch growth, no throw.
 
-  order_.insert_at(pos, node);
-  splice_links(node);
+std::uint32_t ThreadMatrix::alloc_block() {
+  std::uint32_t b = free_block_;
+  if (b != kNoBlock) {
+    free_block_ = block(b).next;
+  } else {
+    if (blocks_used_ == chunks_.size() * kChunkBlocks) {
+      chunks_.emplace_back(kChunkBlocks);  // ncast:allow(hot_path.alloc): one fixed-size chunk per kChunkBlocks blocks carved, amortized
+    }
+    b = blocks_used_++;
+  }
+  Block& blk = block(b);
+  blk.prev = kNoBlock;
+  blk.next = kNoBlock;
+  blk.count = 0;
+  return b;
+}
+
+void ThreadMatrix::free_block(std::uint32_t b) {
+  Block& blk = block(b);
+  (blk.prev == kNoBlock ? head_ : block(blk.prev).next) = blk.next;
+  (blk.next == kNoBlock ? tail_block_ : block(blk.next).prev) = blk.prev;
+  blk.next = free_block_;
+  free_block_ = b;
+}
+
+void ThreadMatrix::place(std::uint32_t b, std::uint32_t i, NodeId node) {
+  if (b == kNoBlock) {  // empty curtain
+    b = alloc_block();
+    head_ = b;
+    tail_block_ = b;
+  }
+  if (block(b).count == kBlockRows) {
+    // Split a full block: the upper half moves to a fresh block after it.
+    // An append at the bottom opens an empty block instead, so appends fill
+    // blocks completely.
+    const std::uint32_t nb = alloc_block();
+    Block& full = block(b);
+    Block& fresh = block(nb);
+    fresh.prev = b;
+    fresh.next = full.next;
+    (full.next == kNoBlock ? tail_block_ : block(full.next).prev) = nb;
+    full.next = nb;
+    const std::uint32_t keep =
+        i == kBlockRows && fresh.next == kNoBlock ? kBlockRows : kBlockRows / 2;
+    std::copy(full.ids + keep, full.ids + kBlockRows, fresh.ids);
+    std::copy(full.sig + keep, full.sig + kBlockRows, fresh.sig);
+    fresh.count = kBlockRows - keep;
+    full.count = keep;
+    for (std::uint32_t j = 0; j < fresh.count; ++j) meta_[fresh.ids[j]].block = nb;
+    if (i >= keep) {
+      b = nb;
+      i -= keep;
+    }
+  }
+  Block& blk = block(b);
+  std::copy_backward(blk.ids + i, blk.ids + blk.count, blk.ids + blk.count + 1);
+  std::copy_backward(blk.sig + i, blk.sig + blk.count, blk.sig + blk.count + 1);
+  blk.ids[i] = node;
+  blk.sig[i] = signature(node);
+  ++blk.count;
+  meta_[node].block = b;
+}
+
+void ThreadMatrix::unplace(NodeId node) {
+  const std::uint32_t b = meta_[node].block;
+  Block& blk = block(b);
+  const std::uint32_t i = index_in_block(node);
+  std::copy(blk.ids + i + 1, blk.ids + blk.count, blk.ids + i);
+  std::copy(blk.sig + i + 1, blk.sig + blk.count, blk.sig + i);
+  --blk.count;
+  // Every two adjacent blocks hold more than half a block between them, so
+  // n rows span at most 4n / kBlockRows + 1 blocks.
+  if (blk.count == 0) {
+    free_block(b);
+  } else if (blk.prev != kNoBlock &&
+             block(blk.prev).count + blk.count <= kBlockRows / 2) {
+    merge_blocks(blk.prev, b);
+  } else if (blk.next != kNoBlock &&
+             blk.count + block(blk.next).count <= kBlockRows / 2) {
+    merge_blocks(b, blk.next);
+  }
+}
+
+void ThreadMatrix::merge_blocks(std::uint32_t into, std::uint32_t from) {
+  Block& dst = block(into);
+  const Block& src = block(from);
+  std::copy(src.ids, src.ids + src.count, dst.ids + dst.count);
+  std::copy(src.sig, src.sig + src.count, dst.sig + dst.count);
+  for (std::uint32_t j = 0; j < src.count; ++j) meta_[src.ids[j]].block = into;
+  dst.count += src.count;
+  free_block(from);
+}
+
+template <class Hit>
+void ThreadMatrix::scan(NodeId from, bool down, const std::uint64_t& mask,
+                        Hit&& hit) const {
+  std::uint32_t b = meta_[from].block;
+  std::uint32_t i = index_in_block(from);
+  if (down) {
+    for (++i; b != kNoBlock; b = block(b).next, i = 0) {
+      const Block& blk = block(b);
+      for (; i < blk.count; ++i) {
+        if ((blk.sig[i] & mask) == 0) continue;
+        hit(blk.ids[i]);
+        if (mask == 0) return;
+      }
+    }
+    return;
+  }
+  while (true) {
+    const Block& blk = block(b);
+    while (i-- > 0) {
+      if ((blk.sig[i] & mask) == 0) continue;
+      hit(blk.ids[i]);
+      if (mask == 0) return;
+    }
+    b = blk.prev;
+    if (b == kNoBlock) return;
+    i = block(b).count;
+  }
+}
+
+NodeId ThreadMatrix::nearest_on_column(NodeId node, ColumnId column,
+                                       bool down) const {
+  std::uint64_t mask = std::uint64_t{1} << (column % 64);
+  NodeId found = kNoNode;
+  scan(node, down, mask, [&](NodeId r) {
+    if (clips(r, column)) {  // exact even when k > 64 columns share a bit
+      found = r;
+      mask = 0;
+    }
+  });
+  return found;
 }
 
 void ThreadMatrix::splice_links(NodeId node) {
@@ -94,20 +220,22 @@ void ThreadMatrix::splice_links(NodeId node) {
   const std::uint32_t off = m.off;
   const std::uint32_t len = m.len;
 
-  // Resolve each column's child by walking the curtain downward from the new
-  // row, intersecting each visited row's span with the still-unresolved
-  // columns (both sorted — one two-pointer pass per visited row). For the
-  // paper's balanced workloads the nearest clipper of some column is a few
-  // rows away, so the walk resolves everything after O((k/d) ln d) visits in
-  // expectation; columns that reach the bottom unresolved are hanging ends
-  // and read the per-column tail array instead, so an append is O(d) flat.
-  if (resolved_scratch_.size() < len) resolved_scratch_.resize(len);
+  // Resolve each column's child with one downward scan. A row's span is
+  // read only when its signature meets the still-unresolved columns, and
+  // then intersected with them (both sorted — one two-pointer pass), so
+  // the scan costs about (k/d) ln d signature reads and d span reads for d
+  // random columns. Columns that reach the bottom unresolved are hanging
+  // ends and read the per-column tail array instead.
+  if (resolved_scratch_.size() < len) {
+    resolved_scratch_.resize(len);  // ncast:allow(hot_path.alloc): grows once, to the widest row seen
+  }
   std::fill(resolved_scratch_.begin(), resolved_scratch_.begin() + len, 0);
   std::uint32_t remaining = len;
+  std::uint64_t mask = signature(node);
 
-  NodeId below = order_.next(node);
-  while (remaining > 0 && below != OrderIndex::kNil) {
+  scan(node, true, mask, [&](NodeId below) {
     const RowMeta& bm = meta_[below];
+    bool resolved_any = false;
     std::uint32_t i = 0, j = 0;
     while (i < len && j < bm.len) {
       const ColumnId mine = cols_[off + i];
@@ -119,22 +247,25 @@ void ThreadMatrix::splice_links(NodeId node) {
       } else {
         if (resolved_scratch_[i] == 0) {
           resolved_scratch_[i] = 1;
+          resolved_any = true;
           --remaining;
           const std::uint32_t child_slot = bm.off + j;
           const NodeId parent = up_[child_slot];
           up_[off + i] = parent;
           down_[off + i] = below;
           up_[child_slot] = node;
-          if (parent != kServerNode) {
-            down_[slot_of(parent, mine)] = node;
-          }
+          if (parent != kServerNode) down_[slot_of(parent, mine)] = node;
         }
         ++i;
         ++j;
       }
     }
-    below = order_.next(below);
-  }
+    if (!resolved_any) return;  // a k > 64 signature collision
+    mask = 0;
+    for (std::uint32_t c = 0; c < len; ++c) {
+      if (resolved_scratch_[c] == 0) mask |= std::uint64_t{1} << (cols_[off + c] % 64);
+    }
+  });
 
   for (std::uint32_t i = 0; remaining > 0 && i < len; ++i) {
     if (resolved_scratch_[i] != 0) continue;
@@ -160,16 +291,60 @@ void ThreadMatrix::unlink_slot(std::uint32_t slot) {
   }
 }
 
+// ncast:hot-end
+
+void ThreadMatrix::append_row(NodeId node, std::vector<ColumnId> threads) {
+  NodeId last = kServerNode;
+  if (tail_block_ != kNoBlock) {
+    const Block& b = block(tail_block_);
+    last = b.ids[b.count - 1];
+  }
+  insert_row_below(last, node, std::move(threads));
+}
+
+void ThreadMatrix::insert_row_below(NodeId anchor, NodeId node,
+                                    std::vector<ColumnId> threads) {
+  if (anchor != kServerNode && !contains(anchor)) {
+    throw std::out_of_range("ThreadMatrix::insert_row_below: unknown anchor");
+  }
+  if (node == kServerNode) throw std::invalid_argument("ThreadMatrix: reserved node id");
+  std::sort(threads.begin(), threads.end());
+  verify_threads(threads.data(), threads.size());
+  if (contains(node)) throw std::invalid_argument("ThreadMatrix: node already present");
+  if (node >= meta_.size()) meta_.resize(node + 1);
+
+  RowMeta& m = meta_[node];
+  m.cap_log2 = cap_log2_for(threads.size());
+  m.off = alloc_span(m.cap_log2);
+  m.len = static_cast<std::uint32_t>(threads.size());
+  m.member = static_cast<std::uint32_t>(members_.size());
+  m.present = true;
+  m.failed = false;
+  std::copy(threads.begin(), threads.end(), cols_.begin() + m.off);
+  members_.push_back(node);
+
+  if (anchor == kServerNode) {
+    place(head_, 0, node);
+  } else {
+    place(meta_[anchor].block, index_in_block(anchor) + 1, node);
+  }
+  splice_links(node);
+}
+
 void ThreadMatrix::erase_row(NodeId node) {
   check_known(node);
   RowMeta& m = meta_[node];
   if (m.failed) --failed_count_;
   for (std::uint32_t i = 0; i < m.len; ++i) unlink_slot(m.off + i);
   free_span(m.off, m.cap_log2);
+  unplace(node);
+  const NodeId last = members_.back();  // swap-remove from the roster
+  members_[m.member] = last;
+  meta_[last].member = m.member;
+  members_.pop_back();
   m.present = false;
   m.failed = false;
   m.len = 0;
-  order_.erase(node);
 }
 
 void ThreadMatrix::mark_failed(NodeId node) {
@@ -196,22 +371,17 @@ Row ThreadMatrix::row(NodeId node) const {
   return Row{node, ThreadSpan(cols_.data() + m.off, m.len), m.failed};
 }
 
-std::size_t ThreadMatrix::position(NodeId node) const {
-  if (!contains(node)) throw std::out_of_range("ThreadMatrix::position");
-  return order_.position(node);
-}
-
 std::vector<NodeId> ThreadMatrix::nodes_in_order() const {
   std::vector<NodeId> out;
-  out.reserve(order_.size());
-  for (NodeId n : order_) out.push_back(n);
+  out.reserve(row_count());
+  for (NodeId n : order()) out.push_back(n);
   return out;
 }
 
 std::vector<ThreadEdge> ThreadMatrix::edges() const {
   std::vector<ThreadEdge> out;
-  out.reserve(order_.size() * 2);
-  for (NodeId node : order_) {
+  out.reserve(row_count() * 2);
+  for (NodeId node : order()) {
     const RowMeta& m = meta_[node];
     for (std::uint32_t i = 0; i < m.len; ++i) {
       out.push_back(ThreadEdge{up_[m.off + i], node, cols_[m.off + i]});
@@ -265,15 +435,8 @@ NodeId ThreadMatrix::parent_on_column(NodeId node, ColumnId column) const {
   const RowMeta& m = meta_[node];
   if (slot < m.off + m.len && cols_[slot] == column) return up_[slot];
   // Not clipped by this row (e.g. a complaint racing an offload): fall back
-  // to walking the curtain upward for the nearest clipper.
-  for (NodeId above = order_.prev(node); above != OrderIndex::kNil;
-       above = order_.prev(above)) {
-    const RowMeta& am = meta_[above];
-    const ColumnId* first = cols_.data() + am.off;
-    const ColumnId* it = std::lower_bound(first, first + am.len, column);
-    if (it != first + am.len && *it == column) return above;
-  }
-  return kServerNode;
+  // to scanning the curtain upward for the nearest clipper.
+  return nearest_on_column(node, column, false);
 }
 
 NodeId ThreadMatrix::child_on_column(NodeId node, ColumnId column) const {
@@ -282,14 +445,7 @@ NodeId ThreadMatrix::child_on_column(NodeId node, ColumnId column) const {
   const std::uint32_t slot = slot_of(node, column);
   const RowMeta& m = meta_[node];
   if (slot < m.off + m.len && cols_[slot] == column) return down_[slot];
-  for (NodeId below = order_.next(node); below != OrderIndex::kNil;
-       below = order_.next(below)) {
-    const RowMeta& bm = meta_[below];
-    const ColumnId* first = cols_.data() + bm.off;
-    const ColumnId* it = std::lower_bound(first, first + bm.len, column);
-    if (it != first + bm.len && *it == column) return below;
-  }
-  return kNoNode;
+  return nearest_on_column(node, column, true);
 }
 
 NodeId ThreadMatrix::tail_of_column(ColumnId column) const {
@@ -300,14 +456,10 @@ NodeId ThreadMatrix::tail_of_column(ColumnId column) const {
 void ThreadMatrix::add_thread(NodeId node, ColumnId column) {
   if (column >= k_) throw std::invalid_argument("ThreadMatrix::add_thread: column");
   check_known(node);
-  RowMeta& m = meta_[node];
-  {
-    const ColumnId* first = cols_.data() + m.off;
-    const ColumnId* it = std::lower_bound(first, first + m.len, column);
-    if (it != first + m.len && *it == column) {
-      throw std::invalid_argument("ThreadMatrix::add_thread: already clipped");
-    }
+  if (clips(node, column)) {
+    throw std::invalid_argument("ThreadMatrix::add_thread: already clipped");
   }
+  RowMeta& m = meta_[node];
   // Grow the span if at capacity (new slot from the next size class; links
   // reference rows by id, not arena offsets, so neighbors are unaffected).
   if (m.len == (std::uint32_t{1} << m.cap_log2)) {
@@ -333,19 +485,12 @@ void ThreadMatrix::add_thread(NodeId node, ColumnId column) {
   cols_[ins] = column;
   ++m.len;
 
-  // Find this column's child by walking downward; the parent is the child's
-  // previous upward link (or the column tail when the new slot hangs).
-  NodeId child = kNoNode;
-  for (NodeId below = order_.next(node); below != OrderIndex::kNil;
-       below = order_.next(below)) {
-    const RowMeta& bm = meta_[below];
-    const ColumnId* first = cols_.data() + bm.off;
-    const ColumnId* it = std::lower_bound(first, first + bm.len, column);
-    if (it != first + bm.len && *it == column) {
-      child = below;
-      break;
-    }
-  }
+  block(m.block).sig[index_in_block(node)] |= std::uint64_t{1} << (column % 64);
+
+  // Find this column's child by scanning downward; the parent is the
+  // child's previous upward link (or the column tail when the new slot
+  // hangs).
+  const NodeId child = nearest_on_column(node, column, true);
   if (child != kNoNode) {
     const std::uint32_t child_slot = slot_of(child, column);
     const NodeId parent = up_[child_slot];
@@ -365,10 +510,10 @@ void ThreadMatrix::add_thread(NodeId node, ColumnId column) {
 void ThreadMatrix::drop_thread(NodeId node, ColumnId column) {
   check_known(node);
   RowMeta& m = meta_[node];
-  const std::uint32_t slot = slot_of(node, column);
-  if (slot >= m.off + m.len || cols_[slot] != column) {
+  if (!clips(node, column)) {
     throw std::invalid_argument("ThreadMatrix::drop_thread: column not clipped");
   }
+  const std::uint32_t slot = slot_of(node, column);
   if (m.len <= 1) {
     throw std::logic_error("ThreadMatrix::drop_thread: row would become empty");
   }
@@ -379,59 +524,55 @@ void ThreadMatrix::drop_thread(NodeId node, ColumnId column) {
     down_[j] = down_[j + 1];
   }
   --m.len;
+  block(m.block).sig[index_in_block(node)] = signature(node);
 }
 
 bool ThreadMatrix::check_invariants() const {
-  // Span hygiene + failed census, walking the order index.
+  // One pass down the curtain: block links and fill, span hygiene, row
+  // signatures, the roster, the failed census, and the link planes against
+  // a from-scratch top-to-bottom rebuild (`last[c]`).
+  std::vector<NodeId> last(k_, kServerNode);
   std::size_t failed = 0;
   std::size_t seen = 0;
-  std::size_t pos = 0;
-  for (NodeId node : order_) {
-    if (node >= meta_.size() || !meta_[node].present) return false;
-    const RowMeta& m = meta_[node];
-    if (m.len == 0) return false;
-    if (m.len > (std::uint32_t{1} << m.cap_log2)) return false;
-    for (std::uint32_t i = 0; i < m.len; ++i) {
-      if (cols_[m.off + i] >= k_) return false;
-      if (i > 0 && cols_[m.off + i] <= cols_[m.off + i - 1]) return false;
+  std::uint32_t prev = kNoBlock;
+  for (std::uint32_t b = head_; b != kNoBlock; prev = b, b = block(b).next) {
+    const Block& blk = block(b);
+    if (blk.prev != prev || blk.count == 0 || blk.count > kBlockRows) return false;
+    if (prev != kNoBlock && block(prev).count + blk.count <= kBlockRows / 2) {
+      return false;
     }
-    if (m.failed) ++failed;
-    if (order_.position(node) != pos) return false;  // order index coherent
-    ++pos;
-    ++seen;
+    for (std::uint32_t j = 0; j < blk.count; ++j) {
+      const NodeId node = blk.ids[j];
+      if (!contains(node)) return false;
+      const RowMeta& m = meta_[node];
+      if (m.block != b || m.len == 0 || m.len > (std::uint32_t{1} << m.cap_log2)) {
+        return false;
+      }
+      if (m.member >= members_.size() || members_[m.member] != node) return false;
+      if (blk.sig[j] != signature(node)) return false;
+      if (m.failed) ++failed;
+      ++seen;
+      for (std::uint32_t i = 0; i < m.len; ++i) {
+        const ColumnId c = cols_[m.off + i];
+        if (c >= k_ || (i > 0 && c <= cols_[m.off + i - 1])) return false;
+        if (up_[m.off + i] != last[c]) return false;
+        if (last[c] != kServerNode && down_[slot_of(last[c], c)] != node) return false;
+        last[c] = node;
+      }
+    }
   }
-  if (failed != failed_count_) return false;
-  // Every present slot must be in the order index exactly once.
+  if (prev != tail_block_ || seen != members_.size() || failed != failed_count_) {
+    return false;
+  }
+  // Every present row must be in the curtain.
   std::size_t present = 0;
   for (const RowMeta& m : meta_) {
     if (m.present) ++present;
   }
   if (present != seen) return false;
-
-  // Link planes and tails must match a from-scratch top-to-bottom rebuild.
-  std::vector<NodeId> last(k_, kServerNode);
-  for (NodeId node : order_) {
-    const RowMeta& m = meta_[node];
-    for (std::uint32_t i = 0; i < m.len; ++i) {
-      const ColumnId c = cols_[m.off + i];
-      if (up_[m.off + i] != last[c]) return false;
-      if (last[c] != kServerNode) {
-        const RowMeta& pm = meta_[last[c]];
-        const ColumnId* first = cols_.data() + pm.off;
-        const ColumnId* it = std::lower_bound(first, first + pm.len, c);
-        if (down_[pm.off + (it - first)] != node) return false;
-      }
-      last[c] = node;
-    }
-  }
   for (ColumnId c = 0; c < k_; ++c) {
     if (tail_[c] != last[c]) return false;
-    if (last[c] != kServerNode) {
-      const RowMeta& tm = meta_[last[c]];
-      const ColumnId* first = cols_.data() + tm.off;
-      const ColumnId* it = std::lower_bound(first, first + tm.len, c);
-      if (down_[tm.off + (it - first)] != kNoNode) return false;
-    }
+    if (last[c] != kServerNode && down_[slot_of(last[c], c)] != kNoNode) return false;
   }
   return true;
 }

@@ -7,26 +7,28 @@
 // The matrix is the single source of truth for topology. Everything else —
 // the flow graph, parent/child relations, hanging-thread ends — is derived.
 //
-// Representation (the million-node refactor, docs/architecture.md "sharded
-// kernel & SoA overlay state"): flat structure-of-arrays instead of
-// row-objects-with-vectors. Row column sets live as packed spans inside one
-// CSR-style bump arena (`cols_`), with two parallel link planes (`up_`,
-// `down_`) storing, for every (row, column) slot, the nearest rows above and
-// below clipping the same column — so `parents()` / `children()` /
-// `edges()` read compact spans instead of rescanning the curtain, and
-// `hanging_ends()` reads the per-column tail array. Curtain order is an
-// order-statistic treap over node ids (order_index.hpp), making
-// `append_row` / `insert_row` / `erase_row` / `position` O(log n) plus O(d)
-// link splicing. The public surface is unchanged from the AoS days except
-// that `row()` returns a value whose `threads` is a borrowed span
-// (invalidated by the next mutation), not an owned vector.
+// Representation (docs/architecture.md, "SoA/CSR thread matrix"): flat
+// structure-of-arrays instead of row-objects-with-vectors. Row column sets
+// live as packed spans inside one CSR-style bump arena (`cols_`), with two
+// parallel link planes (`up_`, `down_`) storing, for every (row, column)
+// slot, the nearest rows above and below clipping the same column — so
+// `parents()` / `children()` / `edges()` read compact spans instead of
+// rescanning the curtain, and `hanging_ends()` reads the per-column tail
+// array. Curtain order is an unrolled list of fixed-size blocks, each
+// holding its rows' ids and a 64-bit column signature per row (bit c % 64
+// for each clipped column c), found through a row -> block map. Placing a
+// row is an O(kBlockRows) shift inside one block; resolving its d links is
+// a block-cursor scan that reads a row's span only when its signature hits,
+// about (k/d) ln d signatures for d random columns. An unordered roster of
+// the rows (`member()`) gives callers a uniform row without a rank. The
+// public surface keeps `row()` returning a value whose `threads` is a
+// borrowed span (invalidated by the next mutation), not an owned vector.
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
-
-#include "overlay/order_index.hpp"
 
 namespace ncast::overlay {
 
@@ -111,10 +113,13 @@ struct HangingEnd {
 /// row order is the curtain order.
 class ThreadMatrix {
  public:
+  /// Rows per curtain block.
+  static constexpr std::uint32_t kBlockRows = 32;
+
   explicit ThreadMatrix(std::uint32_t k);
 
   std::uint32_t k() const { return k_; }
-  std::size_t row_count() const { return order_.size(); }
+  std::size_t row_count() const { return members_.size(); }
 
   /// Number of rows that are not tagged failed.
   std::size_t working_count() const { return row_count() - failed_count_; }
@@ -124,18 +129,15 @@ class ThreadMatrix {
     return node < meta_.size() && meta_[node].present;
   }
 
-  /// Appends a row at the bottom of the curtain. `threads` must be distinct
-  /// columns in [0, k). Throws if the node is already present.
+  /// Inserts a row directly below `anchor` (kServerNode = at the top).
+  /// `threads` must be distinct columns in [0, k). Throws out_of_range if
+  /// `anchor` is not in the matrix, invalid_argument if the node is already
+  /// present. O(kBlockRows) placement plus the link scan.
+  void insert_row_below(NodeId anchor, NodeId node, std::vector<ColumnId> threads);
+
+  /// Appends a row at the bottom of the curtain: insert_row_below the last
+  /// row, O(1) to find it.
   void append_row(NodeId node, std::vector<ColumnId> threads);
-
-  /// Inserts a row at curtain position `pos` (0 = top). Section 5's defense
-  /// against coordinated adversaries inserts at a uniformly random position.
-  void insert_row(std::size_t pos, NodeId node, std::vector<ColumnId> threads);
-
-  /// Span-based insert for allocation-averse callers: `threads` must already
-  /// be sorted and distinct; the contents are copied into the arena.
-  void insert_row(std::size_t pos, NodeId node, const ColumnId* threads,
-                  std::size_t count);
 
   /// Removes a row entirely (graceful leave, or completion of a repair).
   /// The node's parents implicitly reconnect to its children — in M this is
@@ -152,12 +154,54 @@ class ThreadMatrix {
   /// mutating call).
   Row row(NodeId node) const;
 
-  /// Curtain position of a node's row (0 = just below the server). O(log n).
-  std::size_t position(NodeId node) const;
+  /// Row `u` (< row_count()) of an unordered roster of the rows that
+  /// erase_row reshuffles by swap-remove: with row_count(), an O(1) uniform
+  /// pick of a row, no curtain rank involved.
+  NodeId member(std::size_t u) const { return members_.at(u); }
 
-  /// Iteration over rows in curtain order without materializing a vector:
-  /// `for (NodeId n : m.order()) ...`. O(1) per step.
-  const OrderIndex& order() const { return order_; }
+  /// Forward iterator over rows in curtain order, O(1) per step.
+  class OrderIterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = NodeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const NodeId*;
+    using reference = NodeId;
+
+    OrderIterator() = default;
+    OrderIterator(const ThreadMatrix* m, std::uint32_t block)
+        : m_(m), block_(block) {}
+    NodeId operator*() const { return m_->block(block_).ids[i_]; }
+    OrderIterator& operator++() {
+      const Block& b = m_->block(block_);
+      if (++i_ == b.count) {
+        block_ = b.next;
+        i_ = 0;
+      }
+      return *this;
+    }
+    OrderIterator operator++(int) {
+      OrderIterator t = *this;
+      ++*this;
+      return t;
+    }
+    friend bool operator==(const OrderIterator& a, const OrderIterator& b) {
+      return a.block_ == b.block_ && a.i_ == b.i_;
+    }
+
+   private:
+    const ThreadMatrix* m_ = nullptr;
+    std::uint32_t block_ = kNoBlock;
+    std::uint32_t i_ = 0;
+  };
+
+  /// Rows in curtain order: `for (NodeId n : m.order()) ...`.
+  struct Order {
+    const ThreadMatrix* m;
+    OrderIterator begin() const { return OrderIterator(m, m->head_); }
+    OrderIterator end() const { return OrderIterator(m, kNoBlock); }
+  };
+  Order order() const { return Order{this}; }
 
   /// Rows in curtain order, materialized (compat; prefer order()).
   std::vector<NodeId> nodes_in_order() const;
@@ -180,11 +224,11 @@ class ThreadMatrix {
 
   /// Nearest row above `node` clipping `column` (kServerNode if the thread
   /// comes straight from the server). O(log d) when `node` clips the column
-  /// (one link read); falls back to an upward curtain walk when it does not.
+  /// (one link read); falls back to an upward signature scan when it does not.
   NodeId parent_on_column(NodeId node, ColumnId column) const;
 
   /// Nearest row below `node` clipping `column` (kNoNode if none). O(log d)
-  /// when `node` clips the column; downward walk otherwise.
+  /// when `node` clips the column; downward signature scan otherwise.
   NodeId child_on_column(NodeId node, ColumnId column) const;
 
   /// Last row clipping `column` (kServerNode if the column is unclipped).
@@ -201,18 +245,44 @@ class ThreadMatrix {
   void drop_thread(NodeId node, ColumnId column);
 
   /// Internal-consistency check (sorted distinct threads, valid columns,
-  /// coherent order index, link planes matching a from-scratch rebuild);
-  /// used by tests and debug assertions. O(n * d).
+  /// coherent blocks, signatures and roster, link planes matching a
+  /// from-scratch rebuild); used by tests and debug assertions. One O(n * d)
+  /// pass down the curtain.
   bool check_invariants() const;
 
  private:
+  static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
+  // Blocks per chunk allocation (6.4 KB). Small chunks fill the heap holes
+  // the arena's doubling vectors leave behind; with glibc malloc, 100 KB
+  // chunks raised the 1M-row wave's peak RSS by 10-20 MiB.
+  static constexpr std::uint32_t kChunkBlocks = 16;
+
   struct RowMeta {
     std::uint32_t off = 0;       // span offset into the arena
     std::uint32_t len = 0;       // columns clipped
+    std::uint32_t block = 0;     // curtain block holding the row
+    std::uint32_t member = 0;    // index in members_
     std::uint8_t cap_log2 = 0;   // span capacity = 1 << cap_log2
     bool present = false;
     bool failed = false;
   };
+
+  /// A run of consecutive curtain rows. sig[i] has bit c % 64 set for each
+  /// column c that ids[i] clips.
+  struct Block {
+    std::uint32_t prev = kNoBlock;
+    std::uint32_t next = kNoBlock;  // also links the free list
+    std::uint32_t count = 0;
+    std::uint64_t sig[kBlockRows] = {};
+    NodeId ids[kBlockRows] = {};
+  };
+
+  Block& block(std::uint32_t b) {
+    return chunks_[b / kChunkBlocks][b % kChunkBlocks];
+  }
+  const Block& block(std::uint32_t b) const {
+    return chunks_[b / kChunkBlocks][b % kChunkBlocks];
+  }
 
   void check_known(NodeId node) const;
   void verify_threads(const ColumnId* threads, std::size_t count) const;
@@ -221,15 +291,35 @@ class ThreadMatrix {
   static std::uint8_t cap_log2_for(std::size_t len);
   /// Arena index of `column` within `node`'s span (binary search).
   std::uint32_t slot_of(NodeId node, ColumnId column) const;
+  bool clips(NodeId node, ColumnId column) const;
+  std::uint64_t signature(NodeId node) const;
+  /// Index of `node` within its block.
+  std::uint32_t index_in_block(NodeId node) const;
+  std::uint32_t alloc_block();
+  void free_block(std::uint32_t b);
+  /// Places `node` (already in meta_) in the curtain at index `i` of block
+  /// `b`, splitting a full block.
+  void place(std::uint32_t b, std::uint32_t i, NodeId node);
+  /// Takes `node` out of its block, merging under-full neighbours.
+  void unplace(NodeId node);
+  /// Appends block `from`'s rows to block `into` and frees `from`.
+  void merge_blocks(std::uint32_t into, std::uint32_t from);
+  /// Block-cursor scan: calls `hit(row)` for each row strictly below `from`
+  /// (above, when `down` is false), nearest first, whose signature meets
+  /// `mask`, until `mask` is zero or the curtain ends. `hit` narrows `mask`.
+  template <class Hit>
+  void scan(NodeId from, bool down, const std::uint64_t& mask, Hit&& hit) const;
+  /// Nearest row strictly below (above) `node` clipping `column`, or kNoNode.
+  NodeId nearest_on_column(NodeId node, ColumnId column, bool down) const;
   /// Splices `node` into the per-column link lists for every column of its
-  /// freshly written span, given its order neighbors.
+  /// freshly written span.
   void splice_links(NodeId node);
   /// Removes the occupant from the link list of the column at arena slot.
   void unlink_slot(std::uint32_t slot);
 
   std::uint32_t k_;
-  OrderIndex order_;              // curtain order, top to bottom
   std::vector<RowMeta> meta_;     // indexed by NodeId
+  std::vector<NodeId> members_;   // unordered roster of the rows
   // The CSR-style arena: three parallel planes sharing slot indexing. For a
   // row with meta (off, len): cols_[off..off+len) are its sorted columns,
   // up_[off+i] / down_[off+i] the nearest rows above/below clipping
@@ -241,6 +331,13 @@ class ThreadMatrix {
   std::vector<std::vector<std::uint32_t>> free_;
   std::vector<NodeId> tail_;      // per-column last clipper (kServerNode = none)
   std::size_t failed_count_ = 0;
+  /// Curtain blocks, carved from fixed-size chunks so growth never copies
+  /// the curtain; block b is chunks_[b / kChunkBlocks][b % kChunkBlocks].
+  std::vector<std::vector<Block>> chunks_;
+  std::uint32_t blocks_used_ = 0;      // blocks ever carved
+  std::uint32_t free_block_ = kNoBlock;  // head of the freed-block list
+  std::uint32_t head_ = kNoBlock;      // top block of the curtain
+  std::uint32_t tail_block_ = kNoBlock;  // bottom block
   /// Scratch for insert-time link resolution (reused; no steady-state
   /// allocation once high-water capacity is reached).
   std::vector<std::uint8_t> resolved_scratch_;

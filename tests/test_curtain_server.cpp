@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "overlay/flow_graph.hpp"
 
@@ -175,6 +176,45 @@ TEST(CurtainServer, HundredsOfJoinsKeepInvariants) {
       server.repair(static_cast<NodeId>(i));
     }
   }
+  EXPECT_TRUE(server.matrix().check_invariants());
+}
+
+TEST(CurtainServer, RandomInsertionGapIsUniform) {
+  // Section 5's defense against coordinated arrivals rests on a newcomer
+  // landing in each of the n + 1 gaps with equal probability. Remove a
+  // quarter of 85 rows first, so swap-removes have reordered the roster the
+  // draw indexes, then land one probe row 20,000 times among the 64 left.
+  CurtainServer server(16, 3, Rng(17), InsertPolicy::kRandomPosition);
+  for (int i = 0; i < 85; ++i) server.join();
+  for (NodeId n = 0; n < 84; n += 4) {
+    if (n % 8 == 0) {
+      server.leave(n);
+    } else {
+      server.report_failure(n);
+      server.repair(n);
+    }
+  }
+  ASSERT_EQ(server.matrix().row_count(), 64u);
+
+  constexpr int kTrials = 20000;
+  constexpr std::size_t kGaps = 65;
+  std::vector<int> hits(kGaps, 0);
+  for (int t = 0; t < kTrials; ++t) {
+    const NodeId probe = server.join().node;
+    std::size_t pos = 0;
+    for (NodeId n : server.matrix().order()) {
+      if (n == probe) break;
+      ++pos;
+    }
+    ASSERT_LT(pos, kGaps);
+    ++hits[pos];
+    server.leave(probe);
+  }
+  const double expected = static_cast<double>(kTrials) / kGaps;
+  double chi2 = 0.0;
+  for (const int h : hits) chi2 += (h - expected) * (h - expected) / expected;
+  // 104.72 is the chi-square quantile at p = 0.001 for 64 degrees of freedom.
+  EXPECT_LT(chi2, 104.72);
   EXPECT_TRUE(server.matrix().check_invariants());
 }
 

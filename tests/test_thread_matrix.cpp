@@ -82,12 +82,14 @@ TEST(ThreadMatrix, InsertRowAtPosition) {
   ThreadMatrix m(2);
   m.append_row(1, {0});
   m.append_row(2, {0});
-  m.insert_row(1, 5, {0});  // between 1 and 2
+  m.insert_row_below(1, 5, {0});  // between 1 and 2
   EXPECT_EQ(m.nodes_in_order(), (std::vector<NodeId>{1, 5, 2}));
-  EXPECT_EQ(m.position(5), 1u);
   // Column 0 chain is now server->1->5->2.
   EXPECT_EQ(m.parents(2), (std::vector<NodeId>{5}));
-  EXPECT_THROW(m.insert_row(9, 6, {0}), std::out_of_range);
+  m.insert_row_below(kServerNode, 6, {1});  // the server anchors the top
+  EXPECT_EQ(m.nodes_in_order(), (std::vector<NodeId>{6, 1, 5, 2}));
+  EXPECT_THROW(m.insert_row_below(9, 7, {0}), std::out_of_range);
+  EXPECT_TRUE(m.check_invariants());
 }
 
 TEST(ThreadMatrix, EraseRowReconnectsChain) {
@@ -144,7 +146,7 @@ TEST(ThreadMatrix, UnknownNodeThrows) {
   EXPECT_THROW(m.row(9), std::out_of_range);
   EXPECT_THROW(m.erase_row(9), std::out_of_range);
   EXPECT_THROW(m.mark_failed(9), std::out_of_range);
-  EXPECT_THROW(m.position(9), std::out_of_range);
+  EXPECT_THROW(m.insert_row_below(9, 1, {0}), std::out_of_range);
 }
 
 TEST(ThreadMatrix, AddAndDropThread) {
@@ -194,34 +196,32 @@ TEST(ThreadMatrix, EdgeDerivationSkipsNothing) {
 }
 
 // Randomized parity against a naive reference model: the SoA/CSR matrix
-// (arena + order-statistic index + link planes) must agree, after every
-// operation, with the obvious list-of-rows implementation the original
-// ThreadMatrix amounted to. This is the property-test half of the SoA
-// migration: the unit tests above pin behaviors, this pins *equivalence*
+// (arena + blocked curtain with column signatures + link planes) must agree,
+// after every operation, with the obvious list-of-rows implementation the
+// original ThreadMatrix amounted to. This is the property-test half of the
+// SoA migration: the unit tests above pin behaviors, this pins *equivalence*
 // across long random edit histories including span reallocation, freelist
-// reuse, and link-plane splicing.
+// reuse, block splits and merges, and link-plane splicing. At k = 7 every
+// column has its own signature bit; at k = 130 columns c and c + 64 share
+// one, so the scan's exact span check decides every hit.
 struct NaiveMatrix {
   struct NaiveRow {
     NodeId node;
     std::vector<ColumnId> threads;  // sorted, distinct
     bool failed = false;
   };
-  std::uint32_t k;
   std::vector<NaiveRow> rows;  // curtain order, top to bottom
 
-  explicit NaiveMatrix(std::uint32_t k_) : k(k_) {}
-
-  NaiveRow* find(NodeId n) {
-    for (auto& r : rows) {
-      if (r.node == n) return &r;
-    }
-    return nullptr;
-  }
   std::size_t position(NodeId n) const {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (rows[i].node == n) return i;
     }
     return rows.size();
+  }
+  std::vector<NodeId> order() const {
+    std::vector<NodeId> out;
+    for (const auto& r : rows) out.push_back(r.node);
+    return out;
   }
   void insert(std::size_t pos, NodeId n, std::vector<ColumnId> t) {
     std::sort(t.begin(), t.end());
@@ -231,81 +231,74 @@ struct NaiveMatrix {
   void erase(NodeId n) {
     rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(position(n)));
   }
-  NodeId parent_on(NodeId n, ColumnId c) const {
-    const std::size_t pos = position(n);
-    for (std::size_t i = pos; i-- > 0;) {
-      const auto& t = rows[i].threads;
-      if (std::find(t.begin(), t.end(), c) != t.end()) return rows[i].node;
-    }
-    return kServerNode;
-  }
-  NodeId child_on(NodeId n, ColumnId c) const {
-    for (std::size_t i = position(n) + 1; i < rows.size(); ++i) {
-      const auto& t = rows[i].threads;
-      if (std::find(t.begin(), t.end(), c) != t.end()) return rows[i].node;
-    }
-    return kNoNode;
-  }
-  NodeId tail_of(ColumnId c) const {
-    for (std::size_t i = rows.size(); i-- > 0;) {
-      const auto& t = rows[i].threads;
-      if (std::find(t.begin(), t.end(), c) != t.end()) return rows[i].node;
-    }
-    return kServerNode;
-  }
 };
 
-TEST(ThreadMatrix, RandomEditHistoryMatchesNaiveModel) {
-  constexpr std::uint32_t kCols = 7;
-  constexpr int kOps = 800;
+class ThreadMatrixModel : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ThreadMatrixModel, RandomEditHistoryMatchesNaiveModel) {
+  const std::uint32_t kCols = GetParam();
+  constexpr int kOps = 3000;
   Rng rng(4242);
   ThreadMatrix m(kCols);
-  NaiveMatrix ref(kCols);
+  NaiveMatrix ref;
   NodeId next_node = 1;
 
+  // Every (row, column), clipped or not, against the model's nearest
+  // clipper above (one top-down sweep) and below (one bottom-up sweep), so
+  // the link reads and both fallback scans are covered.
   const auto check_equal = [&] {
     ASSERT_EQ(m.row_count(), ref.rows.size());
+    ASSERT_EQ(m.nodes_in_order(), ref.order());
     std::size_t failed = 0;
-    const auto order = m.nodes_in_order();
-    ASSERT_EQ(order.size(), ref.rows.size());
-    for (std::size_t i = 0; i < ref.rows.size(); ++i) {
-      const auto& want = ref.rows[i];
-      ASSERT_EQ(order[i], want.node);
-      ASSERT_EQ(m.position(want.node), i);
+    std::vector<NodeId> last(kCols, kServerNode);
+    for (const auto& want : ref.rows) {
       const auto got = m.row(want.node);
       ASSERT_TRUE(got.threads == want.threads) << "node " << want.node;
       ASSERT_EQ(got.failed, want.failed);
       if (want.failed) ++failed;
-      for (ColumnId c : want.threads) {
-        ASSERT_EQ(m.parent_on_column(want.node, c), ref.parent_on(want.node, c))
-            << "node " << want.node << " col " << c;
-        ASSERT_EQ(m.child_on_column(want.node, c), ref.child_on(want.node, c))
+      for (ColumnId c = 0; c < kCols; ++c) {
+        ASSERT_EQ(m.parent_on_column(want.node, c), last[c])
             << "node " << want.node << " col " << c;
       }
+      for (ColumnId c : want.threads) last[c] = want.node;
+    }
+    for (ColumnId c = 0; c < kCols; ++c) {
+      ASSERT_EQ(m.tail_of_column(c), last[c]) << "col " << c;
+    }
+    std::fill(last.begin(), last.end(), kNoNode);
+    for (auto it = ref.rows.rbegin(); it != ref.rows.rend(); ++it) {
+      for (ColumnId c = 0; c < kCols; ++c) {
+        ASSERT_EQ(m.child_on_column(it->node, c), last[c])
+            << "node " << it->node << " col " << c;
+      }
+      for (ColumnId c : it->threads) last[c] = it->node;
     }
     ASSERT_EQ(m.failed_count(), failed);
+    ASSERT_TRUE(m.check_invariants());
+  };
+
+  const auto insert_random = [&] {
+    // Insert at a random position with a random distinct column set.
+    const NodeId n = next_node++;
+    std::vector<ColumnId> cols;
     for (ColumnId c = 0; c < kCols; ++c) {
-      ASSERT_EQ(m.tail_of_column(c), ref.tail_of(c)) << "col " << c;
+      if (rng.chance(0.4)) cols.push_back(c);
+    }
+    if (cols.empty()) cols.push_back(static_cast<ColumnId>(rng.below(kCols)));
+    const std::size_t pos = rng.below(ref.rows.size() + 1);
+    const NodeId anchor = pos == 0 ? kServerNode : ref.rows[pos - 1].node;
+    ref.insert(pos, n, cols);
+    if (pos == ref.rows.size() - 1) {
+      m.append_row(n, cols);  // exercise the append path too
+    } else {
+      m.insert_row_below(anchor, n, cols);
     }
   };
 
   for (int op = 0; op < kOps; ++op) {
     const std::uint64_t dice = rng.below(100);
     if (ref.rows.empty() || dice < 35) {
-      // Insert at a random position with a random distinct column set.
-      const NodeId n = next_node++;
-      std::vector<ColumnId> cols;
-      for (ColumnId c = 0; c < kCols; ++c) {
-        if (rng.chance(0.4)) cols.push_back(c);
-      }
-      if (cols.empty()) cols.push_back(static_cast<ColumnId>(rng.below(kCols)));
-      const std::size_t pos = rng.below(ref.rows.size() + 1);
-      ref.insert(pos, n, cols);
-      if (pos == ref.rows.size() - 1) {
-        m.append_row(n, cols);  // exercise the append path too
-      } else {
-        m.insert_row(pos, n, cols);
-      }
+      insert_random();
     } else {
       auto& victim = ref.rows[rng.below(ref.rows.size())];
       const NodeId n = victim.node;
@@ -343,9 +336,24 @@ TEST(ThreadMatrix, RandomEditHistoryMatchesNaiveModel) {
     if (op % 50 == 0) check_equal();
   }
   check_equal();
-  EXPECT_TRUE(m.check_invariants());
-  EXPECT_GE(m.row_count() + 0u, 1u);
+  // The history left the curtain spanning several blocks.
+  ASSERT_GT(ref.rows.size(), 4u * ThreadMatrix::kBlockRows);
+
+  // Erase-heavy phase: drain the curtain row by row, which merges blocks
+  // and empties the last one, then refill two blocks' worth from the freed
+  // blocks.
+  while (!ref.rows.empty()) {
+    const NodeId n = ref.rows[rng.below(ref.rows.size())].node;
+    ref.erase(n);
+    m.erase_row(n);
+    if (ref.rows.size() % 16 == 0) check_equal();
+  }
+  for (std::uint32_t i = 0; i < 2 * ThreadMatrix::kBlockRows; ++i) insert_random();
+  check_equal();
 }
+
+INSTANTIATE_TEST_SUITE_P(Columns, ThreadMatrixModel, ::testing::Values(7u, 130u),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace ncast
