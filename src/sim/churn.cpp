@@ -4,17 +4,21 @@
 #include <functional>
 
 #include "obs/trace.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace ncast::sim {
 
 ChurnReport run_fault_plan(overlay::CurtainServer& server, const FaultPlan& plan,
                            SimTime horizon, std::uint64_t max_population) {
-  EventEngine engine;
+  // One lane of a one-shard kernel: plan entries fire in (time, plan order)
+  // FIFO, and with no cross-lane posts the epoch never reorders anything.
+  ShardedEngine kernel(1, 0, 1.0);
+  Scheduler& lane = kernel.lane(0);
   ChurnReport report;
 
   // Keeps the process-wide trace clock in sync with virtual time so events
   // emitted by the server (join/leave/crash/repair) carry SimTime stamps.
-  auto sync_trace_clock = [&engine] { obs::trace().set_now(engine.now()); };
+  auto sync_trace_clock = [&lane] { obs::trace().set_now(lane.now()); };
 
   // Node ids created by executed kJoin events, indexed by join_ref. A join
   // skipped for capacity leaves its slot empty, so the departure and repair
@@ -27,7 +31,7 @@ ChurnReport run_fault_plan(overlay::CurtainServer& server, const FaultPlan& plan
   };
 
   for (const FaultEvent& e : plan.sorted()) {
-    engine.schedule_at(e.at, [&, e] {
+    lane.schedule_at(e.at, [&, e] {
       sync_trace_clock();
       switch (e.kind) {
         case FaultKind::kJoin: {
@@ -69,16 +73,17 @@ ChurnReport run_fault_plan(overlay::CurtainServer& server, const FaultPlan& plan
     });
   }
 
-  // Unit-interval population sampling.
+  // Unit-interval population sampling. Each tick schedules a one-word thunk
+  // rather than a copy of `sample`, whose closure would heap-allocate.
   std::function<void()> sample = [&] {
     const auto pop = static_cast<double>(server.matrix().working_count());
     report.population_samples.add(pop);
     report.peak_population = std::max(report.peak_population, pop);
-    engine.schedule_in(1.0, sample);
+    lane.schedule_in(1.0, [&sample] { sample(); });
   };
-  engine.schedule_in(1.0, sample);
+  lane.schedule_in(1.0, [&sample] { sample(); });
 
-  report.events_executed = engine.run_until(horizon);
+  report.events_executed = kernel.run_until(horizon);
   report.final_population = server.matrix().row_count();
   report.final_failed_tagged = server.matrix().failed_count();
   report.server_stats = server.stats();

@@ -7,8 +7,9 @@
 // The process no longer owns an event loop: run_churn generates the life
 // cycle as a FaultPlan (all randomness up front) and hands it to
 // run_fault_plan, the membership executor that turns plan entries into
-// CurtainServer protocol calls on the shared EventEngine. Hand-written or
-// merged plans can be executed the same way.
+// CurtainServer protocol calls on one lane of the sharded kernel
+// (sim/sharded_engine.hpp). Hand-written or merged plans can be executed the
+// same way.
 
 #include <cstdint>
 #include <optional>
@@ -48,13 +49,13 @@ struct ChurnReport {
   ncast::RunningStats population_samples;  ///< sampled at unit intervals
 };
 
-/// Executes a membership fault plan against `server` on a fresh EventEngine:
-/// kJoin becomes server.join() (skipped when `max_population` (0 = unbounded)
-/// working nodes already exist — dependent events on that join then no-op),
-/// kLeave/kCrash/kRepair become leave/report_failure/repair on the resolved
-/// node, and kBehavior entries are ignored (they only mean something to the
-/// packet-level scenario runner). Samples the working population at unit
-/// intervals until `horizon`.
+/// Executes a membership fault plan against `server` on a fresh one-lane
+/// ShardedEngine: kJoin becomes server.join() (skipped when `max_population`
+/// (0 = unbounded) working nodes already exist — dependent events on that
+/// join then no-op), kLeave/kCrash/kRepair become leave/report_failure/repair
+/// on the resolved node, and kBehavior entries are ignored (they only mean
+/// something to the packet-level scenario runner). Samples the working
+/// population at unit intervals until `horizon`.
 ChurnReport run_fault_plan(overlay::CurtainServer& server, const FaultPlan& plan,
                            SimTime horizon, std::uint64_t max_population = 0);
 

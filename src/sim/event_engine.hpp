@@ -1,24 +1,19 @@
 #pragma once
-// Layer 1 of the simulation kernel (docs/architecture.md): a minimal
-// discrete-event engine — a time-ordered queue of callbacks with cancellable
-// timer handles — plus the deterministic per-run RNG stream splitter every
-// higher layer draws from. The scenario runner schedules sends, deliveries,
-// and fault events on it; the churn executor schedules joins, lifetimes,
-// failures, and repair timers.
+// Layer 1 of the simulation kernel (docs/architecture.md): the scheduling
+// surface every higher layer programs against — an abstract Scheduler with
+// cancellable timer handles and TimerClass profiling tags — plus the
+// deterministic per-run RNG stream splitter every higher layer draws from.
 //
-// Endpoints program against the abstract Scheduler surface, so the same
-// ClientNode/ServerNode code runs on the single-threaded EventEngine here or
-// on a lane of the sharded kernel (sim/sharded_engine.hpp) unchanged.
+// The one engine behind a Scheduler is the sharded kernel
+// (sim/sharded_engine.hpp), through its per-lane adapters. Protocol
+// endpoints each get a lane; the scenario runner schedules its sends,
+// deliveries and fault events, and the churn executor its joins, departures,
+// failures and repairs, on lane 0 of a one-shard engine.
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <queue>
-#include <stdexcept>
 #include <utility>
-#include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/inline_function.hpp"
 #include "util/rng.hpp"
 
@@ -110,10 +105,9 @@ class RngStreams {
 /// fallback allocation inside InlineFunction.
 inline constexpr std::size_t kCallbackInlineBytes = 184;
 
-/// Abstract scheduling surface endpoints program against. Implemented by
-/// EventEngine (single-threaded kernel) and by the per-lane adapters of the
-/// sharded kernel; protocol code holds a Scheduler* and never needs to know
-/// which one it is running on.
+/// Abstract scheduling surface endpoints program against, implemented by
+/// the sharded kernel's per-lane adapters; protocol code holds a Scheduler*
+/// and never needs to know which lane or shard it is running on.
 class Scheduler {
  public:
   using Callback = InlineFunction<kCallbackInlineBytes>;
@@ -138,199 +132,6 @@ class Scheduler {
                           TimerClass klass = TimerClass::kGeneric) {
     return schedule_at(now() + delay, std::move(fn), klass);
   }
-};
-
-/// Discrete-event scheduler. Events at equal times fire in scheduling order.
-///
-/// Storage: callbacks live in a slab of reusable slots (free-list recycled),
-/// and the priority queue holds only POD (at, seq, slot) triples — so the
-/// steady-state schedule/fire/cancel cycle allocates nothing once the slab
-/// and queue vectors have grown to the workload's high-water mark.
-class EventEngine final : public Scheduler {
- public:
-  using Callback = Scheduler::Callback;
-
-  SimTime now() const override { return now_; }
-
-  /// Scheduled-but-not-yet-run events, excluding cancelled ones.
-  std::size_t pending() const { return pending_; }
-
-  TimerHandle schedule_at(SimTime at, Callback fn,
-                          TimerClass klass = TimerClass::kGeneric) override {
-    if (at < now_) throw std::invalid_argument("EventEngine: scheduling in the past");
-    const std::uint32_t slot = acquire_slot(std::move(fn));
-    const TimerHandle handle{seq_, slot, slots_[slot].gen, 0};
-    queue_.push(Item{at, seq_++, slot, klass});
-    ++pending_;
-    depth_hwm_->set_max(static_cast<double>(queue_.size()));
-    return handle;
-  }
-
-  bool cancel(TimerHandle handle) override {
-    if (!handle.valid()) return false;
-    if (handle.slot >= slots_.size()) return false;
-    Slot& s = slots_[handle.slot];
-    if (s.gen != handle.gen || s.cancelled || !s.fn) return false;
-    s.cancelled = true;
-    s.fn.reset();  // release captures now; the queue entry is skipped later
-    --pending_;
-    return true;
-  }
-
-  /// Runs events until the queue is empty or the horizon is passed.
-  /// Returns the number of events executed (cancelled events excluded).
-  ///
-  /// Profiling: every kProfileSampleEvery-th executed event is wall-timed
-  /// into its class's engine.handler_<class>_ns histogram and the queue
-  /// depth gauge is refreshed — sampling keeps the hot loop at two extra
-  /// clock reads per 64 events and zero allocations. The trace clock is
-  /// synced to each event's time before its callback runs, so emitters
-  /// inside handlers stamp correctly (drivers that own their own notion of
-  /// time may still override inside the callback).
-  std::size_t run_until(SimTime horizon) {
-    std::size_t executed = 0;
-    const obs::Stopwatch run_watch;
-    // ncast:hot-begin — event dispatch; the Callback move below reuses slab
-    // storage and the queue pops PODs, so no per-event allocation happens.
-    while (!queue_.empty() && queue_.top().at <= horizon) {
-      const Item item = queue_.top();
-      queue_.pop();
-      Slot& s = slots_[item.slot];
-      if (s.cancelled) {
-        release_slot(item.slot);
-        continue;
-      }
-      // Move the callback out before invoking: the handler may schedule new
-      // events, which can recycle this very slot or grow the slab.
-      Callback fn = std::move(s.fn);
-      release_slot(item.slot);
-      --pending_;
-      now_ = item.at;
-      obs::trace().set_now(now_);
-      if ((lifetime_executed_ & (kProfileSampleEvery - 1)) == 0) {
-        depth_gauge_->set(static_cast<double>(queue_.size()));
-        const obs::Stopwatch handler_watch;
-        fn();
-        handler_ns_[static_cast<std::size_t>(item.klass)]->observe(
-            handler_watch.elapsed_ns());
-      } else {
-        fn();
-      }
-      ++lifetime_executed_;
-      ++executed;
-    }
-    // ncast:hot-end
-    now_ = std::max(now_, horizon);
-    executed_ctr_->inc(executed);
-    wall_ns_ += run_watch.elapsed_ns();
-    if (wall_ns_ > 0.0) {
-      rate_gauge_->set(static_cast<double>(lifetime_executed_) /
-                       (wall_ns_ * 1e-9));
-    }
-    return executed;
-  }
-
-  /// Runs a single event if any is pending; returns whether one ran. The
-  /// lock-step compat drivers pump the engine through here one tick at a
-  /// time; it stays deliberately unprofiled (their wall time is dominated by
-  /// the drivers, not the handlers).
-  bool step() {
-    while (!queue_.empty()) {
-      const Item item = queue_.top();
-      queue_.pop();
-      Slot& s = slots_[item.slot];
-      if (s.cancelled) {
-        release_slot(item.slot);
-        continue;
-      }
-      Callback fn = std::move(s.fn);
-      release_slot(item.slot);
-      --pending_;
-      now_ = item.at;
-      obs::trace().set_now(now_);
-      fn();
-      ++lifetime_executed_;
-      executed_ctr_->inc();
-      return true;
-    }
-    return false;
-  }
-
-  /// Events executed over this engine's lifetime (across run_until/step).
-  std::uint64_t lifetime_executed() const { return lifetime_executed_; }
-
-  /// One in this many executed events is wall-timed (power of two).
-  static constexpr std::uint64_t kProfileSampleEvery = 64;
-
- private:
-  /// Slab entry owning a scheduled callback. `gen` increments on every
-  /// release, so a TimerHandle that outlives its event can never cancel the
-  /// slot's next tenant.
-  struct Slot {
-    Callback fn;
-    std::uint32_t gen = 0;
-    bool cancelled = false;
-  };
-
-  /// POD queue entry; the callback stays in the slab until dispatch.
-  struct Item {
-    SimTime at;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    TimerClass klass;
-    bool operator>(const Item& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-
-  std::uint32_t acquire_slot(Callback fn) {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    Slot& s = slots_[slot];
-    s.fn = std::move(fn);
-    s.cancelled = false;
-    return slot;
-  }
-
-  void release_slot(std::uint32_t slot) {
-    Slot& s = slots_[slot];
-    s.fn.reset();
-    s.cancelled = false;
-    ++s.gen;
-    free_slots_.push_back(slot);
-  }
-
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  SimTime now_ = 0.0;
-  std::uint64_t seq_ = 0;
-  std::size_t pending_ = 0;
-  std::uint64_t lifetime_executed_ = 0;
-  double wall_ns_ = 0.0;  ///< wall time spent inside run_until dispatch
-  // Process-wide instrumentation; registry entries are never deallocated, so
-  // caching the pointers once per engine keeps the hot paths lookup-free.
-  obs::Counter* executed_ctr_ = &obs::metrics().counter("engine.events_executed");
-  obs::Gauge* depth_hwm_ = &obs::metrics().gauge("engine.queue_depth_hwm");
-  obs::Gauge* depth_gauge_ = &obs::metrics().gauge("engine.queue_depth");
-  obs::Gauge* rate_gauge_ = &obs::metrics().gauge("engine.events_per_sec");
-  // Sampled per-class handler wall time, indexed by TimerClass.
-  obs::Histogram* handler_ns_[kTimerClassCount] = {
-      &obs::metrics().histogram("engine.handler_generic_ns"),
-      &obs::metrics().histogram("engine.handler_delivery_ns"),
-      &obs::metrics().histogram("engine.handler_serve_ns"),
-      &obs::metrics().histogram("engine.handler_emit_ns"),
-      &obs::metrics().histogram("engine.handler_join_retry_ns"),
-      &obs::metrics().histogram("engine.handler_silence_ns"),
-      &obs::metrics().histogram("engine.handler_repair_ns"),
-      &obs::metrics().histogram("engine.handler_fault_ns"),
-  };
 };
 
 }  // namespace ncast::sim

@@ -14,8 +14,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "overlay/flow_graph.hpp"
-#include "sim/event_engine.hpp"
 #include "sim/packet_pool.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace ncast::sim {
@@ -176,7 +176,11 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
     for (auto& b : p.payload) b = static_cast<std::uint8_t>(r.below(256));
   };
 
-  EventEngine engine;
+  // Everything runs on lane 0 of a one-shard kernel, so events fire in
+  // (time, scheduling order) FIFO; with no cross-lane posts the epoch only
+  // sets the window grid and never reorders or clamps anything.
+  ShardedEngine kernel(1, 0, period);
+  Scheduler& lane = kernel.lane(0);
   ScenarioReport report;
   PacketPool<Gf> pool;
   obs::Counter& sent_ctr = obs::metrics().counter("sim.packets_sent");
@@ -186,7 +190,7 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
   // old round simulator had no finer clock); free-running scenarios stamp
   // real virtual time.
   auto sync_trace = [&] {
-    const double t = engine.now();
+    const double t = lane.now();
     obs::trace().set_now(round_mode ? std::floor(t) : t);
   };
   auto trace_actor = [&](graph::Vertex v) -> std::uint64_t {
@@ -196,7 +200,7 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
 
   auto deliver = [&](std::size_t li, Packet& packet) {
     sync_trace();
-    const double now = engine.now();
+    const double now = lane.now();
     if (!model.survives(li, now, rng)) {
       ++report.packets_lost;
       lost_ctr.inc();
@@ -231,73 +235,74 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
   };
 
   // One recurring send event per link; payload content is drawn at send time
-  // from the sender's then-current buffer (or the encoder). The sender
-  // closures live in a vector that outlives the event loop so their
-  // self-rescheduling references stay valid.
-  std::vector<std::function<void()>> senders(links.size());
+  // from the sender's then-current buffer (or the encoder). A scheduled send
+  // is a two-word thunk into `send`, which outlives the event loop; a copy of
+  // `send` would copy its closure, too big for std::function's small buffer,
+  // onto the heap once per send.
+  std::function<void(std::size_t)> send;
   std::vector<TimerHandle> next_send(links.size());
   // Sends past this time could never deliver inside the horizon; not
   // scheduling them keeps the queue bounded without changing what executes.
   const double last_send_time =
       round_mode ? static_cast<double>(rounds) * period : horizon;
+  auto schedule_send = [&](std::size_t li, double at) {
+    return lane.schedule_at(at, [&send, li] { send(li); });
+  };
   auto schedule_next = [&](std::size_t li, double at) {
-    next_send[li] = at <= last_send_time ? engine.schedule_at(at, senders[li])
-                                         : TimerHandle{};
+    next_send[li] = at <= last_send_time ? schedule_send(li, at) : TimerHandle{};
   };
 
-  for (std::size_t li = 0; li < links.size(); ++li) {
-    senders[li] = [&, li]() {
-      sync_trace();
-      const graph::Vertex from = model.link(li).from;
-      const double now = engine.now();
-      Packet packet = pool.acquire();
-      bool have = false;
-      if (model.allow_send(li, now)) {
-        if (from == source) {
-          encoder.emit_into(packet, rng);
-          have = true;
-        } else {
-          switch (cur[from]) {
-            case NodeBehavior::kHonest:
-              if (state[from].rank() > 0) {
-                have = state[from].emit_into(packet, rng);
-              }
-              break;
-            case NodeBehavior::kEntropyAttack:
-              if (has_frozen[from]) {
-                packet = frozen[from];  // copy-assign into recycled capacity
-                have = true;
-              }
-              break;
-            case NodeBehavior::kJammer:
-              make_jam_packet(packet, rng);
+  send = [&](std::size_t li) {
+    sync_trace();
+    const graph::Vertex from = model.link(li).from;
+    const double now = lane.now();
+    Packet packet = pool.acquire();
+    bool have = false;
+    if (model.allow_send(li, now)) {
+      if (from == source) {
+        encoder.emit_into(packet, rng);
+        have = true;
+      } else {
+        switch (cur[from]) {
+          case NodeBehavior::kHonest:
+            if (state[from].rank() > 0) {
+              have = state[from].emit_into(packet, rng);
+            }
+            break;
+          case NodeBehavior::kEntropyAttack:
+            if (has_frozen[from]) {
+              packet = frozen[from];  // copy-assign into recycled capacity
               have = true;
-              break;
-            case NodeBehavior::kOffline:
-              break;
-          }
+            }
+            break;
+          case NodeBehavior::kJammer:
+            make_jam_packet(packet, rng);
+            have = true;
+            break;
+          case NodeBehavior::kOffline:
+            break;
         }
       }
-      if (have) {
-        ++report.packets_sent;
-        sent_ctr.inc();
-        engine.schedule_in(model.latency(li),
-                           [&, li, p = std::move(packet)]() mutable {
-                             deliver(li, p);
-                             pool.release(std::move(p));
-                           });
-      } else {
-        pool.release(std::move(packet));
-      }
-      schedule_next(li, now + period);
-    };
-  }
+    }
+    if (have) {
+      ++report.packets_sent;
+      sent_ctr.inc();
+      lane.schedule_in(model.latency(li),
+                       [&, li, p = std::move(packet)]() mutable {
+                         deliver(li, p);
+                         pool.release(std::move(p));
+                       });
+    } else {
+      pool.release(std::move(packet));
+    }
+    schedule_next(li, now + period);
+  };
 
   // Faults are scheduled before the first sends, so an equal-time fault fires
   // first (FIFO by scheduling order) — a behavior switch at t matters for
   // packets sent at t.
   for (const ResolvedFault& f : faults) {
-    engine.schedule_at(f.at, [&, f]() {
+    lane.schedule_at(f.at, [&, f]() {
       sync_trace();
       const graph::Vertex v = f.v;
       switch (f.kind) {
@@ -309,7 +314,7 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
             cur[v] = NodeBehavior::kOffline;
             // A dead node's send timers are useless wakeups; revoke them.
             for (const std::size_t li : out_links[v]) {
-              engine.cancel(next_send[li]);
+              lane.cancel(next_send[li]);
               next_send[li] = TimerHandle{};
             }
           }
@@ -318,7 +323,7 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
         case FaultKind::kRepair: {
           if (departed[v] || cur[v] != NodeBehavior::kOffline) break;
           cur[v] = restore[v];
-          const double now = engine.now();
+          const double now = lane.now();
           for (const std::size_t li : out_links[v]) {
             // Resume on the link's own send grid: first phase + k*period
             // strictly after the repair.
@@ -341,11 +346,10 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
   }
 
   for (std::size_t li = 0; li < links.size(); ++li) {
-    next_send[li] =
-        engine.schedule_at(round_mode ? period : model.phase(li), senders[li]);
+    next_send[li] = schedule_send(li, round_mode ? period : model.phase(li));
   }
 
-  report.events_executed = engine.run_until(horizon);
+  report.events_executed = kernel.run_until(horizon);
   report.horizon = horizon;
   report.rounds = rounds;
 

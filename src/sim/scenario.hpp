@@ -3,7 +3,8 @@
 // combines a coding configuration, a LinkModel (layer 2a), and a FaultPlan
 // (layer 2b); run_scenario() executes it over any topology — the curtain's
 // thread matrix or an arbitrary digraph (the cyclic random-graph variant of
-// Section 6) — on the shared EventEngine (layer 1).
+// Section 6) — on one lane of the sharded kernel (layer 1), where events fire
+// in (time, scheduling order) FIFO.
 //
 // Both public simulators are thin wrappers over this runner:
 //   - simulate_broadcast: round-synchronous mode. Rounds are a degenerate

@@ -7,6 +7,28 @@
 
 namespace ncast::sim {
 
+namespace {
+
+/// One in this many events a shard executes is wall-timed (power of two):
+/// the other 63 pay one mask test and no clock read.
+constexpr std::uint64_t kProfileSampleEvery = 64;
+
+/// Sampled handler wall time per TimerClass (engine.handler_<class>_ns),
+/// indexed by the class. Registered once per process, before any engine
+/// exists, so constructing engines never touches the registry.
+obs::Histogram* const kHandlerNs[kTimerClassCount] = {
+    &obs::metrics().histogram("engine.handler_generic_ns"),
+    &obs::metrics().histogram("engine.handler_delivery_ns"),
+    &obs::metrics().histogram("engine.handler_serve_ns"),
+    &obs::metrics().histogram("engine.handler_emit_ns"),
+    &obs::metrics().histogram("engine.handler_join_retry_ns"),
+    &obs::metrics().histogram("engine.handler_silence_ns"),
+    &obs::metrics().histogram("engine.handler_repair_ns"),
+    &obs::metrics().histogram("engine.handler_fault_ns"),
+};
+
+}  // namespace
+
 thread_local ShardedEngine::Shard* ShardedEngine::tl_current_shard_ = nullptr;
 
 SimTime LaneScheduler::now() const { return engine_->now(); }
@@ -149,6 +171,10 @@ void ShardedEngine::exec_shard(Shard& sh, SimTime limit, bool final_window) {
   tl_current_shard_ = &sh;
   // ncast:hot-begin — sharded event dispatch; PODs pop off the queue and
   // callbacks move out of slab slots, so no per-event allocation happens.
+  // Every kProfileSampleEvery-th event of this shard is wall-timed into its
+  // class's handler histogram; the trace clock is synced to the event's
+  // time before its callback runs, so emitters inside handlers stamp
+  // correctly.
   while (!sh.queue.empty()) {
     const Item item = sh.queue.top();
     if (final_window ? item.at > limit : item.at >= limit) break;
@@ -166,7 +192,14 @@ void ShardedEngine::exec_shard(Shard& sh, SimTime limit, bool final_window) {
     sh.now = item.at;
     sh.current_lane = item.lane;
     obs::trace().set_now(item.at);
-    fn();
+    if ((sh.executed & (kProfileSampleEvery - 1)) == 0) {
+      const obs::Stopwatch handler_watch;
+      fn();
+      kHandlerNs[static_cast<std::size_t>(item.klass)]->observe(
+          handler_watch.elapsed_ns());
+    } else {
+      fn();
+    }
     ++sh.executed;
   }
   // ncast:hot-end

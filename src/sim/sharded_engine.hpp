@@ -1,11 +1,15 @@
 #pragma once
-// Sharded discrete-event kernel: the million-node scale-out of the Layer 1
-// engine (sim/event_engine.hpp). Events belong to *lanes* — logical
-// entities, e.g. one lane per protocol endpoint — and lanes are statically
-// partitioned across shards (lane % shards). Each shard owns a private
-// priority queue and callback slab, so shards execute an epoch's events
-// with no shared mutable state; cross-lane messages are buffered in
-// per-shard outboxes and merged serially at the epoch barrier.
+// Layer 1 of the simulation kernel (docs/architecture.md): the one
+// discrete-event engine every runner executes on, implementing the
+// Scheduler surface of sim/event_engine.hpp. Events belong to *lanes* —
+// logical entities, e.g. one lane per protocol endpoint — and lanes are
+// statically partitioned across shards (lane % shards). Each shard owns a
+// private priority queue and callback slab, so shards execute an epoch's
+// events with no shared mutable state; cross-lane messages are buffered in
+// per-shard outboxes and merged serially at the epoch barrier. The
+// packet-level scenario runner and the churn executor schedule everything
+// on lane 0 of a one-shard engine: one lane never posts across lanes, so
+// nothing clamps and the order is plain (time, scheduling order) FIFO.
 //
 // Determinism contract (docs/architecture.md, "Sharded kernel"): results
 // are a pure function of the scheduled workload — independent of both the
@@ -36,6 +40,10 @@
 // inline on the calling thread (identical results — rule 1). Cancellation
 // is lane-local: only the lane that scheduled an event may cancel it, and
 // cross-lane posts return an invalid handle.
+//
+// Profiling: one in 64 events each shard executes is wall-timed into the
+// engine.handler_<class>_ns histogram of its TimerClass. Sampling is purely
+// observational; it never feeds scheduling.
 
 #include <cstdint>
 #include <limits>
@@ -149,7 +157,9 @@ class ShardedEngine {
     }
   };
 
-  /// Slab entry owning a scheduled callback (same scheme as EventEngine).
+  /// Slab entry owning a scheduled callback. `gen` increments on every
+  /// release, so a TimerHandle that outlives its event can never cancel the
+  /// slot's next tenant.
   struct Slot {
     Callback fn;
     std::uint32_t gen = 0;
@@ -187,7 +197,8 @@ class ShardedEngine {
                       TimerClass klass);
   void ensure_lane(LaneId lane);
   /// Executes one shard's events inside the window; `final_window` closes
-  /// the window inclusively (EventEngine's `at <= horizon` semantics).
+  /// the window inclusively (`at <= horizon`), and samples handler wall
+  /// time per TimerClass.
   void exec_shard(Shard& sh, SimTime limit, bool final_window);
   void merge_outboxes(SimTime limit);
   void dispatch_window(SimTime limit, bool final_window);

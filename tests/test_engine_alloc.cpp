@@ -3,10 +3,11 @@
 // new/new[] are replaced with counting versions; once the callback slab,
 // queue storage, and free lists reach their high-water marks, a
 // schedule -> fire -> reschedule -> cancel cycle must not touch the heap.
-// This enforces two contracts at once: InlineFunction (sim/
-// inline_function.hpp) keeps small callbacks out of the heap entirely, and
-// the slab engines (sim/event_engine.hpp, sim/sharded_engine.hpp) recycle
-// slots instead of allocating per event.
+// This enforces three contracts: InlineFunction (sim/inline_function.hpp)
+// keeps small callbacks out of the heap entirely, the kernel
+// (sim/sharded_engine.hpp) recycles slab slots instead of allocating per
+// event, and the packet-level scenario runner schedules its sends without
+// allocating, so its allocation count does not grow with the horizon.
 //
 // gtest assertions allocate, so the measured regions contain no
 // EXPECT/ASSERT; deltas are checked after.
@@ -19,9 +20,11 @@
 #include <new>
 #include <vector>
 
-#include "sim/event_engine.hpp"
+#include "overlay/curtain_server.hpp"
 #include "sim/inline_function.hpp"
+#include "sim/scenario.hpp"
 #include "sim/sharded_engine.hpp"
+#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
@@ -69,11 +72,13 @@ TEST(EngineAllocFree, InlineFunctionSmallCapturesAreHeapFree) {
   EXPECT_EQ(sink, 3);
 }
 
-TEST(EngineAllocFree, EventEngineScheduleFireCancelSteadyState) {
-  sim::EventEngine e;  // construction registers the engine metrics
+TEST(EngineAllocFree, OneLaneScheduleFireCancelSteadyState) {
+  sim::ShardedEngine k(1, 0, 1.0);
+  sim::Scheduler& e = k.lane(0);
   std::uint64_t fired = 0;
   // Warm-up: more concurrent timers than the measured loop ever holds, and
-  // enough total events to pass the profiling sample stride.
+  // more than 64 events, so the sampled (wall-timed) handler branch has run
+  // before the measured loop runs it again.
   for (int round = 0; round < 3; ++round) {
     std::vector<sim::TimerHandle> handles;
     for (int i = 0; i < 256; ++i) {
@@ -81,7 +86,7 @@ TEST(EngineAllocFree, EventEngineScheduleFireCancelSteadyState) {
           e.schedule_in(0.1 + 0.01 * i, [&fired] { ++fired; }));
     }
     for (int i = 0; i < 256; i += 2) e.cancel(handles[i]);
-    e.run_until(e.now() + 100.0);
+    k.run_until(e.now() + 100.0);
   }
   ASSERT_EQ(fired, 3u * 128u);
 
@@ -100,7 +105,7 @@ TEST(EngineAllocFree, EventEngineScheduleFireCancelSteadyState) {
         e.schedule_in(0.5, [&fired] { ++fired; });
       });
     }
-    e.run_until(e.now() + 100.0);
+    k.run_until(e.now() + 100.0);
   }
   const std::uint64_t delta = g_news.load() - before;
   EXPECT_EQ(delta, 0u);
@@ -140,6 +145,35 @@ TEST(EngineAllocFree, ShardedEngineWindowLoopSteadyState) {
   const std::uint64_t delta = g_news.load() - before;
   EXPECT_EQ(delta, 0u);
   EXPECT_EQ(fired, 3u * 256u + 20u * 128u);
+}
+
+// The packet-level runner fires one send per link per period. Once a first
+// run has registered the metrics, the same scenario at horizon H and at 2H
+// must make exactly as many allocations: setup and report sizes do not
+// depend on the horizon, so any per-send allocation shows up as a gap.
+TEST(EngineAllocFree, ScenarioAllocationsDoNotGrowWithTheHorizon) {
+  overlay::CurtainServer server(6, 2, Rng(3));
+  for (int i = 0; i < 20; ++i) server.join();
+  const overlay::ThreadMatrix m = server.matrix();
+  sim::ScenarioSpec spec;
+  spec.generation_size = 8;
+  spec.symbols = 4;
+  spec.seed = 5;
+  spec.link.latency = sim::LatencySpec::uniform(0.2, 1.2);
+
+  std::uint64_t sent[2] = {0, 0};
+  std::uint64_t allocations[2] = {0, 0};
+  const double horizons[2] = {200.0, 400.0};
+  sim::run_scenario(m, spec);  // warm-up
+  for (int i = 0; i < 2; ++i) {
+    spec.horizon = horizons[i];
+    const std::uint64_t before = g_news.load();
+    const sim::ScenarioReport report = sim::run_scenario(m, spec);
+    allocations[i] = g_news.load() - before;
+    sent[i] = report.packets_sent;
+  }
+  EXPECT_GT(sent[1], sent[0] + 1000);
+  EXPECT_EQ(allocations[1], allocations[0]);
 }
 
 }  // namespace

@@ -6,19 +6,32 @@
 // identically at every shard count. The headline property: a synthetic
 // workload's full per-lane execution log is bit-identical across shard
 // counts {1, 2, 4, 8} and worker counts {0, 2, 3}.
+//
+// The ShardedEngineOneLane cases pin the sequential contract the
+// packet-level scenario runner and the churn executor rely on: on lane 0 of
+// a one-shard engine, events fire in (time, scheduling order) FIFO, handlers
+// may schedule and cancel at the current instant, and one in 64 handlers is
+// wall-timed into its TimerClass histogram. The RngStreams cases cover the
+// per-run stream splitter declared next to the Scheduler surface.
 
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
+
+#include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace ncast {
 namespace {
 
 using sim::LaneId;
+using sim::Scheduler;
 using sim::ShardedEngine;
 using sim::TimerHandle;
 
@@ -252,6 +265,230 @@ TEST(ShardedEngine, BarrierMergeOrdersBySourceLaneThenEmitSeq) {
       EXPECT_EQ(order, baseline) << "shards=" << shards;
     }
   }
+}
+
+TEST(ShardedEngineOneLane, RunsInTimeOrder) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  std::vector<int> order;
+  e.schedule_at(3.0, [&] { order.push_back(3); });
+  e.schedule_at(1.0, [&] { order.push_back(1); });
+  e.schedule_at(2.0, [&] { order.push_back(2); });
+  k.run_until(10.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(e.now(), 10.0);
+}
+
+TEST(ShardedEngineOneLane, TiesFireInSchedulingOrder) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    e.schedule_at(1.0, [&order, i] { order.push_back(i); });
+  }
+  k.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ShardedEngineOneLane, HorizonExcludesLaterEvents) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  int fired = 0;
+  e.schedule_at(1.0, [&] { ++fired; });
+  e.schedule_at(5.0, [&] { ++fired; });
+  EXPECT_EQ(k.run_until(2.0), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(k.pending(), 1u);
+  EXPECT_EQ(k.run_until(10.0), 1u);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(ShardedEngineOneLane, EventsCanScheduleEvents) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  int chain = 0;
+  std::function<void()> tick = [&] {
+    ++chain;
+    if (chain < 5) e.schedule_in(1.0, tick);
+  };
+  e.schedule_at(0.0, tick);
+  k.run_until(100.0);
+  EXPECT_EQ(chain, 5);
+  EXPECT_DOUBLE_EQ(e.now(), 100.0);
+}
+
+TEST(ShardedEngineOneLane, NowAdvancesToEventTime) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  double seen = -1.0;
+  e.schedule_at(4.5, [&] { seen = e.now(); });
+  k.run_until(9.0);
+  EXPECT_DOUBLE_EQ(seen, 4.5);
+}
+
+TEST(ShardedEngineOneLane, SchedulingInPastThrows) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  e.schedule_at(5.0, [] {});
+  k.run_until(5.0);
+  EXPECT_THROW(e.schedule_at(4.0, [] {}), std::invalid_argument);
+}
+
+// Regression for the hot-loop move-out: the running callback has left its
+// slab slot before invocation, so a callback that schedules many new events
+// (growing the slab and reordering the queue) must not corrupt itself or
+// the queue.
+TEST(ShardedEngineOneLane, CallbackSchedulingManyEventsSurvivesMoveOut) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  std::vector<double> fired;
+  e.schedule_at(1.0, [&] {
+    fired.push_back(e.now());
+    for (int i = 0; i < 100; ++i) {
+      const double at = 2.0 + static_cast<double>(i % 7) + i * 1e-3;
+      e.schedule_at(at, [&] { fired.push_back(e.now()); });
+    }
+  });
+  k.run_until(20.0);
+  ASSERT_EQ(fired.size(), 101u);
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_LE(fired[i - 1], fired[i]);
+  }
+}
+
+TEST(ShardedEngineOneLane, CountsExecutedEventsInRegistry) {
+  auto& ctr = obs::metrics().counter("engine.shard_events_executed");
+  const auto before = ctr.value();
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  for (int i = 0; i < 5; ++i) e.schedule_at(1.0 + i, [] {});
+  k.run_until(10.0);
+#if NCAST_OBS_ENABLED
+  EXPECT_EQ(ctr.value(), before + 5);
+#else
+  EXPECT_EQ(ctr.value(), before);
+#endif
+}
+
+TEST(ShardedEngineOneLane, ScheduleInUsesCurrentTime) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  double fired_at = -1.0;
+  e.schedule_at(3.0, [&] {
+    e.schedule_in(2.0, [&] { fired_at = e.now(); });
+  });
+  k.run_until(10.0);
+  EXPECT_DOUBLE_EQ(fired_at, 5.0);
+}
+
+TEST(ShardedEngineOneLane, CancelledEventNeverFires) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  int fired = 0;
+  const auto h = e.schedule_at(1.0, [&] { ++fired; });
+  e.schedule_at(2.0, [&] { ++fired; });
+  EXPECT_EQ(k.pending(), 2u);
+  EXPECT_TRUE(e.cancel(h));
+  EXPECT_EQ(k.pending(), 1u);
+  // Cancelled events are not counted as executed.
+  EXPECT_EQ(k.run_until(10.0), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(ShardedEngineOneLane, CancelAfterFiringReturnsFalse) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  const auto h = e.schedule_at(1.0, [] {});
+  k.run_until(2.0);
+  EXPECT_FALSE(e.cancel(h));
+}
+
+TEST(ShardedEngineOneLane, DoubleCancelReturnsFalse) {
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  const auto h = e.schedule_at(1.0, [] {});
+  EXPECT_TRUE(e.cancel(h));
+  EXPECT_FALSE(e.cancel(h));
+  EXPECT_FALSE(e.cancel(TimerHandle{}));  // invalid handle
+  k.run_until(2.0);
+}
+
+TEST(ShardedEngineOneLane, CancelFromEarlierEventAtSameTime) {
+  // An event may revoke another event scheduled for the very same instant,
+  // as long as it was scheduled later in FIFO order (e.g. a crash at time t
+  // revoking a send at time t).
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  int fired = 0;
+  TimerHandle victim;
+  e.schedule_at(1.0, [&] { EXPECT_TRUE(e.cancel(victim)); });
+  victim = e.schedule_at(1.0, [&] { ++fired; });
+  EXPECT_EQ(k.run_until(5.0), 1u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(ShardedEngineOneLane, CallbackCanScheduleAtNow) {
+  // Re-entrancy: a callback scheduling at the current instant (zero delay)
+  // runs within the same run_until, after all earlier same-time events.
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  std::vector<int> order;
+  e.schedule_at(1.0, [&] {
+    order.push_back(0);
+    e.schedule_in(0.0, [&] { order.push_back(2); });
+  });
+  e.schedule_at(1.0, [&] { order.push_back(1); });
+  EXPECT_EQ(k.run_until(1.0), 3u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+}
+
+// Sampled handler profiling: one in 64 events a shard executes lands in its
+// TimerClass histogram, and none does with observability compiled out.
+TEST(ShardedEngineOneLane, SamplesOneHandlerInSixtyFourPerClass) {
+  auto& hist = obs::metrics().histogram("engine.handler_repair_ns");
+  const auto before = hist.count();
+  ShardedEngine k(1, 0, 1.0);
+  Scheduler& e = k.lane(0);
+  for (int i = 0; i < 128; ++i) {
+    e.schedule_at(1.0 + 0.01 * i, [] {}, sim::TimerClass::kRepair);
+  }
+  EXPECT_EQ(k.run_until(10.0), 128u);
+#if NCAST_OBS_ENABLED
+  EXPECT_EQ(hist.count(), before + 2);
+#else
+  EXPECT_EQ(hist.count(), before);
+#endif
+}
+
+TEST(RngStreams, SameSeedSameTagReproduces) {
+  sim::RngStreams a(42), b(42);
+  Rng ra = a.stream("loss");
+  Rng rb = b.stream("loss");
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(ra(), rb());
+}
+
+TEST(RngStreams, DistinctTagsDecorrelate) {
+  sim::RngStreams s(42);
+  Rng a = s.stream(std::uint64_t{0});
+  Rng b = s.stream(std::uint64_t{1});
+  Rng c = s.stream("churn");
+  bool all_equal_ab = true, all_equal_ac = true;
+  for (int i = 0; i < 16; ++i) {
+    const auto va = a(), vb = b(), vc = c();
+    all_equal_ab = all_equal_ab && va == vb;
+    all_equal_ac = all_equal_ac && va == vc;
+  }
+  EXPECT_FALSE(all_equal_ab);
+  EXPECT_FALSE(all_equal_ac);
+}
+
+TEST(RngStreams, DistinctSeedsDiverge) {
+  Rng a = sim::RngStreams(1).stream("x");
+  Rng b = sim::RngStreams(2).stream("x");
+  bool all_equal = true;
+  for (int i = 0; i < 16; ++i) all_equal = all_equal && a() == b();
+  EXPECT_FALSE(all_equal);
 }
 
 #if NCAST_OBS_ENABLED

@@ -1,9 +1,19 @@
 // Determinism regression (the seed contract): every simulator run twice with
 // the same seed must produce bit-identical reports AND execute exactly the
-// same number of engine events. This pins the unified kernel's draw order —
-// an accidental extra RNG draw or a reordered event shows up here first.
+// same number of engine events. Comparing two runs of one build cannot see a
+// change that moves both runs alike (an engine swap, a reordered schedule),
+// so the packet-level and churn runs are also pinned to absolute golden
+// values: event and packet counts plus an FNV-1a hash over every outcome
+// field, captured while the packet-level runner still had its own event
+// engine. An accidental extra RNG draw or a reordered event shows up here
+// first.
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <type_traits>
+#include <vector>
 
 #include "node/protocol_scenario.hpp"
 #include "overlay/curtain_server.hpp"
@@ -17,6 +27,58 @@ namespace ncast {
 namespace {
 
 using namespace sim;
+
+/// FNV-1a over a run's outcome fields, eight little-endian bytes per field
+/// (doubles by bit pattern), so one moved draw changes the hash.
+class OutcomeHash {
+ public:
+  template <typename T>
+  OutcomeHash& add(T v) {
+    std::uint64_t x = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      x = std::bit_cast<std::uint64_t>(static_cast<double>(v));
+    } else {
+      x = static_cast<std::uint64_t>(v);
+    }
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((x >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+    return *this;
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t hash_outcomes(const std::vector<NodeOutcome>& outcomes) {
+  OutcomeHash h;
+  for (const auto& o : outcomes) {
+    h.add(o.node).add(o.max_flow).add(o.rank_achieved).add(o.decode_round);
+    h.add(o.decoded).add(o.corrupted).add(o.depth);
+  }
+  return h.value();
+}
+
+std::uint64_t hash_outcomes(const std::vector<AsyncOutcome>& outcomes) {
+  OutcomeHash h;
+  for (const auto& o : outcomes) {
+    h.add(o.vertex).add(o.max_flow).add(o.rank_achieved).add(o.decoded);
+    h.add(o.first_arrival).add(o.decode_time).add(o.third_time);
+    h.add(o.two_thirds_time);
+  }
+  return h.value();
+}
+
+std::uint64_t hash_outcomes(const std::vector<ScenarioOutcome>& outcomes) {
+  OutcomeHash h;
+  for (const auto& o : outcomes) {
+    h.add(o.vertex).add(o.node).add(o.max_flow).add(o.rank_achieved);
+    h.add(o.decoded).add(o.corrupted).add(o.first_arrival).add(o.decode_time);
+    h.add(o.third_time).add(o.two_thirds_time).add(o.depth);
+  }
+  return h.value();
+}
 
 overlay::ThreadMatrix grow_overlay(std::uint32_t k, std::uint32_t d, int n,
                                    std::uint64_t seed) {
@@ -60,6 +122,10 @@ TEST(Determinism, RoundBroadcastReproduces) {
     EXPECT_EQ(a.outcomes[i].decoded, b.outcomes[i].decoded);
     EXPECT_EQ(a.outcomes[i].corrupted, b.outcomes[i].corrupted);
   }
+
+  // Golden pins.
+  EXPECT_EQ(a.rounds, 42u);
+  EXPECT_EQ(hash_outcomes(a.outcomes), 0x4694e8c00b5cbbc9ULL);
 }
 
 TEST(Determinism, AsyncBroadcastReproduces) {
@@ -84,6 +150,12 @@ TEST(Determinism, AsyncBroadcastReproduces) {
     EXPECT_EQ(a.outcomes[i].third_time, b.outcomes[i].third_time);
     EXPECT_EQ(a.outcomes[i].two_thirds_time, b.outcomes[i].two_thirds_time);
   }
+
+  // Golden pins.
+  EXPECT_EQ(a.horizon, 48.6);
+  EXPECT_EQ(a.packets_sent, 2156u);
+  EXPECT_EQ(a.packets_innovative, 192u);
+  EXPECT_EQ(hash_outcomes(a.outcomes), 0x9e2d81fb1aac12beULL);
 }
 
 TEST(Determinism, ComposedScenarioReproducesWithIdenticalEventCounts) {
@@ -113,6 +185,13 @@ TEST(Determinism, ComposedScenarioReproducesWithIdenticalEventCounts) {
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     expect_identical(a.outcomes[i], b.outcomes[i]);
   }
+
+  // Golden pins.
+  EXPECT_EQ(a.events_executed, 21133u);
+  EXPECT_EQ(a.packets_sent, 10490u);
+  EXPECT_EQ(a.packets_lost, 1130u);
+  EXPECT_EQ(a.packets_innovative, 240u);
+  EXPECT_EQ(hash_outcomes(a.outcomes), 0xb2e43b7e3cc30d96ULL);
 }
 
 TEST(Determinism, ChurnReproducesWithIdenticalEventCounts) {
@@ -131,6 +210,25 @@ TEST(Determinism, ChurnReproducesWithIdenticalEventCounts) {
   EXPECT_EQ(a.final_population, b.final_population);
   EXPECT_EQ(a.final_failed_tagged, b.final_failed_tagged);
   EXPECT_EQ(a.peak_population, b.peak_population);
+
+  // Golden pins.
+  EXPECT_EQ(a.events_executed, 413u);
+  EXPECT_EQ(a.joins, 229u);
+  EXPECT_EQ(a.graceful_leaves, 119u);
+  EXPECT_EQ(a.failures, 13u);
+  EXPECT_EQ(a.repairs, 12u);
+  EXPECT_EQ(a.final_population, 98u);
+  EXPECT_EQ(a.final_failed_tagged, 1u);
+  EXPECT_EQ(a.peak_population, 103.0);
+  EXPECT_EQ(a.server_stats.control_messages, 1509u);
+  EXPECT_EQ(a.population_samples.count(), 40u);
+  EXPECT_EQ(OutcomeHash()
+                .add(a.population_samples.mean())
+                .add(a.population_samples.variance())
+                .add(a.population_samples.min())
+                .add(a.population_samples.max())
+                .value(),
+            0xaf565ed97bb88075ULL);
 }
 
 TEST(Determinism, ProtocolScenarioReproducesWithIdenticalEventCounts) {
