@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "overlay/flow_graph.hpp"
 #include "overlay/random_graph.hpp"
-#include "sim/async_broadcast.hpp"
 #include "util/stats.hpp"
 
 using namespace ncast;
@@ -35,12 +34,10 @@ int main() {
     {
       const auto m = bench::grow_overlay(24, 3, n, 0xEF0 + n);
       const auto fg = build_flow_graph(m);
-      sim::AsyncConfig cfg;
-      cfg.generation_size = 36;
-      cfg.symbols = 8;
-      cfg.seed = 0xEF1 + n;
-      const auto report = sim::simulate_async_broadcast(
-          fg.graph, overlay::FlowGraph::kServerVertex, cfg);
+      bench::ScenarioBuilder scenario(0xEF1 + n);
+      scenario.generation(36, 8).uniform_latency(0.2, 1.8);
+      const auto report =
+          scenario.run(fg.graph, overlay::FlowGraph::kServerVertex);
       RunningStats arrival;
       for (const auto& o : report.outcomes) {
         if (o.first_arrival >= 0) arrival.add(o.first_arrival);
@@ -55,12 +52,10 @@ int main() {
     {
       overlay::RandomGraphOverlay o(3, 8, Rng(0xEF2 + n));
       for (std::size_t i = 0; i < n; ++i) o.join();
-      sim::AsyncConfig cfg;
-      cfg.generation_size = 36;
-      cfg.symbols = 8;
-      cfg.seed = 0xEF3 + n;
-      const auto report = sim::simulate_async_broadcast(
-          o.graph(), overlay::RandomGraphOverlay::kServer, cfg);
+      bench::ScenarioBuilder scenario(0xEF3 + n);
+      scenario.generation(36, 8).uniform_latency(0.2, 1.8);
+      const auto report =
+          scenario.run(o.graph(), overlay::RandomGraphOverlay::kServer);
       RunningStats arrival;
       for (const auto& out : report.outcomes) {
         if (out.first_arrival >= 0) arrival.add(out.first_arrival);

@@ -1,6 +1,6 @@
-// E13 — codec microbenchmarks (google-benchmark): raw field arithmetic,
-// RLNC encode/recode/decode, and the Reed–Solomon baseline. These bound the
-// CPU cost per delivered byte of the whole system.
+// E13 — codec microbenchmarks (google-benchmark): raw field arithmetic and
+// RLNC encode/recode/decode. These bound the CPU cost per delivered byte of
+// the whole system.
 
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,6 @@
 
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/reed_solomon.hpp"
 #include "gf/dispatch.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
@@ -134,52 +133,11 @@ void BM_RlncRecodeInto(benchmark::State& state) {
 }
 BENCHMARK(BM_RlncRecodeInto)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_RsEncode(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = 2 * k;
-  const std::size_t len = 1024;
-  Rng rng(6);
-  std::vector<std::vector<std::uint8_t>> data(k, std::vector<std::uint8_t>(len));
-  for (auto& d : data) {
-    for (auto& b : d) b = static_cast<std::uint8_t>(rng.below(256));
-  }
-  ncast::coding::ReedSolomon rs(n, k);
-  for (auto _ : state) {
-    auto frags = rs.encode(data);
-    benchmark::DoNotOptimize(frags.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k * len));
-}
-BENCHMARK(BM_RsEncode)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_RsDecodeParityHeavy(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = 2 * k;
-  const std::size_t len = 1024;
-  Rng rng(7);
-  std::vector<std::vector<std::uint8_t>> data(k, std::vector<std::uint8_t>(len));
-  for (auto& d : data) {
-    for (auto& b : d) b = static_cast<std::uint8_t>(rng.below(256));
-  }
-  ncast::coding::ReedSolomon rs(n, k);
-  const auto frags = rs.encode(data);
-  // Receive only parity fragments: the hardest decode.
-  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> received;
-  for (std::size_t i = k; i < 2 * k; ++i) received.emplace_back(i, frags[i]);
-  for (auto _ : state) {
-    auto out = rs.decode(received);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k * len));
-}
-BENCHMARK(BM_RsDecodeParityHeavy)->Arg(8)->Arg(16)->Arg(32);
-
 }  // namespace
 
 // Expanded BENCHMARK_MAIN() with a MetricsSession wrapped around the run so
-// the registry counters (decoder.*, linalg.*) land in BENCH_codec.json.
+// the registry counters and histograms (decoder.*, recoder.*) land in
+// BENCH_codec.json.
 int main(int argc, char** argv) {
   ncast::bench::MetricsSession session("codec");
   session.param("k", "g in 16..128");  // generation sizes; no overlay here

@@ -55,12 +55,12 @@ class ScenarioBuilder {
     spec_.symbols = symbols;
     return *this;
   }
-  /// Round-synchronous mode (the paper's lockstep rounds): latency is pinned
-  /// to half a period so every round's packets land before the next round.
+  /// Round-synchronous mode (the paper's lockstep rounds): the runner pins
+  /// every link to half a period so each round's packets land before the
+  /// next round, and ignores the latency setters.
   ScenarioBuilder& rounds(std::size_t r) {
     spec_.round_sync = true;
     spec_.rounds = r;
-    spec_.link.latency = sim::LatencySpec::fixed_delay(spec_.send_period / 2.0);
     return *this;
   }
   ScenarioBuilder& horizon(double h) {
@@ -69,9 +69,6 @@ class ScenarioBuilder {
   }
   ScenarioBuilder& send_period(double p) {
     spec_.send_period = p;
-    if (spec_.round_sync) {
-      spec_.link.latency = sim::LatencySpec::fixed_delay(p / 2.0);
-    }
     return *this;
   }
   ScenarioBuilder& fixed_latency(double t) {
@@ -143,7 +140,9 @@ class ScenarioBuilder {
     session.param(key("symbols"), spec_.symbols);
     session.param(key("mode"), spec_.round_sync ? "rounds" : "async");
     session.param(key("mean_loss"), spec_.link.loss.mean_loss());
-    session.param(key("latency_bound"), spec_.link.latency.upper_bound());
+    session.param(key("latency_bound"), spec_.round_sync
+                                            ? spec_.send_period / 2.0
+                                            : spec_.link.latency.upper_bound());
     if (spec_.link.bandwidth_cap > 0.0) {
       session.param(key("bandwidth_cap"), spec_.link.bandwidth_cap);
     }

@@ -12,7 +12,6 @@
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "gf/gf256.hpp"
-#include "sim/broadcast.hpp"
 #include "util/stats.hpp"
 
 using namespace ncast;

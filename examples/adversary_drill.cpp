@@ -15,7 +15,7 @@
 
 #include "overlay/curtain_server.hpp"
 #include "overlay/flow_graph.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -91,11 +91,12 @@ int main() {
     behavior[3] = sim::NodeBehavior::kJammer;
     behavior[11] = sim::NodeBehavior::kJammer;
 
-    sim::BroadcastConfig cfg;
-    cfg.generation_size = 8;
-    cfg.symbols = 32;
-    cfg.seed = 9;
-    const auto report = simulate_broadcast(server.matrix(), cfg, behavior);
+    sim::ScenarioSpec spec;
+    spec.generation_size = 8;
+    spec.symbols = 32;
+    spec.round_sync = true;
+    spec.seed = 9;
+    const auto report = sim::run_scenario(server.matrix(), spec, behavior);
 
     std::size_t clean = 0, corrupt = 0;
     for (const auto& o : report.outcomes) {

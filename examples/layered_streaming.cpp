@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "overlay/curtain_server.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
 using namespace ncast;
@@ -72,15 +72,16 @@ int main() {
       if (rng.chance(p)) enh_m.mark_failed(node);
     }
 
-    sim::BroadcastConfig cfg;
-    cfg.generation_size = 8;
-    cfg.symbols = 32;
-    cfg.seed = 200 + static_cast<std::uint64_t>(p * 1000);
-    const auto base_report = sim::simulate_broadcast(base_m, cfg);
-    cfg.seed += 1;
-    const auto enh_report = sim::simulate_broadcast(enh_m, cfg);
+    sim::ScenarioSpec spec;
+    spec.generation_size = 8;
+    spec.symbols = 32;
+    spec.round_sync = true;
+    spec.seed = 200 + static_cast<std::uint64_t>(p * 1000);
+    const auto base_report = sim::run_scenario(base_m, spec);
+    spec.seed += 1;
+    const auto enh_report = sim::run_scenario(enh_m, spec);
 
-    auto decoded_set = [](const sim::BroadcastReport& r) {
+    auto decoded_set = [](const sim::ScenarioReport& r) {
       std::vector<bool> ok;
       for (const auto& o : r.outcomes) {
         if (o.node >= ok.size()) ok.resize(o.node + 1, false);

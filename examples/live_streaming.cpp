@@ -14,7 +14,7 @@
 
 #include "overlay/curtain_server.hpp"
 #include "overlay/flow_graph.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -23,7 +23,7 @@ using namespace ncast;
 namespace {
 
 void print_epoch(int epoch, const overlay::CurtainServer& server,
-                 const sim::BroadcastReport& report) {
+                 const sim::ScenarioReport& report) {
   RunningStats rate;
   for (const auto& o : report.outcomes) {
     rate.add(static_cast<double>(o.max_flow));
@@ -49,9 +49,10 @@ int main() {
 
   std::printf("Live stream: k = %u server threads, d = %u per viewer\n\n", k, d);
 
-  sim::BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 64;
+  sim::ScenarioSpec spec;
+  spec.generation_size = 8;
+  spec.symbols = 64;
+  spec.round_sync = true;
 
   for (int epoch = 1; epoch <= 8; ++epoch) {
     // --- membership churn between generations -----------------------------
@@ -78,8 +79,8 @@ int main() {
     for (int i = 0; i < 10; ++i) alive.push_back(server.join().node);
 
     // --- stream one generation --------------------------------------------
-    cfg.seed = 1000 + static_cast<std::uint64_t>(epoch);
-    const auto report = sim::simulate_broadcast(server.matrix(), cfg);
+    spec.seed = 1000 + static_cast<std::uint64_t>(epoch);
+    const auto report = sim::run_scenario(server.matrix(), spec);
     print_epoch(epoch, server, report);
 
     // --- repairs land before the next generation ---------------------------

@@ -5,7 +5,7 @@
 //
 // Walks through the three core objects:
 //   CurtainServer  — runs the hello/good-bye/repair protocols over matrix M
-//   simulate_broadcast — pushes real RLNC packets through the overlay
+//   run_scenario   — pushes real RLNC packets through the overlay
 //   FileEncoder/FileDecoder — the end-host codec
 
 #include <cstdio>
@@ -14,7 +14,7 @@
 #include "coding/file_codec.hpp"
 #include "overlay/curtain_server.hpp"
 #include "overlay/flow_graph.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
 using namespace ncast;
@@ -43,11 +43,12 @@ int main() {
               static_cast<long long>(node_connectivity(fg, 0)));
 
   // --- 2. Broadcast with network coding -------------------------------------
-  sim::BroadcastConfig cfg;
-  cfg.generation_size = 8;  // packets per generation
-  cfg.symbols = 32;         // payload bytes per packet
-  cfg.seed = 7;
-  const auto report = sim::simulate_broadcast(server.matrix(), cfg);
+  sim::ScenarioSpec spec;
+  spec.generation_size = 8;  // packets per generation
+  spec.symbols = 32;         // payload bytes per packet
+  spec.round_sync = true;    // lockstep rounds, one packet per link each
+  spec.seed = 7;
+  const auto report = sim::run_scenario(server.matrix(), spec);
   std::printf("Broadcast %zu rounds: %.0f%% of peers decoded, 0 corrupted\n",
               report.rounds, report.decoded_fraction() * 100);
 

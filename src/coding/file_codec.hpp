@@ -4,12 +4,13 @@
 // downloading client actually holds. Used by the examples, the
 // file-distribution simulator, and the protocol endpoints.
 //
-// Both halves are structure-aware (coding/structure.hpp): the encoder builds
-// one SourceEncoder per generation under a StructureSpec (dense by default,
-// so every pre-structure call site keeps its exact behavior — including the
-// RNG draw sequence), and emit/emit_round_robin preserve the band/class
-// geometry because SourceEncoder's placement draws do. The decoder side runs
-// a StructuredDecoder per generation behind a DecoderPolicy.
+// The encoder is structure-aware (coding/structure.hpp): it builds one
+// SourceEncoder per generation under a StructureSpec (dense by default, so
+// every pre-structure call site keeps its exact behavior — including the RNG
+// draw sequence), and emit/emit_round_robin preserve the band/class geometry
+// because SourceEncoder's placement draws do. The decoder decodes dense
+// generations, one Decoder each; structured streams are decoded by the
+// protocol endpoints through StreamState.
 
 #include <cstdint>
 #include <memory>
@@ -17,10 +18,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "coding/generation.hpp"
 #include "coding/structure.hpp"
-#include "coding/structured_decoder.hpp"
 #include "gf/gf256.hpp"
 #include "util/rng.hpp"
 
@@ -74,25 +75,19 @@ class FileEncoder {
   std::size_t next_ = 0;
 };
 
-/// Client-side file decoder: per-generation structured decoders plus
-/// reassembly. The default (dense spec, auto policy) is the original dense
-/// decoder in all but type; encoder-direct consumers of banded streams can
-/// pass the matching spec and get the band-elimination speedup.
+/// Client-side file decoder: one dense decoder per generation plus
+/// reassembly.
 class FileDecoder {
  public:
   using Packet = CodedPacket<gf::Gf256>;
 
-  explicit FileDecoder(const GenerationPlan& plan, StructureSpec structure = {},
-                       DecoderPolicy policy = DecoderPolicy::kAuto)
-      : plan_(plan), structure_(structure.resolve(plan.generation_size)) {
+  explicit FileDecoder(const GenerationPlan& plan) : plan_(plan) {
     decoders_.reserve(plan_.generations);
     for (std::size_t g = 0; g < plan_.generations; ++g) {
-      decoders_.emplace_back(static_cast<std::uint32_t>(g), structure_,
-                             plan_.symbols, policy);
+      decoders_.emplace_back(static_cast<std::uint32_t>(g),
+                             plan_.generation_size, plan_.symbols);
     }
   }
-
-  const GenerationStructure& structure() const { return structure_; }
 
   /// Consumes a packet; returns true iff innovative.
   bool absorb(const Packet& p) {
@@ -118,7 +113,7 @@ class FileDecoder {
     return plan_.generations * plan_.generation_size;
   }
 
-  const StructuredDecoder<gf::Gf256>& decoder(std::size_t gen) const {
+  const Decoder<gf::Gf256>& decoder(std::size_t gen) const {
     return decoders_.at(gen);
   }
 
@@ -133,8 +128,7 @@ class FileDecoder {
 
  private:
   GenerationPlan plan_;
-  GenerationStructure structure_;
-  std::vector<StructuredDecoder<gf::Gf256>> decoders_;
+  std::vector<Decoder<gf::Gf256>> decoders_;
 };
 
 }  // namespace ncast::coding

@@ -1,6 +1,6 @@
 #pragma once
-// Arena-backed reduced row basis — the shared elimination core beneath the
-// RLNC decoder and IncrementalRank.
+// Arena-backed reduced row basis — the elimination core beneath the RLNC
+// decoder.
 //
 // Rows live in one contiguous allocation made at construction; absorbing a
 // row after that allocates nothing. Rows are stored in arrival order and

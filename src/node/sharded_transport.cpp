@@ -75,20 +75,12 @@ bool ShardedTransport::crossing_partition(Address a, Address b,
 bool ShardedTransport::survives(LaneNet& ln, const Message& m) {
   const bool data_plane = is_data_plane(m);
   const sim::LossSpec& loss = data_plane ? spec_.data_loss : spec_.control_loss;
-  switch (loss.kind) {
-    case sim::LossSpec::Kind::kNone:
-      return true;
-    case sim::LossSpec::Kind::kBernoulli:
-      return !(loss.p > 0.0 && ln.rng.chance(loss.p));
-    case sim::LossSpec::Kind::kGilbertElliott: {
-      bool& bad = ln.ge_bad[{m.to, data_plane}];
-      bad = bad ? !ln.rng.chance(loss.p_exit_bad)
-                : ln.rng.chance(loss.p_enter_bad);
-      const double drop = bad ? loss.loss_bad : loss.loss_good;
-      return !ln.rng.chance(drop);
-    }
-  }
-  return true;
+  // Only Gilbert-Elliott channels carry state, so only they pay the lookup.
+  bool stateless = false;
+  bool& bad = loss.kind == sim::LossSpec::Kind::kGilbertElliott
+                  ? ln.ge_bad[{m.to, data_plane}]
+                  : stateless;
+  return loss.survives(bad, ln.rng);
 }
 
 void ShardedTransport::route(Message m) {

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -129,6 +130,24 @@ struct LossSpec {
     return s;
   }
 
+  /// One delivery's loss step, shared by every loss-drawing caller. Returns
+  /// whether the delivery survives. Gilbert-Elliott first advances the
+  /// channel state `bad`, then drops at that state's rate; the stateless
+  /// kinds leave `bad` alone. Draws from `rng` only for the kinds that need
+  /// randomness.
+  bool survives(bool& bad, Rng& rng) const {
+    switch (kind) {
+      case Kind::kNone:
+        return true;
+      case Kind::kBernoulli:
+        return !rng.chance(p);
+      case Kind::kGilbertElliott:
+        bad = bad ? !rng.chance(p_exit_bad) : rng.chance(p_enter_bad);
+        return !rng.chance(bad ? loss_bad : loss_good);
+    }
+    return true;
+  }
+
   /// Stationary mean loss rate (for picking comparable Bernoulli/GE pairs).
   double mean_loss() const {
     switch (kind) {
@@ -199,7 +218,8 @@ class LinkModel {
       phase_.push_back(random_phases ? rng.uniform() * period : 0.0);
     }
     if (spec.loss.kind == LossSpec::Kind::kGilbertElliott) {
-      in_bad_.assign(links.size(), false);  // every channel starts good
+      // Value-initialized: every channel starts good.
+      in_bad_ = std::make_unique<bool[]>(links.size());
     }
     if (spec.bandwidth_cap > 0.0) {
       next_send_ok_.assign(links.size(), 0.0);
@@ -232,20 +252,8 @@ class LinkModel {
   /// only for loss kinds that need randomness.
   bool survives(std::size_t i, double now, Rng& rng) {
     if (partitioned(i, now)) return false;
-    switch (spec_.loss.kind) {
-      case LossSpec::Kind::kNone:
-        return true;
-      case LossSpec::Kind::kBernoulli:
-        return !(spec_.loss.p > 0.0 && rng.chance(spec_.loss.p));
-      case LossSpec::Kind::kGilbertElliott: {
-        const bool bad = in_bad_[i];
-        in_bad_[i] = bad ? !rng.chance(spec_.loss.p_exit_bad)
-                         : rng.chance(spec_.loss.p_enter_bad);
-        const double drop = in_bad_[i] ? spec_.loss.loss_bad : spec_.loss.loss_good;
-        return !rng.chance(drop);
-      }
-    }
-    return true;
+    bool stateless = false;  // stands in for the channel state of non-GE kinds
+    return spec_.loss.survives(in_bad_ ? in_bad_[i] : stateless, rng);
   }
 
   bool partitioned(std::size_t i, double now) const {
@@ -262,7 +270,10 @@ class LinkModel {
   std::vector<LinkEnd> links_;
   std::vector<double> latency_;
   std::vector<double> phase_;
-  std::vector<bool> in_bad_;        // Gilbert-Elliott channel state, per link
+  // Gilbert-Elliott channel state, per link; null for the other kinds. A
+  // plain bool array, not std::vector<bool>, so LossSpec::survives can
+  // advance an element through a bool&.
+  std::unique_ptr<bool[]> in_bad_;
   std::vector<double> next_send_ok_;  // bandwidth-cap bookkeeping, per link
   std::vector<bool> side_b_;        // partition side, per vertex
 };

@@ -58,19 +58,18 @@ struct ResolvedFault {
   NodeBehavior behavior = NodeBehavior::kHonest;
 };
 
-/// The unified event-driven runner both public simulators wrap.
+/// The unified event-driven runner behind both run_scenario overloads.
 ///
-/// RNG draw-order contract (what makes the wrappers bit-exact replicas of
-/// the pre-kernel simulators): one stream, drawn in this order —
+/// RNG draw-order contract (what makes both modes bit-exact replicas of the
+/// pre-kernel simulators): one stream, drawn in this order —
 ///   1. source data (g x symbols bytes), 2. null keys (if configured),
 ///   3. per link in edge order: latency, then phase (async mode only),
 ///   4. partition sides (if configured), then event-loop draws in event
 ///      order: emissions at sends, loss at deliveries.
 /// Round mode fires every link's send at t = r*period (FIFO in link order,
-/// preserved by self-rescheduling) and delivers at r*period + latency with
-/// the wrapper's fixed latency of half a period — so all of round r's
-/// emission draws precede all of round r's loss draws, exactly like the old
-/// round loop.
+/// preserved by self-rescheduling) and delivers at r*period + period/2 — a
+/// fixed latency, which draws nothing — so all of round r's emission draws
+/// precede all of round r's loss draws, exactly like the old round loop.
 ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
                         const ScenarioSpec& spec,
                         std::vector<NodeBehavior> cur,
@@ -115,7 +114,11 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
     if (!e.alive || excluded[e.from] || excluded[e.to]) continue;
     links.push_back(LinkModel::LinkEnd{e.from, e.to});
   }
-  LinkModel model(spec.link, links, vertex_count, source, period,
+  // Round mode owns its timing: every link takes half a period, whatever
+  // spec.link.latency says.
+  LinkModelSpec link = spec.link;
+  if (round_mode) link.latency = LatencySpec::fixed_delay(period / 2.0);
+  LinkModel model(link, links, vertex_count, source, period,
                   /*random_phases=*/!round_mode, rng);
 
   std::vector<std::vector<std::size_t>> out_links(vertex_count);

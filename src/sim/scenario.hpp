@@ -6,13 +6,13 @@
 // Section 6) — on one lane of the sharded kernel (layer 1), where events fire
 // in (time, scheduling order) FIFO.
 //
-// Both public simulators are thin wrappers over this runner:
-//   - simulate_broadcast: round-synchronous mode. Rounds are a degenerate
-//     link model (every link latency 0.5, send period 1, phases 0), so all
-//     of round r's packets land at the round boundary before round r+1's
-//     sends — reproducing the pre-kernel round simulator bit for bit.
-//   - simulate_async_broadcast: free-running mode with per-link latencies
-//     and desynchronized send phases.
+// run_scenario is the one packet-level API, and it owns both timing models:
+//   - round-synchronous (round_sync): rounds are a degenerate link model.
+//     The runner pins every link to half a send period of latency with phase
+//     0, so all of round r's packets land at the round boundary before round
+//     r+1's sends — reproducing the pre-kernel round simulator bit for bit.
+//   - free-running: per-link latencies from spec.link.latency and
+//     desynchronized send phases.
 // The payoff is composition: loss x latency x churn x attacks can now all be
 // active in one run, on either topology, which no siloed simulator allowed.
 
@@ -34,9 +34,10 @@ struct ScenarioSpec {
   double send_period = 1.0;          ///< one packet per link per period
 
   /// Round-synchronous degenerate mode: phases are 0, the first send fires
-  /// at t = send_period, and the wrapper pins the latency to half a period so
-  /// deliveries land at round boundaries. Async mode draws each link's phase
-  /// uniformly from [0, send_period).
+  /// at t = send_period, and every link takes send_period / 2 so deliveries
+  /// land at round boundaries; link.latency is ignored. Async mode draws
+  /// each link's latency from link.latency and its phase uniformly from
+  /// [0, send_period).
   bool round_sync = false;
   std::size_t rounds = 0;  ///< round_sync round budget; 0 = auto (depth + 4g)
   double horizon = 0.0;    ///< async horizon; 0 = auto (wavefront + 4g periods)
@@ -46,8 +47,9 @@ struct ScenarioSpec {
   /// packets failing verification. Zero disables verification.
   std::size_t null_keys = 0;
 
-  LinkModelSpec link;  ///< latency / loss / bandwidth / partition
-  FaultPlan faults;    ///< scheduled crash / repair / leave / behavior events
+  /// Latency (async mode only) / loss / bandwidth / partition.
+  LinkModelSpec link;
+  FaultPlan faults;  ///< scheduled crash / repair / leave / behavior events
 };
 
 /// Steady-state achieved rate (innovative packets per period), measured as
@@ -116,9 +118,9 @@ ScenarioReport run_scenario(const graph::Digraph& g, graph::Vertex source,
 
 /// Curtain overload: rows tagged failed in `m` — and nodes whose behavior is
 /// kOffline — are excluded from the run and from the outcomes (they are
-/// capacity holes, exactly the old simulate_broadcast contract). Fault-plan
-/// targets are overlay NodeIds. Outcomes carry node ids, depths, and
-/// min-cuts computed on the derived capacity graph, in curtain order.
+/// capacity holes). Fault-plan targets are overlay NodeIds. Outcomes carry
+/// node ids, depths, and min-cuts computed on the derived capacity graph, in
+/// curtain order.
 ScenarioReport run_scenario(const overlay::ThreadMatrix& m,
                             const ScenarioSpec& spec,
                             const std::vector<NodeBehavior>& behavior = {});

@@ -1,7 +1,8 @@
-// Event-driven asynchronous broadcast tests: decoding under latency jitter,
-// acyclic no-loss behavior, cyclic overlays, and failure handling.
+// Free-running packet-level broadcast tests (run_scenario's async mode):
+// decoding under latency jitter, acyclic no-loss behavior, cyclic overlays,
+// and failure handling.
 
-#include "sim/async_broadcast.hpp"
+#include "sim/scenario.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,23 +22,31 @@ graph::Digraph curtain_graph(std::uint32_t k, std::uint32_t d, int n,
   return build_flow_graph(server.matrix()).graph;
 }
 
+/// Desynchronized send clocks with link latencies uniform in [0.2, 1.8]
+/// periods.
+ScenarioSpec async_spec(std::size_t g, std::size_t symbols,
+                        std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.generation_size = g;
+  spec.symbols = symbols;
+  spec.seed = seed;
+  spec.link.latency = LatencySpec::uniform(0.2, 1.8);
+  return spec;
+}
+
 TEST(AsyncBroadcast, Validation) {
   graph::Digraph g(2);
   g.add_edge(0, 1);
-  AsyncConfig cfg;
-  EXPECT_THROW(simulate_async_broadcast(g, 9, cfg), std::out_of_range);
-  cfg.generation_size = 0;
-  EXPECT_THROW(simulate_async_broadcast(g, 0, cfg), std::invalid_argument);
+  ScenarioSpec spec = async_spec(16, 8, 1);
+  EXPECT_THROW(run_scenario(g, 9, spec), std::out_of_range);
+  spec.generation_size = 0;
+  EXPECT_THROW(run_scenario(g, 0, spec), std::invalid_argument);
 }
 
 TEST(AsyncBroadcast, SingleLinkDelivers) {
   graph::Digraph g(2);
   g.add_edge(0, 1);
-  AsyncConfig cfg;
-  cfg.generation_size = 4;
-  cfg.symbols = 4;
-  cfg.seed = 1;
-  const auto report = simulate_async_broadcast(g, 0, cfg);
+  const auto report = run_scenario(g, 0, async_spec(4, 4, 1));
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_TRUE(report.outcomes[0].decoded);
   EXPECT_EQ(report.outcomes[0].max_flow, 1);
@@ -47,12 +56,8 @@ TEST(AsyncBroadcast, SingleLinkDelivers) {
 
 TEST(AsyncBroadcast, CurtainDecodesEverywhereUnderJitter) {
   const auto g = curtain_graph(8, 3, 50, 2);
-  AsyncConfig cfg;
-  cfg.generation_size = 24;  // wide enough that the mid-window slope is
-                             // jitter-insensitive
-  cfg.symbols = 8;
-  cfg.seed = 3;
-  const auto report = simulate_async_broadcast(g, 0, cfg);
+  // g = 24: wide enough that the mid-window slope is jitter-insensitive.
+  const auto report = run_scenario(g, 0, async_spec(24, 8, 3));
   EXPECT_DOUBLE_EQ(report.decoded_fraction(), 1.0);
   // Acyclic overlay: the achieved rate should approach the min-cut even with
   // heavy latency jitter (the Section 6 no-loss-from-delay-spread claim).
@@ -61,11 +66,7 @@ TEST(AsyncBroadcast, CurtainDecodesEverywhereUnderJitter) {
 
 TEST(AsyncBroadcast, InnovativeCountIsBounded) {
   const auto g = curtain_graph(6, 2, 20, 4);
-  AsyncConfig cfg;
-  cfg.generation_size = 6;
-  cfg.symbols = 4;
-  cfg.seed = 5;
-  const auto report = simulate_async_broadcast(g, 0, cfg);
+  const auto report = run_scenario(g, 0, async_spec(6, 4, 5));
   // Each of the 20 receivers can absorb at most g innovative packets.
   EXPECT_LE(report.packets_innovative, 20u * 6u);
   EXPECT_GE(report.packets_sent, report.packets_innovative);
@@ -74,12 +75,8 @@ TEST(AsyncBroadcast, InnovativeCountIsBounded) {
 TEST(AsyncBroadcast, CyclicRandomGraphStillDecodes) {
   overlay::RandomGraphOverlay o(3, 3, Rng(6));
   for (int i = 0; i < 60; ++i) o.join();
-  AsyncConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = 7;
-  const auto report = simulate_async_broadcast(
-      o.graph(), overlay::RandomGraphOverlay::kServer, cfg);
+  const auto report = run_scenario(
+      o.graph(), overlay::RandomGraphOverlay::kServer, async_spec(8, 8, 7));
   // The seed children are sinks with min-cut 3; newcomers too. Everyone
   // reachable decodes despite cycles.
   EXPECT_DOUBLE_EQ(report.decoded_fraction(), 1.0);
@@ -91,11 +88,7 @@ TEST(AsyncBroadcast, DeadEdgesCarryNothing) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.remove_edge(e01);
-  AsyncConfig cfg;
-  cfg.generation_size = 3;
-  cfg.symbols = 3;
-  cfg.seed = 8;
-  const auto report = simulate_async_broadcast(g, 0, cfg);
+  const auto report = run_scenario(g, 0, async_spec(3, 3, 8));
   for (const auto& o : report.outcomes) {
     EXPECT_EQ(o.max_flow, 1);
     EXPECT_TRUE(o.decoded);
@@ -105,11 +98,7 @@ TEST(AsyncBroadcast, DeadEdgesCarryNothing) {
 TEST(AsyncBroadcast, UnreachableVertexStaysEmpty) {
   graph::Digraph g(3);
   g.add_edge(0, 1);
-  AsyncConfig cfg;
-  cfg.generation_size = 2;
-  cfg.symbols = 2;
-  cfg.seed = 9;
-  const auto report = simulate_async_broadcast(g, 0, cfg);
+  const auto report = run_scenario(g, 0, async_spec(2, 2, 9));
   for (const auto& o : report.outcomes) {
     if (o.vertex == 2) {
       EXPECT_FALSE(o.decoded);
@@ -121,12 +110,9 @@ TEST(AsyncBroadcast, UnreachableVertexStaysEmpty) {
 
 TEST(AsyncBroadcast, DeterministicGivenSeed) {
   const auto g = curtain_graph(6, 2, 15, 10);
-  AsyncConfig cfg;
-  cfg.generation_size = 4;
-  cfg.symbols = 4;
-  cfg.seed = 11;
-  const auto a = simulate_async_broadcast(g, 0, cfg);
-  const auto b = simulate_async_broadcast(g, 0, cfg);
+  const auto spec = async_spec(4, 4, 11);
+  const auto a = run_scenario(g, 0, spec);
+  const auto b = run_scenario(g, 0, spec);
   EXPECT_EQ(a.packets_sent, b.packets_sent);
   EXPECT_EQ(a.packets_innovative, b.packets_innovative);
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {

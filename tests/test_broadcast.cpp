@@ -1,7 +1,8 @@
-// Packet-level broadcast simulation tests: the network coding theorem in
-// action (rank == max-flow), failure behavior, and the Section 5/7 attacks.
+// Round-synchronous packet-level broadcast tests: the network coding
+// theorem in action (rank == max-flow), failure behavior, and the Section 5/7
+// attacks, all through run_scenario's round mode.
 
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,13 +23,25 @@ overlay::ThreadMatrix grow_overlay(std::uint32_t k, std::uint32_t d, int n,
   return server.matrix();
 }
 
+ScenarioSpec round_spec(std::size_t g, std::size_t symbols,
+                        std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.generation_size = g;
+  spec.symbols = symbols;
+  spec.round_sync = true;
+  spec.seed = seed;
+  return spec;
+}
+
+/// Deliveries land at round + 0.5, so the decode round is the floor of the
+/// decode time (0 if the node never decoded).
+std::size_t decode_round(const ScenarioOutcome& o) {
+  return o.decoded ? static_cast<std::size_t>(o.decode_time) : 0;
+}
+
 TEST(Broadcast, FailureFreeEveryoneDecodesAtFullRate) {
   const auto m = grow_overlay(8, 3, 40, 1);
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = 2;
-  const auto report = simulate_broadcast(m, cfg);
+  const auto report = run_scenario(m, round_spec(8, 8, 2));
   ASSERT_EQ(report.outcomes.size(), 40u);
   for (const auto& o : report.outcomes) {
     EXPECT_EQ(o.max_flow, 3);
@@ -42,16 +55,12 @@ TEST(Broadcast, FailureFreeEveryoneDecodesAtFullRate) {
 
 TEST(Broadcast, DecodeRoundTracksDepth) {
   const auto m = grow_overlay(6, 2, 30, 3);
-  BroadcastConfig cfg;
-  cfg.generation_size = 4;
-  cfg.symbols = 4;
-  cfg.seed = 4;
-  const auto report = simulate_broadcast(m, cfg);
+  const auto report = run_scenario(m, round_spec(4, 4, 4));
   for (const auto& o : report.outcomes) {
     ASSERT_TRUE(o.decoded);
     // The first packet arrives at round == depth, and at most d=2 packets
     // arrive per round, so full rank g=4 needs at least depth + 1 rounds.
-    EXPECT_GE(o.decode_round, static_cast<std::size_t>(o.depth) + 1);
+    EXPECT_GE(decode_round(o), static_cast<std::size_t>(o.depth) + 1);
   }
 }
 
@@ -60,11 +69,8 @@ TEST(Broadcast, OfflineNodesCapDownstreamRankAtMaxflow) {
   std::vector<NodeBehavior> behavior(60, NodeBehavior::kHonest);
   for (NodeId n : {5u, 11u, 17u, 23u}) behavior[n] = NodeBehavior::kOffline;
 
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = 6;
-  const auto report = simulate_broadcast(m, cfg, behavior);
+  const auto spec = round_spec(8, 8, 6);
+  const auto report = run_scenario(m, spec, behavior);
   ASSERT_EQ(report.outcomes.size(), 56u);  // offline nodes not reported
   for (const auto& o : report.outcomes) {
     if (o.max_flow > 0) {
@@ -74,9 +80,9 @@ TEST(Broadcast, OfflineNodesCapDownstreamRankAtMaxflow) {
       // arrives at round == depth.
       EXPECT_TRUE(o.decoded) << "node " << o.node;
       const std::size_t active_rounds =
-          o.decode_round - static_cast<std::size_t>(o.depth) + 1;
+          decode_round(o) - static_cast<std::size_t>(o.depth) + 1;
       EXPECT_GE(active_rounds * static_cast<std::size_t>(o.max_flow),
-                cfg.generation_size)
+                spec.generation_size)
           << "node " << o.node << " decoded faster than its min-cut";
     } else {
       // Cut off entirely: nothing ever arrives.
@@ -89,11 +95,7 @@ TEST(Broadcast, OfflineNodesCapDownstreamRankAtMaxflow) {
 TEST(Broadcast, MatrixFailedTagsActOffline) {
   auto m = grow_overlay(6, 2, 20, 7);
   m.mark_failed(0);
-  BroadcastConfig cfg;
-  cfg.generation_size = 4;
-  cfg.symbols = 4;
-  cfg.seed = 8;
-  const auto report = simulate_broadcast(m, cfg);
+  const auto report = run_scenario(m, round_spec(4, 4, 8));
   EXPECT_EQ(report.outcomes.size(), 19u);
   for (const auto& o : report.outcomes) EXPECT_NE(o.node, 0u);
 }
@@ -106,11 +108,7 @@ TEST(Broadcast, RankMatchesMaxflowThroughput) {
   std::vector<NodeBehavior> behavior(80, NodeBehavior::kHonest);
   for (NodeId n = 0; n < 80; n += 13) behavior[n] = NodeBehavior::kOffline;
 
-  BroadcastConfig cfg;
-  cfg.generation_size = 12;
-  cfg.symbols = 8;
-  cfg.seed = 10;
-  const auto report = simulate_broadcast(m, cfg, behavior);
+  const auto report = run_scenario(m, round_spec(12, 8, 10), behavior);
   for (const auto& o : report.outcomes) {
     if (o.max_flow >= 3) {
       EXPECT_TRUE(o.decoded) << "node " << o.node << " flow " << o.max_flow;
@@ -123,15 +121,12 @@ TEST(Broadcast, EntropyAttackStarvesDownstream) {
   // deliver strictly less rank downstream.
   const auto m = grow_overlay(6, 2, 50, 11);
 
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = 12;
-  const auto honest = simulate_broadcast(m, cfg);
+  const auto spec = round_spec(8, 8, 12);
+  const auto honest = run_scenario(m, spec);
 
   std::vector<NodeBehavior> behavior(50, NodeBehavior::kHonest);
   for (NodeId n = 0; n < 50; n += 3) behavior[n] = NodeBehavior::kEntropyAttack;
-  const auto attacked = simulate_broadcast(m, cfg, behavior);
+  const auto attacked = run_scenario(m, spec, behavior);
 
   std::size_t honest_rank = 0, attacked_rank = 0;
   for (const auto& o : honest.outcomes) honest_rank += o.rank_achieved;
@@ -150,11 +145,7 @@ TEST(Broadcast, JammerContaminatesAlmostEveryone) {
   behavior[2] = NodeBehavior::kJammer;
   behavior[9] = NodeBehavior::kJammer;
 
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = 14;
-  const auto report = simulate_broadcast(m, cfg, behavior);
+  const auto report = run_scenario(m, round_spec(8, 8, 14), behavior);
   std::size_t corrupted = 0, decoded = 0, jammer_outcomes = 0;
   for (const auto& o : report.outcomes) {
     if (o.node == 2 || o.node == 9) {
@@ -175,33 +166,31 @@ TEST(Broadcast, JammerContaminatesAlmostEveryone) {
 TEST(Broadcast, ErgodicPacketLossOnlySlowsThingsDown) {
   // Section 2's ergodic failures: packet loss costs rate, never correctness.
   const auto m = grow_overlay(8, 3, 40, 21);
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = 22;
-  const auto clean = simulate_broadcast(m, cfg);
+  auto spec = round_spec(8, 8, 22);
+  const auto clean = run_scenario(m, spec);
 
-  cfg.loss_p = 0.3;
-  cfg.rounds = clean.rounds * 4;  // ample budget
-  const auto lossy = simulate_broadcast(m, cfg);
+  spec.link.loss = LossSpec::bernoulli(0.3);
+  spec.rounds = clean.rounds * 4;  // ample budget
+  const auto lossy = run_scenario(m, spec);
   EXPECT_DOUBLE_EQ(lossy.decoded_fraction(), 1.0);
   EXPECT_DOUBLE_EQ(lossy.corrupted_fraction(), 0.0);
 
   // ...but decoding takes longer under loss.
   double clean_sum = 0, lossy_sum = 0;
-  for (const auto& o : clean.outcomes) clean_sum += static_cast<double>(o.decode_round);
-  for (const auto& o : lossy.outcomes) lossy_sum += static_cast<double>(o.decode_round);
+  for (const auto& o : clean.outcomes) {
+    clean_sum += static_cast<double>(decode_round(o));
+  }
+  for (const auto& o : lossy.outcomes) {
+    lossy_sum += static_cast<double>(decode_round(o));
+  }
   EXPECT_GT(lossy_sum, clean_sum);
 }
 
 TEST(Broadcast, ExplicitRoundBudgetHonored) {
   const auto m = grow_overlay(4, 2, 10, 15);
-  BroadcastConfig cfg;
-  cfg.generation_size = 4;
-  cfg.symbols = 4;
-  cfg.rounds = 3;  // too few to decode
-  cfg.seed = 16;
-  const auto report = simulate_broadcast(m, cfg);
+  auto spec = round_spec(4, 4, 16);
+  spec.rounds = 3;  // too few to decode
+  const auto report = run_scenario(m, spec);
   EXPECT_EQ(report.rounds, 3u);
   for (const auto& o : report.outcomes) {
     if (o.depth > 2) {

@@ -1,4 +1,4 @@
-// Parameterized property sweep for the packet-level broadcast simulator:
+// Parameterized property sweep for round-synchronous packet-level broadcast:
 // across overlay shapes and failure rates, the network-coding invariants
 // must hold node by node:
 //   - min-cut 0  =>  rank stays 0 (no information without capacity)
@@ -11,7 +11,7 @@
 #include <tuple>
 
 #include "overlay/curtain_server.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 
 namespace ncast {
 namespace {
@@ -33,11 +33,12 @@ TEST_P(BroadcastProperties, CapacityInvariantsHold) {
     if (rng.chance(p)) m.mark_failed(node);
   }
 
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = static_cast<std::uint64_t>(seed) * 977 + 5;
-  const auto report = simulate_broadcast(m, cfg);
+  ScenarioSpec spec;
+  spec.generation_size = 8;
+  spec.symbols = 8;
+  spec.round_sync = true;
+  spec.seed = static_cast<std::uint64_t>(seed) * 977 + 5;
+  const auto report = run_scenario(m, spec);
 
   for (const auto& o : report.outcomes) {
     if (o.max_flow == 0) {
@@ -47,10 +48,14 @@ TEST_P(BroadcastProperties, CapacityInvariantsHold) {
       EXPECT_TRUE(o.decoded) << "node " << o.node << " flow " << o.max_flow;
       // Cannot decode faster than capacity: g innovative packets need at
       // least ceil(g / max_flow) delivery rounds after the first arrival.
+      // Deliveries land at round + 0.5, so the decode round is the floor of
+      // the decode time.
+      const std::size_t decode_round =
+          o.decoded ? static_cast<std::size_t>(o.decode_time) : 0;
       const std::size_t active =
-          o.decode_round - static_cast<std::size_t>(o.depth) + 1;
+          decode_round - static_cast<std::size_t>(o.depth) + 1;
       EXPECT_GE(active * static_cast<std::size_t>(o.max_flow),
-                cfg.generation_size)
+                spec.generation_size)
           << "node " << o.node;
     }
     EXPECT_FALSE(o.corrupted) << "no jammers were configured";

@@ -10,8 +10,8 @@
 #include "overlay/defect.hpp"
 #include "overlay/flow_graph.hpp"
 #include "overlay/polymatroid.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/churn.hpp"
+#include "sim/scenario.hpp"
 
 namespace ncast {
 namespace {
@@ -30,11 +30,12 @@ TEST(Integration, ChurnThenBroadcastDecodes) {
   sim::run_churn(12, 3, InsertPolicy::kAppend, cfg, 77, &server);
   ASSERT_GT(server.matrix().working_count(), 10u);
 
-  sim::BroadcastConfig bc;
-  bc.generation_size = 6;
-  bc.symbols = 8;
-  bc.seed = 78;
-  const auto report = sim::simulate_broadcast(server.matrix(), bc);
+  sim::ScenarioSpec spec;
+  spec.generation_size = 6;
+  spec.symbols = 8;
+  spec.round_sync = true;
+  spec.seed = 78;
+  const auto report = sim::run_scenario(server.matrix(), spec);
   // Everyone with full min-cut decodes; nobody is corrupted.
   for (const auto& o : report.outcomes) {
     if (o.max_flow >= 3) {

@@ -481,6 +481,33 @@ TEST(LintTree, GoldenReportIsByteStable) {
   EXPECT_EQ(ncast::lint::report_json(report), golden.str());
 }
 
+// The orphan rule walks the include graph from the application roots, which
+// it reads whether or not they are scanned: the same orphans come out of a
+// src-only scan. A header brings in its .cpp, and the .cpp's includes with
+// it, so paired_impl.hpp (included only by paired.cpp) is not an orphan.
+TEST(LintTree, OrphanRuleFollowsHeaderSourcePairs) {
+  for (const std::vector<std::string>& roots :
+       {std::vector<std::string>{"src", "bench"},
+        std::vector<std::string>{"src"}}) {
+    Options opts;
+    opts.repo_root = std::string(NCAST_LINT_FIXTURE_DIR) + "/tree";
+    opts.roots = roots;
+    const Report report = ncast::lint::lint_tree(opts);
+
+    std::set<std::string> fired;
+    std::set<std::string> suppressed;
+    for (const auto& f : report.findings) {
+      if (f.rule != "layering.orphan_file") continue;
+      EXPECT_EQ(f.line, 1u);
+      (f.suppressed ? suppressed : fired).insert(f.file);
+    }
+    EXPECT_EQ(fired, (std::set<std::string>{"src/coding/orphan.cpp",
+                                            "src/coding/orphan.hpp"}));
+    EXPECT_EQ(suppressed,
+              (std::set<std::string>{"src/coding/orphan_ok.hpp"}));
+  }
+}
+
 TEST(LintTree, EveryRuleFiresAndIsSuppressedInFixtures) {
   Options opts;
   opts.repo_root = std::string(NCAST_LINT_FIXTURE_DIR) + "/tree";

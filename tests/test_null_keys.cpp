@@ -1,6 +1,6 @@
 // Null-key verification tests: valid packets (including recoded ones) always
-// pass; corrupted packets are rejected with the advertised probability; the
-// broadcast simulator's defended mode contains jamming.
+// pass; corrupted packets are rejected with the advertised probability; a
+// defended round-synchronous broadcast contains jamming.
 
 #include "coding/null_keys.hpp"
 
@@ -10,7 +10,7 @@
 #include "coding/encoder.hpp"
 #include "gf/gf256.hpp"
 #include "overlay/curtain_server.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
@@ -153,14 +153,15 @@ TEST(NullKeys, DefendedBroadcastContainsJamming) {
   behavior[2] = sim::NodeBehavior::kJammer;
   behavior[7] = sim::NodeBehavior::kJammer;
 
-  sim::BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 8;
-  cfg.seed = 10;
+  sim::ScenarioSpec spec;
+  spec.generation_size = 8;
+  spec.symbols = 8;
+  spec.round_sync = true;
+  spec.seed = 10;
 
-  const auto undefended = simulate_broadcast(server.matrix(), cfg, behavior);
-  cfg.null_keys = 4;
-  const auto defended = simulate_broadcast(server.matrix(), cfg, behavior);
+  const auto undefended = sim::run_scenario(server.matrix(), spec, behavior);
+  spec.null_keys = 4;
+  const auto defended = sim::run_scenario(server.matrix(), spec, behavior);
 
   EXPECT_GT(undefended.corrupted_fraction(), 0.3);
   EXPECT_DOUBLE_EQ(defended.corrupted_fraction(), 0.0);

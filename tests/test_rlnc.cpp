@@ -1,9 +1,12 @@
 // RLNC codec tests: encode -> (recode)* -> decode round trips, innovation
 // accounting, and field-size effects. Parameterized over generation size and
-// payload length.
+// payload length. The decoder's elimination core, linalg::ReducedBasis, is
+// also checked row by row against an independent batch rank over all three
+// fields.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "coding/decoder.hpp"
@@ -11,6 +14,7 @@
 #include "gf/gf2.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
+#include "linalg/reduced_basis.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
@@ -391,6 +395,90 @@ TEST(Gf2_16Codec, RoundTrip) {
   coding::Decoder<F> dec(0, 6, 5);
   while (!dec.complete()) dec.absorb(enc.emit(rng));
   EXPECT_EQ(dec.source_packets(), source);
+}
+
+// ---- ReducedBasis vs an independent batch rank: property sweep over fields
+
+/// Rank of `rows` by batch forward elimination with scalar field ops — an
+/// oracle that shares no code with ReducedBasis (no arena, no region
+/// kernels, no back-substitution).
+template <typename Field>
+std::size_t batch_rank(
+    std::vector<std::vector<typename Field::value_type>> rows,
+    std::size_t dim) {
+  using V = typename Field::value_type;
+  std::size_t rank = 0;
+  for (std::size_t col = 0; col < dim && rank < rows.size(); ++col) {
+    std::size_t pivot = rank;
+    while (pivot < rows.size() && rows[pivot][col] == V{0}) ++pivot;
+    if (pivot == rows.size()) continue;
+    std::swap(rows[rank], rows[pivot]);
+    const V inv = Field::inv(rows[rank][col]);
+    for (std::size_t r = rank + 1; r < rows.size(); ++r) {
+      const V f = Field::mul(rows[r][col], inv);
+      if (f == V{0}) continue;
+      for (std::size_t c = col; c < dim; ++c) {
+        // Characteristic 2: subtraction is addition.
+        rows[r][c] = Field::add(rows[r][c], Field::mul(f, rows[rank][c]));
+      }
+    }
+    ++rank;
+  }
+  return rank;
+}
+
+/// Feeds `row` through the scratch row; returns whether it was innovative.
+template <typename Field>
+bool absorb_row(linalg::ReducedBasis<Field>& basis,
+                const std::vector<typename Field::value_type>& row) {
+  std::copy(row.begin(), row.end(), basis.scratch_row());
+  return basis.absorb();
+}
+
+template <typename Field>
+void basis_matches_batch(std::uint64_t seed, std::size_t rows,
+                         std::size_t dim) {
+  using V = typename Field::value_type;
+  Rng rng(seed);
+  linalg::ReducedBasis<Field> basis(dim, dim);
+  std::vector<std::vector<V>> seen;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<V> row(dim);
+    for (auto& v : row) v = static_cast<V>(rng.below(Field::order));
+    seen.push_back(row);
+    const std::size_t before = basis.rank();
+    const bool innovative = absorb_row(basis, row);
+    EXPECT_EQ(basis.rank(), before + (innovative ? 1 : 0));
+    EXPECT_EQ(basis.rank(), batch_rank<Field>(seen, dim)) << "row " << r;
+  }
+}
+
+TEST(ReducedBasisRank, MatchesBatchGf256) {
+  basis_matches_batch<gf::Gf256>(10, 12, 8);
+}
+TEST(ReducedBasisRank, MatchesBatchGf2_16) {
+  basis_matches_batch<gf::Gf2_16>(11, 10, 6);
+}
+TEST(ReducedBasisRank, MatchesBatchGf2) {
+  // Over GF(2) dependent rows are common — good stress for the reducer.
+  basis_matches_batch<gf::Gf2>(12, 20, 8);
+}
+
+TEST(ReducedBasisRank, CompleteAfterBasis) {
+  linalg::ReducedBasis<Gf> basis(3, 3);
+  EXPECT_TRUE(absorb_row(basis, {1, 0, 0}));
+  EXPECT_TRUE(absorb_row(basis, {1, 1, 0}));
+  EXPECT_EQ(basis.rank(), 2u);
+  EXPECT_TRUE(absorb_row(basis, {1, 1, 1}));
+  EXPECT_EQ(basis.rank(), basis.pivot_cols());
+  EXPECT_FALSE(absorb_row(basis, {5, 6, 7}));  // nothing is innovative now
+  EXPECT_EQ(basis.rank(), 3u);
+}
+
+TEST(ReducedBasisRank, ZeroRowNotInnovative) {
+  linalg::ReducedBasis<Gf> basis(3, 3);
+  EXPECT_FALSE(absorb_row(basis, {0, 0, 0}));
+  EXPECT_EQ(basis.rank(), 0u);
 }
 
 }  // namespace

@@ -16,8 +16,6 @@
 #include "overlay/curtain_server.hpp"
 #include "overlay/flow_graph.hpp"
 #include "overlay/random_graph.hpp"
-#include "sim/async_broadcast.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/churn.hpp"
 
 namespace ncast {
@@ -94,6 +92,31 @@ TEST(LinkModel, GilbertElliottLossIsBurstyAtTheConfiguredRate) {
   // losses — a Bernoulli process at the same rate has run length ~ 1.1.
   const double mean_run = static_cast<double>(lost) / loss_runs;
   EXPECT_GT(mean_run, 1.6);
+}
+
+TEST(LossSpec, SurvivesTouchesChannelStateOnlyForGilbertElliott) {
+  // One loss step for every caller: stateless kinds leave the channel state
+  // alone, and kNone draws nothing from the stream.
+  Rng rng(5);
+  Rng twin(5);
+  bool bad = true;
+  EXPECT_TRUE(LossSpec::none().survives(bad, rng));
+  EXPECT_TRUE(bad);
+  EXPECT_EQ(rng(), twin());
+
+  const auto bern = LossSpec::bernoulli(0.5);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(bern.survives(bad, rng), !twin.chance(0.5));
+    EXPECT_TRUE(bad);
+  }
+
+  // A chain that always enters and never leaves the bad state, which always
+  // drops: the first step flips the state and every delivery is lost.
+  const auto stuck = LossSpec::gilbert_elliott(1.0, 0.0);
+  bad = false;
+  EXPECT_FALSE(stuck.survives(bad, rng));
+  EXPECT_TRUE(bad);
+  EXPECT_FALSE(stuck.survives(bad, rng));
 }
 
 TEST(LinkModel, BernoulliLossMatchesRate) {
@@ -208,7 +231,7 @@ TEST(FaultPlan, PoissonChurnIsDeterministicPerRng) {
 // ------------------------------------------------------------- rate() guard
 
 TEST(RateGuard, MissingCrossingsYieldZeroRate) {
-  AsyncOutcome o;
+  ScenarioOutcome o;
   o.rank_achieved = 16;
   o.third_time = -1.0;  // never crossed g/3
   o.two_thirds_time = 9.0;
@@ -229,12 +252,6 @@ TEST(RateGuard, MissingCrossingsYieldZeroRate) {
   o.third_time = 2.0;
   o.two_thirds_time = 4.0;  // ranks 6 -> 11 over 2 time units
   EXPECT_DOUBLE_EQ(o.rate(), 2.5);
-
-  ScenarioOutcome s;
-  s.rank_achieved = 16;
-  s.third_time = -1.0;
-  s.two_thirds_time = 9.0;
-  EXPECT_DOUBLE_EQ(s.rate(), 0.0);
   EXPECT_DOUBLE_EQ(steady_state_rate(16, 2.0, 4.0), 2.5);
 }
 
@@ -356,36 +373,46 @@ TEST(Scenario, PartitionWindowDropsPacketsThenHeals) {
   EXPECT_TRUE(report.outcomes[0].decoded);  // the window heals
 }
 
-TEST(Scenario, RoundSyncMatchesBroadcastWrapperContract) {
-  // The wrapper and a hand-built round_sync spec must agree: same rounds,
-  // same per-node outcomes, decode_round == floor(decode_time).
+TEST(Scenario, RoundSyncIgnoresLinkLatency) {
+  // The runner owns the round model: every link takes half a period, so a
+  // round-mode report is the same whatever spec.link.latency says — even a
+  // latency kind that would draw from the run's RNG stream.
   const auto m = grow_overlay(6, 2, 20, 21);
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 4;
-  cfg.seed = 22;
-  const auto wrapped = simulate_broadcast(m, cfg);
-
   ScenarioSpec spec;
   spec.generation_size = 8;
   spec.symbols = 4;
   spec.seed = 22;
   spec.round_sync = true;
-  spec.link.latency = LatencySpec::fixed_delay(0.5);
-  const auto direct = run_scenario(m, spec);
+  spec.link.loss = LossSpec::bernoulli(0.1);
+  const auto base = run_scenario(m, spec);
 
-  ASSERT_EQ(direct.outcomes.size(), wrapped.outcomes.size());
-  EXPECT_EQ(direct.rounds, wrapped.rounds);
-  for (std::size_t i = 0; i < direct.outcomes.size(); ++i) {
-    const auto& s = direct.outcomes[i];
-    const auto& o = wrapped.outcomes[i];
-    EXPECT_EQ(s.node, o.node);
-    EXPECT_EQ(s.max_flow, o.max_flow);
-    EXPECT_EQ(s.rank_achieved, o.rank_achieved);
-    EXPECT_EQ(s.decoded, o.decoded);
-    EXPECT_EQ(s.depth, o.depth);
-    if (s.decoded) {
-      EXPECT_EQ(static_cast<std::size_t>(s.decode_time), o.decode_round);
+  for (const LatencySpec latency :
+       {LatencySpec::fixed_delay(0.9), LatencySpec::uniform(0.2, 1.8),
+        LatencySpec::shifted_exponential(0.1, 0.5)}) {
+    ScenarioSpec other = spec;
+    other.link.latency = latency;
+    const auto report = run_scenario(m, other);
+    EXPECT_EQ(report.rounds, base.rounds);
+    EXPECT_EQ(report.horizon, base.horizon);
+    EXPECT_EQ(report.events_executed, base.events_executed);
+    EXPECT_EQ(report.packets_sent, base.packets_sent);
+    EXPECT_EQ(report.packets_lost, base.packets_lost);
+    EXPECT_EQ(report.packets_innovative, base.packets_innovative);
+    ASSERT_EQ(report.outcomes.size(), base.outcomes.size());
+    for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+      const auto& o = report.outcomes[i];
+      const auto& b = base.outcomes[i];
+      EXPECT_EQ(o.node, b.node);
+      EXPECT_EQ(o.rank_achieved, b.rank_achieved);
+      EXPECT_EQ(o.decoded, b.decoded);
+      EXPECT_EQ(o.first_arrival, b.first_arrival);  // bit-identical doubles
+      EXPECT_EQ(o.decode_time, b.decode_time);
+    }
+  }
+  // Deliveries land half a period after each round's sends.
+  for (const auto& o : base.outcomes) {
+    if (o.first_arrival >= 0.0) {
+      EXPECT_EQ(o.first_arrival - std::floor(o.first_arrival), 0.5);
     }
   }
 }

@@ -1,12 +1,11 @@
 // Determinism regression (the seed contract): every simulator run twice with
 // the same seed must produce bit-identical reports AND execute exactly the
 // same number of engine events. Comparing two runs of one build cannot see a
-// change that moves both runs alike (an engine swap, a reordered schedule),
-// so the packet-level and churn runs are also pinned to absolute golden
-// values: event and packet counts plus an FNV-1a hash over every outcome
-// field, captured while the packet-level runner still had its own event
-// engine. An accidental extra RNG draw or a reordered event shows up here
-// first.
+// change that moves both runs alike (an engine swap, a reordered schedule,
+// a moved loss draw), so the packet-level, churn and protocol runs are also
+// pinned to absolute golden values: event and packet counts plus an FNV-1a
+// hash over the outcome fields. An accidental extra RNG draw or a reordered
+// event shows up here first.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +17,6 @@
 #include "node/protocol_scenario.hpp"
 #include "overlay/curtain_server.hpp"
 #include "overlay/flow_graph.hpp"
-#include "sim/async_broadcast.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/churn.hpp"
 #include "sim/scenario.hpp"
 
@@ -51,16 +48,24 @@ class OutcomeHash {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-std::uint64_t hash_outcomes(const std::vector<NodeOutcome>& outcomes) {
+/// The round pin's fields: what the pre-kernel round simulator reported,
+/// with the decode round as the floor of the decode time (deliveries land at
+/// round + 0.5).
+std::uint64_t hash_round_outcomes(
+    const std::vector<ScenarioOutcome>& outcomes) {
   OutcomeHash h;
   for (const auto& o : outcomes) {
-    h.add(o.node).add(o.max_flow).add(o.rank_achieved).add(o.decode_round);
+    const std::size_t decode_round =
+        o.decoded ? static_cast<std::size_t>(o.decode_time) : 0;
+    h.add(o.node).add(o.max_flow).add(o.rank_achieved).add(decode_round);
     h.add(o.decoded).add(o.corrupted).add(o.depth);
   }
   return h.value();
 }
 
-std::uint64_t hash_outcomes(const std::vector<AsyncOutcome>& outcomes) {
+/// The async pin's fields: what the pre-kernel async simulator reported.
+std::uint64_t hash_async_outcomes(
+    const std::vector<ScenarioOutcome>& outcomes) {
   OutcomeHash h;
   for (const auto& o : outcomes) {
     h.add(o.vertex).add(o.max_flow).add(o.rank_achieved).add(o.decoded);
@@ -76,6 +81,17 @@ std::uint64_t hash_outcomes(const std::vector<ScenarioOutcome>& outcomes) {
     h.add(o.vertex).add(o.node).add(o.max_flow).add(o.rank_achieved);
     h.add(o.decoded).add(o.corrupted).add(o.first_arrival).add(o.decode_time);
     h.add(o.third_time).add(o.two_thirds_time).add(o.depth);
+  }
+  return h.value();
+}
+
+std::uint64_t hash_outcomes(
+    const std::vector<node::ProtocolOutcome>& outcomes) {
+  OutcomeHash h;
+  for (const auto& o : outcomes) {
+    h.add(o.address).add(o.joined).add(o.crashed).add(o.departed);
+    h.add(o.decoded).add(o.join_latency).add(o.decode_time);
+    h.add(o.join_retries).add(o.complaints);
   }
   return h.value();
 }
@@ -103,43 +119,44 @@ void expect_identical(const ScenarioOutcome& a, const ScenarioOutcome& b) {
 
 TEST(Determinism, RoundBroadcastReproduces) {
   const auto m = grow_overlay(6, 2, 24, 11);
-  BroadcastConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 4;
-  cfg.seed = 12;
-  cfg.loss_p = 0.1;
+  ScenarioSpec spec;
+  spec.generation_size = 8;
+  spec.symbols = 4;
+  spec.round_sync = true;
+  spec.seed = 12;
+  spec.link.loss = LossSpec::bernoulli(0.1);
   std::vector<NodeBehavior> behavior(24, NodeBehavior::kHonest);
   behavior[5] = NodeBehavior::kEntropyAttack;
 
-  const auto a = simulate_broadcast(m, cfg, behavior);
-  const auto b = simulate_broadcast(m, cfg, behavior);
+  const auto a = run_scenario(m, spec, behavior);
+  const auto b = run_scenario(m, spec, behavior);
   EXPECT_EQ(a.rounds, b.rounds);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     EXPECT_EQ(a.outcomes[i].node, b.outcomes[i].node);
     EXPECT_EQ(a.outcomes[i].rank_achieved, b.outcomes[i].rank_achieved);
-    EXPECT_EQ(a.outcomes[i].decode_round, b.outcomes[i].decode_round);
+    EXPECT_EQ(a.outcomes[i].decode_time, b.outcomes[i].decode_time);
     EXPECT_EQ(a.outcomes[i].decoded, b.outcomes[i].decoded);
     EXPECT_EQ(a.outcomes[i].corrupted, b.outcomes[i].corrupted);
   }
 
   // Golden pins.
   EXPECT_EQ(a.rounds, 42u);
-  EXPECT_EQ(hash_outcomes(a.outcomes), 0x4694e8c00b5cbbc9ULL);
+  EXPECT_EQ(hash_round_outcomes(a.outcomes), 0x4694e8c00b5cbbc9ULL);
 }
 
 TEST(Determinism, AsyncBroadcastReproduces) {
   const auto m = grow_overlay(6, 2, 24, 13);
   const auto fg = overlay::build_flow_graph(m);
-  AsyncConfig cfg;
-  cfg.generation_size = 8;
-  cfg.symbols = 4;
-  cfg.seed = 14;
+  ScenarioSpec spec;
+  spec.generation_size = 8;
+  spec.symbols = 4;
+  spec.seed = 14;
+  spec.link.latency = LatencySpec::uniform(0.2, 1.8);
 
-  const auto a =
-      simulate_async_broadcast(fg.graph, overlay::FlowGraph::kServerVertex, cfg);
-  const auto b =
-      simulate_async_broadcast(fg.graph, overlay::FlowGraph::kServerVertex, cfg);
+  const auto source = overlay::FlowGraph::kServerVertex;
+  const auto a = run_scenario(fg.graph, source, spec);
+  const auto b = run_scenario(fg.graph, source, spec);
   EXPECT_EQ(a.horizon, b.horizon);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
@@ -155,7 +172,7 @@ TEST(Determinism, AsyncBroadcastReproduces) {
   EXPECT_EQ(a.horizon, 48.6);
   EXPECT_EQ(a.packets_sent, 2156u);
   EXPECT_EQ(a.packets_innovative, 192u);
-  EXPECT_EQ(hash_outcomes(a.outcomes), 0x9e2d81fb1aac12beULL);
+  EXPECT_EQ(hash_async_outcomes(a.outcomes), 0x9e2d81fb1aac12beULL);
 }
 
 TEST(Determinism, ComposedScenarioReproducesWithIdenticalEventCounts) {
@@ -272,6 +289,14 @@ TEST(Determinism, ProtocolScenarioReproducesWithIdenticalEventCounts) {
     EXPECT_EQ(a.outcomes[i].join_retries, b.outcomes[i].join_retries);
     EXPECT_EQ(a.outcomes[i].complaints, b.outcomes[i].complaints);
   }
+
+  // Golden pins: control loss takes the transport's Bernoulli path, data
+  // loss its Gilbert-Elliott path.
+  EXPECT_EQ(a.events_executed, 3299u);
+  EXPECT_EQ(a.messages_sent, 2241u);
+  EXPECT_EQ(a.messages_dropped, 242u);
+  EXPECT_EQ(a.control_bytes, 1210u);
+  EXPECT_EQ(hash_outcomes(a.outcomes), 0xb2c24997c850858cULL);
 }
 
 }  // namespace

@@ -105,6 +105,7 @@ const char* kRuleList[] = {
     "hot_path.throw",
     "layering.cycle",
     "layering.forbidden_include",
+    "layering.orphan_file",
     "lint.bad_annotation",
     "obs.metric_name",
 };
@@ -701,6 +702,58 @@ bool lintable(const fs::path& p) {
          ext == ".cc" || ext == ".cxx";
 }
 
+/// Lintable files under `roots` (repo-relative files or directories below
+/// `root`), repo-relative, sorted and deduplicated.
+std::vector<std::string> collect_files(const fs::path& root,
+                                       const std::vector<std::string>& roots) {
+  std::vector<std::string> files;
+  for (const std::string& r : roots) {
+    const fs::path p = root / r;
+    std::error_code ec;
+    if (fs::is_directory(p, ec)) {
+      for (fs::recursive_directory_iterator it(p, ec), end; it != end;
+           it.increment(ec)) {
+        if (it->is_regular_file(ec) && lintable(it->path())) {
+          files.push_back(fs::relative(it->path(), root, ec).generic_string());
+        }
+      }
+    } else if (fs::is_regular_file(p, ec) && lintable(p)) {
+      files.push_back(fs::relative(p, root, ec).generic_string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  files.erase(std::unique(files.begin(), files.end()), files.end());
+  return files;
+}
+
+/// Reads and scans `files` (repo-relative, below `root`); unreadable files
+/// are skipped. `kept` receives the paths actually read, parallel to the
+/// returned scans.
+std::vector<Scanned> scan_files(const fs::path& root,
+                                const std::vector<std::string>& files,
+                                std::vector<std::string>& kept) {
+  std::vector<Scanned> scans;
+  for (const std::string& rel : files) {
+    std::ifstream in(root / rel, std::ios::binary);
+    if (!in) continue;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    scans.push_back(scan(buf.str()));
+    kept.push_back(rel);
+  }
+  return scans;
+}
+
+std::vector<SourceFile> source_files(const std::vector<std::string>& rels,
+                                     const std::vector<Scanned>& scans) {
+  std::vector<SourceFile> sources;
+  sources.reserve(rels.size());
+  for (std::size_t i = 0; i < rels.size(); ++i) {
+    sources.push_back(SourceFile{rels[i], &scans[i]});
+  }
+  return sources;
+}
+
 void json_escape_into(std::string& out, const std::string& s) {
   for (const char c : s) {
     switch (c) {
@@ -784,44 +837,11 @@ Report lint_tree(const Options& opts) {
   report.roots = opts.roots;
   const fs::path root(opts.repo_root.empty() ? "." : opts.repo_root);
 
-  std::vector<std::string> files;
-  for (const std::string& r : opts.roots) {
-    const fs::path p = root / r;
-    std::error_code ec;
-    if (fs::is_directory(p, ec)) {
-      for (fs::recursive_directory_iterator it(p, ec), end; it != end;
-           it.increment(ec)) {
-        if (it->is_regular_file(ec) && lintable(it->path())) {
-          files.push_back(fs::relative(it->path(), root, ec).generic_string());
-        }
-      }
-    } else if (fs::is_regular_file(p, ec) && lintable(p)) {
-      files.push_back(fs::relative(p, root, ec).generic_string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-
   // Pass 0+1: read and scan every file once, then build the tree index.
-  std::vector<std::string> texts;
-  std::vector<Scanned> scans;
   std::vector<std::string> kept;
-  texts.reserve(files.size());
-  for (const std::string& rel : files) {
-    std::ifstream in(root / rel, std::ios::binary);
-    if (!in) continue;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    texts.push_back(buf.str());
-    scans.push_back(scan(texts.back()));
-    kept.push_back(rel);
-  }
-  std::vector<SourceFile> sources;
-  sources.reserve(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    sources.push_back(SourceFile{kept[i], &scans[i]});
-  }
-  const Index index = build_index(root.string(), sources);
+  const std::vector<Scanned> scans =
+      scan_files(root, collect_files(root, opts.roots), kept);
+  const Index index = build_index(root.string(), source_files(kept, scans));
 
   // Pass 2a: file-scoped rules.
   for (std::size_t i = 0; i < kept.size(); ++i) {
@@ -830,9 +850,26 @@ Report lint_tree(const Options& opts) {
   }
 
   // Pass 2b: tree-wide layering rules; allow annotations on the offending
-  // include lines suppress them like any other finding.
+  // include lines suppress them like any other finding. The orphan rule
+  // walks the include graph from the application roots, so it also reads
+  // every src/ and application file outside the scan roots — for their
+  // includes only; no rule lints them.
   std::vector<Finding> layering;
   const std::size_t cycles = check_layering(index, layering);
+  std::vector<std::string> reach_roots = {"src"};
+  for (const std::string& dir : application_dirs()) reach_roots.push_back(dir);
+  std::vector<std::string> unscanned;
+  for (const std::string& rel : collect_files(root, reach_roots)) {
+    if (!std::binary_search(kept.begin(), kept.end(), rel)) {
+      unscanned.push_back(rel);
+    }
+  }
+  std::vector<std::string> read_only;
+  const std::vector<Scanned> read_scans =
+      scan_files(root, unscanned, read_only);
+  const Index reach_only =
+      build_index(root.string(), source_files(read_only, read_scans));
+  check_orphans(index, reach_only, layering);
   for (Finding& f : layering) {
     const auto it = std::find(kept.begin(), kept.end(), f.file);
     if (it != kept.end()) {

@@ -14,7 +14,9 @@
 //                    merge-order-sensitive regions.
 //   layering.*     — the include graph must fit the declared allowed-edge
 //                    DAG (lint_index.cpp) under transitive closure and must
-//                    be cycle-free; violations carry the include chain.
+//                    be cycle-free; violations carry the include chain. No
+//                    src/ file may be an orphan: something under bench/,
+//                    tools/, examples/ or ncbench/ must reach it.
 //   concurrency.*  — in src/sim and src/node (code reachable from
 //                    ShardedEngine workers): no unguarded mutable static or
 //                    namespace-scope state, no pointer-keyed ordered

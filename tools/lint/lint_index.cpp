@@ -275,6 +275,57 @@ std::size_t check_layering(const Index& index, std::vector<Finding>& out) {
   return cycles;
 }
 
+const std::vector<std::string>& application_dirs() {
+  static const std::vector<std::string> dirs = {"bench", "tools", "examples",
+                                                "ncbench"};
+  return dirs;
+}
+
+void check_orphans(const Index& index, const Index& reach_only,
+                   std::vector<Finding>& out) {
+  const auto node_of = [&](const std::string& rel) -> const FileNode* {
+    for (const Index* ix : {&index, &reach_only}) {
+      const auto it = ix->files.find(rel);
+      if (it != ix->files.end()) return &it->second;
+    }
+    return nullptr;
+  };
+  std::set<std::string> reached;
+  std::vector<std::string> queue;
+  const auto visit = [&](const std::string& rel) {
+    if (node_of(rel) != nullptr && reached.insert(rel).second) {
+      queue.push_back(rel);
+    }
+  };
+  for (const Index* ix : {&index, &reach_only}) {
+    for (const auto& [rel, node] : ix->files) {
+      for (const std::string& dir : application_dirs()) {
+        if (rel.rfind(dir + "/", 0) == 0) visit(rel);
+      }
+    }
+  }
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+    const std::string cur = queue[qi];
+    const FileNode* node = node_of(cur);
+    if (node->is_header) {
+      const std::string stem = cur.substr(0, cur.find_last_of('.'));
+      for (const char* ext : {".cpp", ".cc", ".cxx"}) visit(stem + ext);
+    }
+    for (const IncludeEdge& edge : node->edges) visit(edge.target);
+  }
+  for (const auto& [rel, node] : index.files) {
+    if (rel.rfind("src/", 0) != 0 || reached.count(rel)) continue;
+    Finding finding;
+    finding.rule = "layering.orphan_file";
+    finding.file = rel;
+    finding.line = 1;
+    finding.message =
+        "no file under bench/, tools/, examples/ or ncbench/ reaches this "
+        "file through the include graph; use it or delete it";
+    out.push_back(std::move(finding));
+  }
+}
+
 std::map<std::string, std::vector<std::string>> observed_module_deps(
     const Index& index) {
   std::map<std::string, std::set<std::string>> deps;

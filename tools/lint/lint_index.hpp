@@ -74,6 +74,19 @@ Index build_index(const std::string& repo_root,
 /// findings to `out`; returns the number of distinct cycles.
 std::size_t check_layering(const Index& index, std::vector<Finding>& out);
 
+/// The application roots: the repo-relative directories whose files are the
+/// entry points of the include graph (bench/, tools/, examples/, ncbench/).
+const std::vector<std::string>& application_dirs();
+
+/// Orphan enforcement: `layering.orphan_file`, at line 1, for every src/ file
+/// in `index` that no file under an application root reaches through the
+/// include graph. Reaching a header brings in the source file beside it
+/// (same path, .cpp/.cc/.cxx). `reach_only` indexes files outside the scan
+/// roots, read for their includes only; the walk spans both indexes, but
+/// only files in `index` are reported.
+void check_orphans(const Index& index, const Index& reach_only,
+                   std::vector<Finding>& out);
+
 /// Observed module-level dependencies (src modules only, self-edges
 /// excluded), for the report's include-graph section and the spec test.
 std::map<std::string, std::vector<std::string>> observed_module_deps(

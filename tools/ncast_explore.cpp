@@ -30,7 +30,7 @@
 #include "overlay/defect.hpp"
 #include "overlay/flow_graph.hpp"
 #include "overlay/polymatroid.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/scenario.hpp"
 #include "sim/sharded_engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -163,11 +163,12 @@ int cmd_broadcast(const Args& a) {
   for (auto node : m.nodes_in_order()) {
     if (rng.chance(p)) m.mark_failed(node);
   }
-  sim::BroadcastConfig cfg;
-  cfg.generation_size = g;
-  cfg.symbols = 16;
-  cfg.seed = seed ^ 0xF02;
-  const auto report = sim::simulate_broadcast(m, cfg);
+  sim::ScenarioSpec spec;
+  spec.generation_size = g;
+  spec.symbols = 16;
+  spec.round_sync = true;
+  spec.seed = seed ^ 0xF02;
+  const auto report = sim::run_scenario(m, spec);
 
   Table t({"metric", "value"});
   t.add_row({"rounds", std::to_string(report.rounds)});
