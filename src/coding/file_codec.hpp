@@ -53,11 +53,18 @@ class FileEncoder {
   const GenerationPlan& plan() const { return plan_; }
   const GenerationStructure& structure() const { return structure_; }
   std::size_t generations() const { return plan_.generations; }
+  /// The content being encoded.
+  const std::vector<std::uint8_t>& data() const { return data_; }
 
   /// Random coded packet from generation `gen`: a band at a random offset,
   /// a random class, or a full dense row, per the structure.
   Packet emit(std::size_t gen, Rng& rng) const {
     return encoders_.at(gen).emit(rng);
+  }
+
+  /// emit() into `p`, reusing its buffers; the same draws.
+  void emit_into(std::size_t gen, Packet& p, Rng& rng) const {
+    encoders_.at(gen).emit_into(p, rng);
   }
 
   /// Random coded packet, cycling generations across calls.

@@ -91,25 +91,38 @@ struct GenerationStructure {
     return s;
   }
 
+  /// Why the geometry is nonsense, or nullptr when it is valid. Never
+  /// throws: the one rule set behind both validate() (configuration errors)
+  /// and make_structure() (untrusted wire descriptors).
+  const char* invalid_reason() const {
+    if (kind > StructureKind::kOverlapped) {
+      return "GenerationStructure: unknown kind";
+    }
+    if (g == 0) return "GenerationStructure: g == 0";
+    if (band_width == 0 || band_width > g) {
+      return "GenerationStructure: band width not in [1, g]";
+    }
+    if (kind == StructureKind::kDense && band_width != g) {
+      return "GenerationStructure: dense requires width == g";
+    }
+    if (kind == StructureKind::kOverlapped && overlap >= band_width) {
+      return "GenerationStructure: overlap >= class size";
+    }
+    if (kind != StructureKind::kOverlapped && overlap != 0) {
+      return "GenerationStructure: overlap without classes";
+    }
+    if (kind != StructureKind::kBanded && wrap) {
+      return "GenerationStructure: wrap without bands";
+    }
+    return nullptr;
+  }
+
   /// Throws std::invalid_argument on geometric nonsense (configuration
   /// errors; malformed *packets* against a valid structure are data and are
   /// rejected without throwing — see matches_packet()).
   void validate() const {
-    if (g == 0) throw std::invalid_argument("GenerationStructure: g == 0");
-    if (band_width == 0 || band_width > g) {
-      throw std::invalid_argument("GenerationStructure: band width not in [1, g]");
-    }
-    if (kind == StructureKind::kDense && band_width != g) {
-      throw std::invalid_argument("GenerationStructure: dense requires width == g");
-    }
-    if (kind == StructureKind::kOverlapped && overlap >= band_width) {
-      throw std::invalid_argument("GenerationStructure: overlap >= class size");
-    }
-    if (kind != StructureKind::kOverlapped && overlap != 0) {
-      throw std::invalid_argument("GenerationStructure: overlap without classes");
-    }
-    if (kind != StructureKind::kBanded && wrap) {
-      throw std::invalid_argument("GenerationStructure: wrap without bands");
+    if (const char* reason = invalid_reason()) {
+      throw std::invalid_argument(reason);
     }
   }
 
@@ -195,32 +208,20 @@ struct GenerationStructure {
 };
 
 /// Builds a structure from untrusted wire-level fields without throwing:
-/// nullopt wherever validate() would throw. This is the message-path twin of
-/// the factories — join accepts and slot grants arrive from the network, and
-/// a malformed structure descriptor is data, not a configuration error.
+/// nullopt wherever validate() would throw. Join accepts and slot grants
+/// arrive from the network, and a malformed structure descriptor is data,
+/// not a configuration error. Applies the factories' normalizations first:
+/// width 0 means the full generation, and wrap is dropped at full width.
 inline std::optional<GenerationStructure> make_structure(
     std::uint8_t kind_byte, std::size_t g, std::size_t band_width, bool wrap,
     std::size_t overlap) {
-  if (kind_byte > static_cast<std::uint8_t>(StructureKind::kOverlapped)) {
-    return std::nullopt;
-  }
   GenerationStructure s;
   s.kind = static_cast<StructureKind>(kind_byte);
   s.g = g;
   s.band_width = band_width == 0 ? g : band_width;
   s.wrap = wrap && s.band_width < g;
   s.overlap = overlap;
-  if (s.g == 0 || s.band_width == 0 || s.band_width > s.g) return std::nullopt;
-  if (s.kind == StructureKind::kDense && s.band_width != s.g) {
-    return std::nullopt;
-  }
-  if (s.kind == StructureKind::kOverlapped && s.overlap >= s.band_width) {
-    return std::nullopt;
-  }
-  if (s.kind != StructureKind::kOverlapped && s.overlap != 0) {
-    return std::nullopt;
-  }
-  if (s.kind != StructureKind::kBanded && s.wrap) return std::nullopt;
+  if (s.invalid_reason() != nullptr) return std::nullopt;
   return s;
 }
 

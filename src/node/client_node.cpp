@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "coding/wire.hpp"
-
 namespace ncast::node {
 
 namespace {
@@ -214,21 +212,13 @@ void ClientNode::handle_accept(const Message& m) {
     for (overlay::ColumnId c : columns_) note_liveness(c);
     return;
   }
-  // The structure descriptor is untrusted wire data: rebuild the geometry
-  // defensively and treat nonsense like any other malformed accept.
-  const auto structure =
-      coding::make_structure(m.structure_kind, m.gen_size, m.band_width,
-                             m.structure_wrap != 0, m.class_overlap);
-  if (!structure) return;
-  if (!stream_.initialize(m.data_size, m.gen_count, m.gen_size, m.symbols,
-                          *structure)) {
-    return;
-  }
+  // The stream announcement is untrusted wire data: a nonsense plan or
+  // structure descriptor is ignored like any other malformed accept.
+  if (!stream_.initialize(m)) return;
   joined_ = true;
   joined_time_ = engine_->now();
   engine_->cancel(join_timer_);
   columns_ = m.columns;
-  stream_.install_keys(m.key_bundles);
   // The accept closes the join episode the first hello opened.
   obs::trace().emit(obs::TraceKind::kSpanEnd, address_, 0, 0, "join",
                     join_span_);
@@ -324,23 +314,11 @@ void ClientNode::on_message(const Message& m) {
 }
 
 void ClientNode::serve_children() {
-  // Serve the children the server attached to us; a random generation per
-  // child per tick (random, not round-robin — a deterministic rotation over
-  // a fixed edge order can starve a descendant of entire generations). With
-  // an empty buffer we still signal liveness so deep children don't mistake
-  // a slow bootstrap for a dead parent.
+  // Serve the children the server attached to us, one upload per child per
+  // tick (StreamState::upload: data, or a keepalive while our buffers are
+  // empty).
   for (const auto& [column, child] : children_) {
-    Message out;
-    out.from = address_;
-    out.to = child;
-    out.column = column;
-    if (auto wire = stream_.emit_wire(rng_)) {
-      out.type = MessageType::kData;
-      out.wire = std::move(*wire);
-    } else {
-      out.type = MessageType::kKeepalive;
-    }
-    net_->send(std::move(out));
+    net_->send(stream_.upload(address_, child, column, rng_));
   }
 }
 

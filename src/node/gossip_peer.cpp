@@ -17,24 +17,9 @@ GossipPeer::GossipPeer(Address address, GossipPeerConfig config,
                        std::size_t generation_size, std::size_t symbols)
     : address_(address),
       config_(config),
-      rng_(config.seed ^ (static_cast<std::uint64_t>(address) << 18)),
-      content_(std::move(content)) {
-  encoder_.emplace(content_, generation_size, symbols, config_.structure);
-  if (config_.null_keys > 0) {
-    key_bundles_.reserve(encoder_->generations());
-    for (std::size_t g = 0; g < encoder_->generations(); ++g) {
-      const auto source =
-          coding::generation_packets(content_, encoder_->plan(), g);
-      const auto keys = coding::NullKeySet<gf::Gf256>::generate(
-          static_cast<std::uint32_t>(g), source, config_.null_keys, rng_);
-      key_bundles_.push_back(keys.serialize());
-    }
-  }
-}
-
-std::vector<std::uint8_t> GossipPeer::data() const {
-  if (is_source()) return content_;
-  return stream_.data();
+      rng_(config.seed ^ (static_cast<std::uint64_t>(address) << 18)) {
+  stream_.initialize_source(std::move(content), generation_size, symbols,
+                            config_.structure, config_.null_keys, rng_);
 }
 
 void GossipPeer::crash() {
@@ -100,28 +85,16 @@ void GossipPeer::leave(Transport& net) {
 
 void GossipPeer::handle_slot_request(const Message& m) {
   learn(m.from);
-  const bool can_serve = is_source() || stream_.initialized();
-  if (can_serve && children_.size() < config_.upload_slots &&
+  if (stream_.initialized() && children_.size() < config_.upload_slots &&
       children_.find(m.from) == children_.end()) {
     children_.insert(m.from);
     Message grant;
     grant.type = MessageType::kSlotGrant;
     grant.from = address_;
     grant.to = m.from;
-    const auto& plan = is_source() ? encoder_->plan() : stream_.plan();
-    grant.data_size = plan.data_size;
-    grant.gen_count = static_cast<std::uint32_t>(plan.generations);
-    grant.gen_size = static_cast<std::uint16_t>(plan.generation_size);
-    grant.symbols = static_cast<std::uint16_t>(plan.symbols);
-    // Forward the stream's structure descriptor: a trackerless overlay has
-    // no server to announce it, so it propagates grant to grant.
-    const coding::GenerationStructure& s =
-        is_source() ? encoder_->structure() : stream_.structure();
-    grant.structure_kind = static_cast<std::uint8_t>(s.kind);
-    grant.band_width = static_cast<std::uint16_t>(s.band_width);
-    grant.structure_wrap = s.wrap ? 1 : 0;
-    grant.class_overlap = static_cast<std::uint16_t>(s.overlap);
-    grant.key_bundles = key_bundles_;
+    // A trackerless overlay has no server to announce the stream, so the
+    // announcement propagates grant to grant.
+    stream_.announce(grant);
     net_->send(std::move(grant));
   } else {
     // Denials still help: they carry a sample of this peer's view, so the
@@ -148,17 +121,8 @@ void GossipPeer::handle_slot_grant(const Message& m) {
     net_->send(std::move(release));
     return;
   }
-  if (!stream_.initialized()) {
-    const auto structure =
-        coding::make_structure(m.structure_kind, m.gen_size, m.band_width,
-                               m.structure_wrap != 0, m.class_overlap);
-    if (!structure ||
-        !stream_.initialize(m.data_size, m.gen_count, m.gen_size, m.symbols,
-                            *structure)) {
-      return;  // nonsense plan or structure: ignore the grant entirely
-    }
-    stream_.install_keys(m.key_bundles);
-    if (stream_.verification_enabled()) key_bundles_ = m.key_bundles;
+  if (!stream_.initialized() && !stream_.initialize(m)) {
+    return;  // nonsense plan or structure: ignore the grant entirely
   }
   parents_[m.from] = now();
 }
@@ -217,21 +181,7 @@ void GossipPeer::on_message(const Message& m) {
 
 void GossipPeer::serve_children() {
   for (Address child : children_) {
-    Message out;
-    out.from = address_;
-    out.to = child;
-    if (is_source()) {
-      const auto gen = rng_.below(encoder_->generations());
-      out.type = MessageType::kData;
-      out.wire = coding::serialize_stream(encoder_->emit(gen, rng_),
-                                          encoder_->structure());
-    } else if (auto wire = stream_.emit_wire(rng_)) {
-      out.type = MessageType::kData;
-      out.wire = std::move(*wire);
-    } else {
-      out.type = MessageType::kKeepalive;
-    }
-    net_->send(std::move(out));
+    net_->send(stream_.upload(address_, child, 0, rng_));
   }
 }
 

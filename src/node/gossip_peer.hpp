@@ -25,11 +25,10 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
-#include "coding/file_codec.hpp"
+#include "coding/structure.hpp"
 #include "node/message.hpp"
 #include "node/stream_state.hpp"
 #include "node/transport.hpp"
@@ -67,7 +66,7 @@ class GossipPeer : public Endpoint {
              std::size_t symbols);
 
   Address address() const { return address_; }
-  bool is_source() const { return encoder_.has_value(); }
+  bool is_source() const { return stream_.is_source(); }
   bool crashed() const { return crashed_; }
   bool departed() const { return departed_; }
 
@@ -76,13 +75,11 @@ class GossipPeer : public Endpoint {
   std::size_t view_size() const { return view_.size(); }
   std::uint64_t reacquisitions() const { return reacquisitions_; }
 
-  bool decoded() const { return is_source() || stream_.decoded(); }
-  bool verification_enabled() const {
-    return is_source() ? !key_bundles_.empty() : stream_.verification_enabled();
-  }
+  bool decoded() const { return stream_.decoded(); }
+  bool verification_enabled() const { return stream_.verification_enabled(); }
   std::size_t rank() const { return stream_.rank(); }
   /// Reconstructed (or original, for the source) content.
-  std::vector<std::uint8_t> data() const;
+  std::vector<std::uint8_t> data() const { return stream_.data(); }
   /// Time the stream reached full rank (-1 if not decoded).
   double decode_time() const { return decode_time_; }
 
@@ -124,12 +121,11 @@ class GossipPeer : public Endpoint {
   double last_sample_ = 0.0;
   std::uint64_t reacquisitions_ = 0;
 
+  /// The stream, as its source or a relay. Its announcement — plan,
+  /// structure and the null-key bundles the source generated — is handed
+  /// from parent to child inside every slot grant (trust flows with the
+  /// slots).
   StreamState stream_;
-  std::optional<coding::FileEncoder> encoder_;  // source role
-  std::vector<std::uint8_t> content_;           // source role
-  /// Serialized null-key bundles; generated by the source, then handed from
-  /// parent to child inside every slot grant (trust flows with the slots).
-  std::vector<std::vector<std::uint8_t>> key_bundles_;
 
   Transport* net_ = nullptr;
   sim::Scheduler* engine_ = nullptr;

@@ -61,8 +61,9 @@ struct Message {
   // Stream coding-structure descriptor (how each generation is mixed —
   // coding::StructureSpec on the wire). The zero values describe plain dense
   // RLNC (band_width 0 = full generation), so pre-structure senders and
-  // receivers interoperate unchanged. Receivers rebuild the geometry through
-  // coding::make_structure(), which treats nonsense as data and refuses it.
+  // receivers interoperate unchanged. StreamState::announce() is the one
+  // writer of these fields and StreamState::initialize() the one reader; it
+  // treats a nonsense descriptor as data and refuses it.
   std::uint8_t structure_kind = 0;   ///< coding::StructureKind byte
   std::uint16_t band_width = 0;      ///< band/class width; 0 = dense
   std::uint8_t structure_wrap = 0;   ///< banded: bands may wrap past g

@@ -1,8 +1,16 @@
 #pragma once
-// The server endpoint: runs the hello / good-bye / repair protocols as real
-// message exchanges, maintains the thread matrix, and streams a complete
+// The server endpoint: carries out the hello / good-bye / repair and
+// congestion protocols as real message exchanges, and streams a complete
 // multi-generation content object on the threads it still feeds directly.
 // This is the component a deployment would run on the content origin.
+//
+// It is a thin message adapter over the two modules that own the decisions:
+// an overlay::CurtainServer owns the thread matrix and every membership pick
+// (each hello, good-bye, conviction, repair, offload and restore is one call
+// on it), and a StreamState owns the origin — encoder, null keys, the stream
+// announcement in each accept, and every upload. What stays here are the
+// messages that carry each decision out (accept, attach/detach, column
+// dropped/added), the timers, and the trace spans.
 //
 // start() schedules the endpoint on a kernel Scheduler (its lane of the
 // sharded engine) — a periodic emit timer plus one cancellable repair timer
@@ -13,12 +21,11 @@
 #include <optional>
 #include <vector>
 
-#include "coding/file_codec.hpp"
-#include "coding/null_keys.hpp"
-#include "gf/gf256.hpp"
+#include "coding/structure.hpp"
 #include "node/message.hpp"
+#include "node/stream_state.hpp"
 #include "node/transport.hpp"
-#include "overlay/thread_matrix.hpp"
+#include "overlay/curtain_server.hpp"
 #include "sim/event_engine.hpp"
 #include "util/rng.hpp"
 
@@ -44,12 +51,14 @@ class ServerNode : public Endpoint {
   /// generations per the config.
   ServerNode(ServerConfig config, std::vector<std::uint8_t> data);
 
-  const overlay::ThreadMatrix& matrix() const { return matrix_; }
+  const overlay::ThreadMatrix& matrix() const { return curtain_.matrix(); }
   const ServerConfig& config() const { return config_; }
-  const coding::GenerationPlan& plan() const { return encoder_.plan(); }
+  const coding::GenerationPlan& plan() const { return stream_.plan(); }
 
   /// The original content (for end-to-end verification in tests).
-  const std::vector<std::uint8_t>& data() const { return data_; }
+  const std::vector<std::uint8_t>& data() const {
+    return stream_.source_data();
+  }
 
   /// Attaches to the transport and schedules the emit loop.
   void start(sim::Scheduler& engine, AttachableTransport& net);
@@ -58,7 +67,7 @@ class ServerNode : public Endpoint {
   void on_message(const Message& m) override;
 
   /// Number of repairs executed so far.
-  std::uint64_t repairs_done() const { return repairs_done_; }
+  std::uint64_t repairs_done() const { return curtain_.stats().repairs; }
   /// Time the most recent repair completed (-1 if none yet) — the repair
   /// convergence measurement bench_control_loss sweeps.
   double last_repair_time() const { return last_repair_time_; }
@@ -72,15 +81,22 @@ class ServerNode : public Endpoint {
   /// `span` is the causal span the accept rides (the hello's span, so the
   /// join episode's request and response share one id).
   void send_accept(Address addr, overlay::ThreadSpan columns, obs::SpanId span);
+  /// Points `parent`'s feed on `column` at `child` (nullopt: stop feeding).
+  /// The server's own feeds change in place; a client's by an attach or
+  /// detach order tagged with `span`.
+  void rewire(Address parent, overlay::ColumnId column,
+              std::optional<Address> child, obs::SpanId span);
 
-  /// Performs the good-bye steps for `addr` (used by both graceful leaves
-  /// and repairs): for each of its columns, rewires the previous clipper to
-  /// the next one, then deletes the row. `span` tags the rewiring messages
-  /// (the repair span during a repair, the good-bye's span on a leave).
-  void splice_out(Address addr, obs::SpanId span = obs::kNoSpan);
+  /// The good-bye steps for `addr` (a graceful leave, or a repair on its
+  /// behalf): for each of its columns, rewires the previous clipper to the
+  /// next one, then deletes the row through CurtainServer::leave or
+  /// CurtainServer::repair. `span` tags the rewiring messages and the
+  /// membership event (the good-bye's span on a leave, the repair span
+  /// during a repair).
+  void splice_out(Address addr, obs::SpanId span, bool repair);
   void finish_repair(Address addr);
 
-  /// Emits one coded packet per directly-fed column.
+  /// Sends one upload per directly-fed column.
   void emit_direct();
   void event_tick();
 
@@ -91,19 +107,16 @@ class ServerNode : public Endpoint {
                                          overlay::ColumnId column) const;
 
   ServerConfig config_;
-  overlay::ThreadMatrix matrix_;
-  /// Membership draws only (join/offload/restore thread picks). Seeded with
-  /// the raw config seed and touched by nothing else, so the pick sequence
-  /// matches a CurtainServer built with Rng(seed) call for call — the
-  /// cross-plane equivalence the Lemma 1 test pins down.
-  Rng membership_rng_;
+  /// The membership owner: append policy, seeded with the raw config seed
+  /// and touched by nothing else, so the matrix matches a CurtainServer
+  /// built with Rng(seed) and fed the same calls — the cross-plane
+  /// equivalence the Lemma 1 tests pin down.
+  overlay::CurtainServer curtain_;
   /// Data-plane draws (generation choice + coding coefficients), decoupled
   /// from membership so emission volume cannot shift topology decisions.
   Rng emit_rng_;
-  std::vector<std::uint8_t> data_;
-  coding::FileEncoder encoder_;
-  /// Serialized null-key bundles, one per generation (empty if disabled).
-  std::vector<std::vector<std::uint8_t>> key_bundles_;
+  /// The origin: encoder, null keys, announcement and uploads.
+  StreamState stream_;
   /// Columns the server currently feeds directly: column -> child address.
   std::map<overlay::ColumnId, Address> direct_children_;
   /// One cancellable repair timer per failed node.
@@ -115,7 +128,6 @@ class ServerNode : public Endpoint {
   Transport* net_ = nullptr;
   sim::Scheduler* engine_ = nullptr;
   sim::TimerHandle emit_timer_{};
-  std::uint64_t repairs_done_ = 0;
   double last_repair_time_ = -1.0;
 };
 

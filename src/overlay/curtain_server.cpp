@@ -22,6 +22,7 @@ struct ServerCounters {
   obs::Histogram& repair_ns = obs::metrics().histogram("server.repair_ns");
 
   static ServerCounters& get() {
+    // ncast:shared(holds internally synchronized obs::Counter references; magic-static init is thread-safe)
     static ServerCounters c;
     return c;
   }
@@ -52,12 +53,18 @@ std::vector<ColumnId> CurtainServer::pick_threads(std::uint32_t degree) {
 }
 
 JoinTicket CurtainServer::join(std::optional<std::uint32_t> degree) {
+  return join_as(next_id_++, degree);
+}
+
+JoinTicket CurtainServer::join_as(NodeId node,
+                                  std::optional<std::uint32_t> degree,
+                                  obs::SpanId span) {
   const std::uint32_t d = degree.value_or(default_degree_);
   if (d == 0 || d > matrix_.k()) {
     throw std::invalid_argument("CurtainServer::join: need 1 <= d <= k");
   }
   JoinTicket ticket;
-  ticket.node = next_id_++;
+  ticket.node = node;
   ticket.threads = pick_threads(d);
   if (policy_ == InsertPolicy::kRandomPosition) {
     matrix_.insert_row_below(random_anchor(), ticket.node, ticket.threads);
@@ -72,11 +79,11 @@ JoinTicket CurtainServer::join(std::optional<std::uint32_t> degree) {
   ServerCounters::get().joins.inc();
   ServerCounters::get().control.inc(2 + ticket.parents.size());
   obs::trace().emit(obs::TraceKind::kJoin, ticket.node, d,
-                    ticket.parents.size());
+                    ticket.parents.size(), {}, span);
   return ticket;
 }
 
-void CurtainServer::leave(NodeId node) {
+void CurtainServer::leave(NodeId node, obs::SpanId span) {
   if (!matrix_.contains(node)) throw std::out_of_range("CurtainServer::leave");
   const auto parents = matrix_.parents(node);
   const auto children = matrix_.children(node);
@@ -88,10 +95,10 @@ void CurtainServer::leave(NodeId node) {
   ServerCounters::get().leaves.inc();
   ServerCounters::get().control.inc(1 + parents.size() + children.size());
   obs::trace().emit(obs::TraceKind::kLeave, node, parents.size(),
-                    children.size());
+                    children.size(), {}, span);
 }
 
-void CurtainServer::report_failure(NodeId node) {
+void CurtainServer::report_failure(NodeId node, obs::SpanId span) {
   if (!matrix_.contains(node)) throw std::out_of_range("CurtainServer::report_failure");
   if (matrix_.row(node).failed) return;  // duplicate complaints are idempotent
   const auto children = matrix_.children(node);
@@ -102,10 +109,11 @@ void CurtainServer::report_failure(NodeId node) {
   stats_.control_messages += std::max<std::size_t>(children.size(), 1);
   ServerCounters::get().failures.inc();
   ServerCounters::get().control.inc(std::max<std::size_t>(children.size(), 1));
-  obs::trace().emit(obs::TraceKind::kCrash, node, children.size());
+  obs::trace().emit(obs::TraceKind::kCrash, node, children.size(), 0, {},
+                    span);
 }
 
-void CurtainServer::repair(NodeId node) {
+void CurtainServer::repair(NodeId node, obs::SpanId span) {
   if (!matrix_.contains(node)) throw std::out_of_range("CurtainServer::repair");
   if (!matrix_.row(node).failed) {
     throw std::logic_error("CurtainServer::repair: node not marked failed");
@@ -120,7 +128,7 @@ void CurtainServer::repair(NodeId node) {
   ServerCounters::get().repairs.inc();
   ServerCounters::get().control.inc(parents.size() + children.size());
   obs::trace().emit(obs::TraceKind::kRepair, node, parents.size(),
-                    children.size());
+                    children.size(), {}, span);
 }
 
 std::optional<ColumnId> CurtainServer::congestion_offload(NodeId node) {

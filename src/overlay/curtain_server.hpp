@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "overlay/thread_matrix.hpp"
 #include "util/rng.hpp"
 
@@ -42,7 +43,11 @@ struct JoinTicket {
 };
 
 /// The server. All mutation goes through protocol methods so that the stats
-/// faithfully count what a real deployment's control plane would carry.
+/// faithfully count what a real deployment's control plane would carry. The
+/// message-plane node::ServerNode runs its membership through one of these,
+/// so every join, leave, repair and congestion decision has one owner; the
+/// optional `span` arguments tag the trace events with the message episode
+/// (join exchange, good-bye, complaint/repair cycle) that caused them.
 class CurtainServer {
  public:
   /// `k` threads; `default_degree` is the d used when join() is called
@@ -57,21 +62,28 @@ class CurtainServer {
   InsertPolicy policy() const { return policy_; }
 
   /// Hello protocol: picks `degree` distinct random threads, places the row
-  /// per the insert policy, and notifies the parents to start sending.
+  /// per the insert policy, and notifies the parents to start sending. The
+  /// node gets the next sequential id (0, 1, 2, ...).
   JoinTicket join(std::optional<std::uint32_t> degree = std::nullopt);
+
+  /// join() under a caller-chosen id (a message-plane address). Throws
+  /// invalid_argument if `node` is already a row. Callers that mix this with
+  /// join() must keep the two id ranges apart.
+  JoinTicket join_as(NodeId node, std::optional<std::uint32_t> degree,
+                     obs::SpanId span = obs::kNoSpan);
 
   /// Good-bye protocol: the leaving node's parents are redirected to its
   /// children, then the row is deleted (Lemma 1: the network distribution is
   /// as if the node never joined).
-  void leave(NodeId node);
+  void leave(NodeId node, obs::SpanId span = obs::kNoSpan);
 
   /// A node stopped responding: children complain, the server tags the row.
   /// The row stays (threads broken) until `repair` runs.
-  void report_failure(NodeId node);
+  void report_failure(NodeId node, obs::SpanId span = obs::kNoSpan);
 
   /// Repair procedure: performs the steps of the good-bye protocol on behalf
   /// of the failed node, then deletes its row.
-  void repair(NodeId node);
+  void repair(NodeId node, obs::SpanId span = obs::kNoSpan);
 
   /// Congestion offload (Section 5): the node drops one random thread,
   /// joining its parent and child on that column directly.

@@ -77,7 +77,9 @@ std::vector<ColumnId> gossip_discover(const ThreadMatrix& m, std::uint32_t d,
   }
 
   std::sort(chosen.begin(), chosen.end());
+  // ncast:shared(reference to a registry counter, which is internally synchronized; magic-static init is thread-safe)
   static obs::Counter& msg_ctr = obs::metrics().counter("gossip.discovery_messages");
+  // ncast:shared(reference to a registry histogram, which locks internally; magic-static init is thread-safe)
   static obs::Histogram& msg_hist = obs::metrics().histogram("gossip.messages_per_join");
   msg_ctr.inc(messages);
   msg_hist.observe(static_cast<double>(messages));

@@ -1,9 +1,8 @@
 #pragma once
 // Shared coded-packet free list. Buffers cycle sender -> in-flight ->
-// absorb -> pool, so a steady-state simulation (or endpoint) performs no
+// absorb -> pool, so a steady-state simulation performs no
 // per-packet allocation: emit_into()/deserialization fill whatever capacity
-// a recycled packet already carries. Used by the scenario runner (and hence
-// both public simulators) and by node::StreamState.
+// a recycled packet already carries. Used by the scenario runner.
 
 #include <utility>
 #include <vector>
@@ -32,25 +31,6 @@ class PacketPool {
 
  private:
   std::vector<Packet> free_;
-};
-
-/// RAII lease: acquires on construction, releases on destruction. For code
-/// paths with early returns (e.g. emit attempts that produce nothing).
-template <typename Field>
-class PacketLease {
- public:
-  explicit PacketLease(PacketPool<Field>& pool)
-      : pool_(pool), packet_(pool.acquire()) {}
-  ~PacketLease() { pool_.release(std::move(packet_)); }
-  PacketLease(const PacketLease&) = delete;
-  PacketLease& operator=(const PacketLease&) = delete;
-
-  coding::CodedPacket<Field>& operator*() { return packet_; }
-  coding::CodedPacket<Field>* operator->() { return &packet_; }
-
- private:
-  PacketPool<Field>& pool_;
-  coding::CodedPacket<Field> packet_;
 };
 
 }  // namespace ncast::sim

@@ -158,12 +158,12 @@ TEST(LintHotPath, UnbalancedRegionFires) {
 
 TEST(LintHeader, PragmaOnceAndUsingNamespace) {
   const std::string text = "using namespace std;\nint x = 0;\n";
-  const auto fs = lint("src/overlay/x.hpp", text);
+  const auto fs = lint("src/graph/x.hpp", text);
   EXPECT_EQ(rules_of(fs, false),
             (std::vector<std::string>{"header.pragma_once",
                                       "header.using_namespace"}));
   // Source files are exempt from header hygiene.
-  EXPECT_TRUE(lint("src/overlay/x.cpp", text).empty());
+  EXPECT_TRUE(lint("src/graph/x.cpp", text).empty());
 }
 
 TEST(LintObs, MetricNamesMustBeDottedSnakeCase) {
@@ -227,10 +227,12 @@ TEST(LintMasking, CommentsAndStringsAreInert) {
 }
 
 TEST(LintConcurrency, SharedMutableStaticFires) {
-  const auto fs =
-      lint("src/sim/x.cpp", "void f() { static int calls = 0; ++calls; }\n");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "concurrency.shared_mutable_state");
+  for (const char* path : {"src/sim/x.cpp", "src/overlay/x.cpp"}) {
+    const auto fs =
+        lint(path, "void f() { static int calls = 0; ++calls; }\n");
+    ASSERT_EQ(fs.size(), 1u) << path;
+    EXPECT_EQ(fs[0].rule, "concurrency.shared_mutable_state") << path;
+  }
   // The same code is fine outside shard scope (not worker-executed).
   EXPECT_TRUE(
       lint("src/coding/x.cpp", "void f() { static int c = 0; ++c; }\n")

@@ -1,5 +1,6 @@
-// Unit tests for the shared endpoint stream state (plan bootstrap, wire
-// absorb/emit, verification hooks, reassembly).
+// Unit tests for the shared endpoint stream state (origin setup, the stream
+// announcement, plan bootstrap, wire absorb/emit, verification hooks,
+// reassembly).
 
 #include "node/stream_state.hpp"
 
@@ -12,6 +13,8 @@
 namespace ncast {
 namespace {
 
+using node::Message;
+using node::MessageType;
 using node::StreamState;
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, Rng& rng) {
@@ -259,6 +262,113 @@ TEST(StreamState, PartialKeyBundlesDisableVerification) {
   EXPECT_FALSE(s.verification_enabled());
   s.install_keys({{1, 2, 3}, {4, 5, 6}});  // right count, malformed
   EXPECT_FALSE(s.verification_enabled());
+}
+
+/// An origin over 300 random bytes at g = 8 with 8-byte symbols (5
+/// generations) and two null keys per generation, and its announcement.
+struct Announced {
+  explicit Announced(const coding::StructureSpec& spec) {
+    Rng rng(11);
+    origin.initialize_source(random_bytes(300, rng), 8, 8, spec, 2, rng);
+    accept.type = MessageType::kJoinAccept;
+    origin.announce(accept);
+  }
+  StreamState origin;
+  Message accept;
+};
+
+TEST(StreamState, AnnouncementRoundTrip) {
+  // announce() is the one writer and initialize(const Message&) the one
+  // reader of the stream announcement: a receiver set up from an origin's
+  // accept agrees on plan, structure and verification, and decodes the
+  // origin's uploads byte-identically.
+  for (const auto& spec : {coding::StructureSpec::dense(),
+                           coding::StructureSpec::banded(3, true),
+                           coding::StructureSpec::overlapping(4, 1)}) {
+    Announced a(spec);
+    ASSERT_TRUE(a.origin.is_source());
+    ASSERT_TRUE(a.origin.decoded());
+    StreamState receiver;
+    ASSERT_TRUE(receiver.initialize(a.accept));
+    EXPECT_FALSE(receiver.is_source());
+    EXPECT_EQ(receiver.plan().data_size, a.origin.plan().data_size);
+    EXPECT_EQ(receiver.plan().generations, a.origin.plan().generations);
+    EXPECT_EQ(receiver.plan().generation_size,
+              a.origin.plan().generation_size);
+    EXPECT_EQ(receiver.plan().symbols, a.origin.plan().symbols);
+    EXPECT_EQ(receiver.structure(), a.origin.structure());
+    EXPECT_TRUE(a.origin.verification_enabled());
+    EXPECT_TRUE(receiver.verification_enabled());
+
+    // A relay forwards exactly the announcement it verified.
+    Message grant;
+    receiver.announce(grant);
+    EXPECT_EQ(grant.key_bundles, a.accept.key_bundles);
+    EXPECT_EQ(grant.structure_kind, a.accept.structure_kind);
+    EXPECT_EQ(grant.band_width, a.accept.band_width);
+
+    Rng rng(12);
+    std::size_t sent = 0;
+    while (!receiver.decoded()) {
+      ASSERT_LT(++sent, 4000u);
+      const Message up = a.origin.upload(node::kServerAddress, 1, 2, rng);
+      ASSERT_EQ(up.type, MessageType::kData);
+      EXPECT_EQ(up.to, 1u);
+      EXPECT_EQ(up.column, 2u);
+      ASSERT_TRUE(receiver.absorb_wire(up.wire));
+    }
+    EXPECT_EQ(receiver.data(), a.origin.data());
+    EXPECT_EQ(receiver.data(), a.origin.source_data());
+  }
+}
+
+TEST(StreamState, UploadIsAKeepaliveUntilTheRelayHasData) {
+  Announced a(coding::StructureSpec::dense());
+  StreamState relay;
+  ASSERT_TRUE(relay.initialize(a.accept));
+  Rng rng(13);
+  const Message idle = relay.upload(5, 6, 1, rng);
+  EXPECT_EQ(idle.type, MessageType::kKeepalive);
+  EXPECT_TRUE(idle.wire.empty());
+  ASSERT_TRUE(relay.absorb_wire(a.origin.upload(0, 5, 1, rng).wire));
+  EXPECT_EQ(relay.upload(5, 6, 1, rng).type, MessageType::kData);
+}
+
+TEST(StreamState, AnnouncementRefusesNonsenseDescriptors) {
+  // Each corrupted announcement leaves the receiver uninitialized.
+  const auto refused = [](const char* what, auto corrupt) {
+    Announced a(coding::StructureSpec::overlapping(4, 1));
+    corrupt(a.accept);
+    StreamState receiver;
+    EXPECT_FALSE(receiver.initialize(a.accept)) << what;
+    EXPECT_FALSE(receiver.initialized()) << what;
+  };
+  refused("kind byte 3", [](Message& m) { m.structure_kind = 3; });
+  refused("band width > g", [](Message& m) { m.band_width = 9; });
+  refused("overlap >= width", [](Message& m) { m.class_overlap = 4; });
+  refused("wrap on a non-banded kind", [](Message& m) {
+    m.structure_wrap = 1;
+  });
+  refused("gen_count disagrees with the plan", [](Message& m) {
+    m.gen_count += 1;
+  });
+}
+
+TEST(StreamState, MalformedKeyBundlesOnlyTurnVerificationOff) {
+  Announced a(coding::StructureSpec::banded(3, true));
+  for (const auto& bundles :
+       {std::vector<std::vector<std::uint8_t>>{{1, 2, 3}},
+        std::vector<std::vector<std::uint8_t>>(5, {1, 2, 3})}) {
+    Message m = a.accept;
+    m.key_bundles = bundles;
+    StreamState receiver;
+    ASSERT_TRUE(receiver.initialize(m));
+    EXPECT_TRUE(receiver.initialized());
+    EXPECT_FALSE(receiver.verification_enabled());
+    Message grant;
+    receiver.announce(grant);
+    EXPECT_TRUE(grant.key_bundles.empty());
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 namespace ncast {
@@ -148,6 +149,85 @@ TEST(Structure, MatchesPacketOverlapped) {
   EXPECT_FALSE(s.matches_packet(1, 8, 0));                // wrong offset
   EXPECT_FALSE(s.matches_packet(0, 7, 0));                // wrong width
   EXPECT_FALSE(s.matches_packet(6, 8, 0));  // class 1's placement, class 0's id
+}
+
+/// The factory for `kind`, fed the descriptor fields that factory takes;
+/// nullopt for an unknown kind or when the factory throws.
+std::optional<GenerationStructure> from_factory(std::uint8_t kind,
+                                                std::size_t g,
+                                                std::size_t width, bool wrap,
+                                                std::size_t overlap) {
+  try {
+    switch (kind) {
+      case 0: return GenerationStructure::dense(g);
+      case 1: return GenerationStructure::banded(g, width, wrap);
+      case 2: return GenerationStructure::overlapping(g, width, overlap);
+      default: return std::nullopt;
+    }
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+TEST(Structure, MakeStructureRefusesExactlyWhatFactoriesReject) {
+  // make_structure reads untrusted wire descriptors; it must accept exactly
+  // the geometries the factories build, after two normalizations: width 0
+  // means the full generation, and wrap is dropped at full width. A field
+  // the kind's factory does not take (dense width, overlap outside classes,
+  // wrap outside bands) must be zero.
+  std::size_t accepted = 0;
+  for (std::uint8_t kind = 0; kind <= 3; ++kind) {
+    for (std::size_t g = 0; g <= 6; ++g) {
+      for (std::size_t width = 0; width <= g + 1; ++width) {
+        for (const bool wrap : {false, true}) {
+          for (std::size_t overlap = 0; overlap <= 3; ++overlap) {
+            const std::size_t w = width == 0 ? g : width;
+            auto want = from_factory(kind, g, w, wrap, overlap);
+            if (want && (want->band_width != w || want->overlap != overlap ||
+                         want->wrap != (wrap && w < g))) {
+              want.reset();
+            }
+            const auto got =
+                coding::make_structure(kind, g, width, wrap, overlap);
+            SCOPED_TRACE(testing::Message()
+                         << "kind " << int(kind) << " g " << g << " width "
+                         << width << " wrap " << wrap << " overlap "
+                         << overlap);
+            ASSERT_EQ(got.has_value(), want.has_value());
+            if (!got) continue;
+            EXPECT_EQ(*got, *want);
+            EXPECT_EQ(got->invalid_reason(), nullptr);
+            ++accepted;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+
+  // The normalizations, spelled out.
+  EXPECT_EQ(coding::make_structure(0, 8, 0, false, 0),
+            GenerationStructure::dense(8));
+  EXPECT_EQ(coding::make_structure(1, 8, 8, true, 0),
+            GenerationStructure::banded(8, 8));
+  EXPECT_FALSE(coding::make_structure(1, 8, 8, true, 0)->wrap);
+}
+
+TEST(Structure, ValidateThrowsTheInvalidReason) {
+  GenerationStructure s = GenerationStructure::banded(8, 4);
+  EXPECT_EQ(s.invalid_reason(), nullptr);
+  EXPECT_NO_THROW(s.validate());
+  s.overlap = 1;  // overlap without classes
+  ASSERT_NE(s.invalid_reason(), nullptr);
+  try {
+    s.validate();
+    ADD_FAILURE() << "validate() accepted " << s.invalid_reason();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), s.invalid_reason());
+  }
+  s = GenerationStructure::dense(4);
+  s.kind = static_cast<StructureKind>(3);
+  EXPECT_NE(s.invalid_reason(), nullptr);
 }
 
 TEST(Structure, EqualityAndNames) {

@@ -59,8 +59,8 @@ const TokenRule kUnseededRng = {
     "default-seeded RNG construction bypasses RngStreams; derive every "
     "stream from the run seed"};
 
-// Shard-concurrency rules, applied in src/sim and src/node (the code that
-// executes on ShardedEngine workers).
+// Shard-concurrency rules, applied in src/sim, src/overlay and src/node (the
+// code that executes on ShardedEngine workers).
 const TokenRule kThreadAmbient = {
     "concurrency.thread_ambient",
     R"(\bthis_thread\b|\bpthread_self\b|\bgettid\s*\(|\bthread\s*::\s*id\b|\bget_id\s*\()",
@@ -290,8 +290,8 @@ class FileLinter {
         if (!starts_with(rel_, "src/util/")) {
           check_token(kUnseededRng, code, ln);
         }
-        if (unordered_scope_) check_unordered_iteration(code, ln);
         if (shard_scope_) {
+          check_unordered_iteration(code, ln);
           check_token(kThreadAmbient, code, ln);
           check_pointer_keyed(code, ln);
           check_shared_state(code, i, ln);
@@ -353,17 +353,17 @@ class FileLinter {
     const auto dot = rel_.find_last_of('.');
     const std::string ext = dot == std::string::npos ? "" : rel_.substr(dot);
     is_header_ = ext == ".hpp" || ext == ".h" || ext == ".ipp";
-    unordered_scope_ = starts_with(rel_, "src/sim/") ||
-                       starts_with(rel_, "src/overlay/") ||
-                       starts_with(rel_, "src/node/");
-    shard_scope_ =
-        starts_with(rel_, "src/sim/") || starts_with(rel_, "src/node/");
+    // The code ShardedEngine workers run: the unordered-iteration rule and
+    // the shard-concurrency rules share this scope.
+    shard_scope_ = starts_with(rel_, "src/sim/") ||
+                   starts_with(rel_, "src/overlay/") ||
+                   starts_with(rel_, "src/node/");
   }
 
   /// Best-effort collection of identifiers declared with an unordered
   /// container type anywhere in the file (members, locals, parameters).
   void collect_unordered_ids() {
-    if (!unordered_scope_) return;
+    if (!shard_scope_) return;
     std::string joined;
     for (const auto& l : sc_.code) {
       joined += l;
@@ -684,7 +684,6 @@ class FileLinter {
   const Scanned& sc_;
   const std::size_t lines_;
   bool is_header_ = false;
-  bool unordered_scope_ = false;
   bool shard_scope_ = false;
   AllowMap allows_;
   std::set<std::string> unordered_ids_;

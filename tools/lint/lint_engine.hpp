@@ -17,10 +17,10 @@
 //                    be cycle-free; violations carry the include chain. No
 //                    src/ file may be an orphan: something under bench/,
 //                    tools/, examples/ or ncbench/ must reach it.
-//   concurrency.*  — in src/sim and src/node (code reachable from
-//                    ShardedEngine workers): no unguarded mutable static or
-//                    namespace-scope state, no pointer-keyed ordered
-//                    containers, no thread-identity reads.
+//   concurrency.*  — in src/sim, src/overlay and src/node (code reachable
+//                    from ShardedEngine workers): no unguarded mutable
+//                    static or namespace-scope state, no pointer-keyed
+//                    ordered containers, no thread-identity reads.
 //   hot_path.*     — inside annotated hot regions no allocation, no
 //                    std::string construction, no throw.
 //   header.*       — #pragma once, no using-namespace in headers, quoted
