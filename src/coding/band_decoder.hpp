@@ -1,6 +1,7 @@
 #pragma once
 // Band decoder: pivot-compact elimination for dense and banded (non-wrap)
-// generation structures over linalg::BandBasis.
+// generation structures over linalg::BandBasis — the encoder-direct
+// decoder.
 //
 // Where the dense Decoder pays O(rank * (g + symbols)) per absorb against a
 // fully reduced basis, this decoder pays O(band * (band + symbols)): rows
@@ -10,6 +11,11 @@
 // sound). Innovation verdicts are exact, so on the same packet sequence this
 // decoder's innovative/redundant decisions — and its decoded output — are
 // bit-identical to Decoder's.
+//
+// It admits only encoder-shaped strips and does not recode, so it never
+// sits on a relay: a relay's buffer is a StructuredDecoder
+// (structured_decoder.hpp), which also absorbs the full-width rows that
+// recoding makes of a banded stream. The caller picks one of the two.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,8 +30,8 @@
 namespace ncast::coding {
 
 /// Decoder for one generation under a dense or banded (non-wrap) structure.
-/// Wrap-around bands break the contiguous-window invariant; route those to
-/// the dense policy instead (see structured_decoder.hpp).
+/// Wrap-around bands break the contiguous-window invariant; decode those
+/// with a StructuredDecoder.
 template <typename Field>
 class BandDecoder {
  public:

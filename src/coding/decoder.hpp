@@ -78,20 +78,33 @@ class Decoder {
   }
 
   /// Absorbs a pre-validated raw row: `coeffs` (g entries) and `payload`
-  /// (symbols entries) already laid out by the caller. Counted like
-  /// absorb(); used by it and by the structured decoders (band offset /
-  /// class routing happens there, shape checks included). A complete
-  /// decoder rejects in O(1) — nothing is innovative at full rank, and
-  /// relays keep receiving long after they decode.
+  /// (symbols entries) already laid out by the caller. The full-width case
+  /// of absorb_strip().
   bool absorb_row(const value_type* coeffs, const value_type* payload) {
+    return absorb_strip(0, coeffs, g_, payload);
+  }
+
+  /// Absorbs a pre-validated coefficient strip: `width` <= g entries, entry
+  /// j multiplying column cyclic_index(offset, j, g) (offset < g), plus
+  /// `symbols` payload entries. Counted like absorb(); the structured
+  /// decoder routes every packet here (band offset / class routing and
+  /// shape checks happen there). A complete decoder rejects in O(1) —
+  /// nothing is innovative at full rank, and relays keep receiving long
+  /// after they decode.
+  bool absorb_strip(std::size_t offset, const value_type* coeffs,
+                    std::size_t width, const value_type* payload) {
     if (complete()) return reject();
     ++received_;
     reg().received.inc();
     obs::ScopeTimer timer(reg().absorb_ns);
-    // Working row: [coeffs | payload] concatenated into the basis's scratch
-    // row — the arena slot the row will occupy if it proves innovative.
+    // Working row: [coeffs | payload] scattered straight into the basis's
+    // scratch row — the arena slot the row will occupy if it proves
+    // innovative.
     value_type* r = basis_.scratch_row();
-    std::copy(coeffs, coeffs + g_, r);
+    if (width < g_) std::fill(r, r + g_, value_type{0});
+    for (std::size_t j = 0; j < width; ++j) {
+      r[cyclic_index(offset, j, g_)] = coeffs[j];
+    }
     std::copy(payload, payload + symbols_, r + g_);
     if (!basis_.absorb()) {
       reg().redundant.inc();
@@ -103,9 +116,9 @@ class Decoder {
   }
 
   /// Absorbs the unit row e_col with the given payload — a decoded source
-  /// packet injected as side information (the overlap decoder hands decoded
-  /// boundary packets to neighboring classes this way). Not counted as a
-  /// received packet: it is internal propagation, not network traffic.
+  /// packet injected as side information (the structured decoder hands
+  /// decoded boundary packets to neighboring classes this way). Not counted
+  /// as a received packet: it is internal propagation, not network traffic.
   bool absorb_unit(std::size_t col, const value_type* payload) {
     value_type* r = basis_.scratch_row();
     std::fill(r, r + g_, value_type{0});
@@ -208,8 +221,8 @@ class Decoder {
   }
 
   /// Payload of the row pivoting on `index`, without copying; requires
-  /// recoverable(index). The overlap decoder reads decoded boundary packets
-  /// through this in its propagation loop (no per-symbol copies).
+  /// recoverable(index). The structured decoder reads decoded boundary
+  /// packets through this in its propagation loop (no per-symbol copies).
   const value_type* recovered_payload(std::size_t index) const {
     if (index >= g_) throw std::out_of_range("Decoder::recovered_payload");
     const std::size_t i = basis_.row_of_pivot(index);

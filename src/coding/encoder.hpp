@@ -123,8 +123,8 @@ class SourceEncoder {
     } while (p.is_degenerate());
     p.payload.assign(symbols_, value_type{0});
     for (std::size_t j = 0; j < width; ++j) {
-      const std::size_t i = offset + j < g ? offset + j : offset + j - g;
-      Field::region_madd(p.payload.data(), flat_.data() + i * symbols_,
+      Field::region_madd(p.payload.data(),
+                         flat_.data() + cyclic_index(offset, j, g) * symbols_,
                          p.coeffs[j], symbols_);
     }
   }

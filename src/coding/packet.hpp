@@ -11,12 +11,21 @@
 
 namespace ncast::coding {
 
+/// The placement rule of a coefficient strip: entry `j` of a strip placed at
+/// `offset` multiplies source packet (offset + j) mod g. Requires offset < g
+/// and j < g, so one conditional subtraction is the whole modulus.
+constexpr std::size_t cyclic_index(std::size_t offset, std::size_t j,
+                                   std::size_t g) {
+  const std::size_t i = offset + j;
+  return i < g ? i : i - g;
+}
+
 /// One coded packet of a generation. Under the dense structure
 /// `coeffs.size()` equals the generation size g and `band_offset`/`class_id`
 /// stay 0; under banded/overlapped structures (coding/structure.hpp) the
 /// coefficients are a compact strip of band_offset's band or class_id's
 /// class, and `coeffs[j]` multiplies source packet
-/// `(band_offset + j) mod g`. `payload.size()` is the number of field
+/// `cyclic_index(band_offset, j, g)`. `payload.size()` is the number of field
 /// symbols per packet in every case.
 template <typename Field>
 struct CodedPacket {

@@ -18,9 +18,9 @@
 //
 // A GenerationStructure is pure geometry: it is threaded through
 // SourceEncoder (placement draws), the wire format (band offset + compact
-// coefficients), and the decoder policies (which elimination strategy is
-// sound and fastest). See docs/performance.md ("generation structures &
-// decoder selection") for the frontier measurements.
+// coefficients), and the decoders (StructuredDecoder keeps one buffer per
+// class; BandDecoder eliminates within the band). See docs/performance.md
+// ("generation structures & decoders") for the frontier measurements.
 
 #include <cstddef>
 #include <cstdint>
@@ -126,7 +126,11 @@ struct GenerationStructure {
     }
   }
 
-  // --- overlapped-class geometry -----------------------------------------
+  // --- class geometry ----------------------------------------------------
+  // Every structure is a set of classes of consecutive source packets, and
+  // every coded packet mixes one class. Dense and banded structures are the
+  // one-class case: class 0 spans all g packets (a band is a placement
+  // within it, not a class of its own).
 
   /// Distance between consecutive class starts.
   std::size_t stride() const { return band_width - overlap; }
@@ -140,17 +144,18 @@ struct GenerationStructure {
   /// First source packet of class `c`.
   std::size_t class_begin(std::size_t c) const { return c * stride(); }
 
-  /// Width of class `c`; the last class is clipped at g but always keeps
-  /// more than `overlap` packets (so no class is a subset of its neighbor).
+  /// Width of class `c`: g for the one class of a dense or banded structure.
+  /// The last overlapped class is clipped at g but always keeps more than
+  /// `overlap` packets (so no class is a subset of its neighbor).
   std::size_t class_width(std::size_t c) const {
+    if (kind != StructureKind::kOverlapped) return g;
     const std::size_t begin = class_begin(c);
     return band_width < g - begin ? band_width : g - begin;
   }
 
   /// Classes whose range contains source packet `j`: [first, last] inclusive.
-  /// Only meaningful for overlapped structures.
   std::size_t first_class_of(std::size_t j) const {
-    if (j < band_width) return 0;
+    if (kind != StructureKind::kOverlapped || j < band_width) return 0;
     return (j - band_width) / stride() + 1;
   }
   std::size_t last_class_of(std::size_t j) const {

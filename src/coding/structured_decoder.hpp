@@ -1,48 +1,46 @@
 #pragma once
-// Decoder policies: which elimination strategy to run a generation structure
-// on, plus the StructuredDecoder facade that picks one and routes packets.
+// The relay buffer of one generation: one dense Decoder per class of the
+// generation structure, which both decodes and recodes.
 //
-//   kDense   ScatterDecoder — expands compact coefficient strips to dense
-//            g-wide rows and runs the original arena-backed Decoder. Sound
-//            for every structure (it is plain Gaussian elimination); the
-//            only policy that handles wrap-around bands, whose support is
-//            not a contiguous window.
-//   kBand    BandDecoder — pivot-compact banded elimination, O(w) per
-//            elimination step instead of O(g). Sound for dense and non-wrap
-//            banded structures.
-//   kOverlap OverlapDecoder — per-class dense sub-decoders with decoded
-//            boundary packets propagated between classes. Requires an
-//            overlapping structure.
-//   kAuto    select_policy(): the cheapest sound policy for the structure.
+// Following the overlapping-classes model ("Sparse Network Coding with
+// Overlapping Classes"; "Effects of the Generation Size and Overlap on
+// Throughput and Complexity in Randomized Linear Network Coding"), a
+// generation is a set of classes and every coded packet mixes one of them
+// (GenerationStructure's class geometry):
 //
-// Every policy produces exact innovation verdicts and exact decoded output,
-// so policy choice trades CPU only — never correctness or overhead. The
-// parity tests (tests/test_structured_codec.cpp) pin the policies against
-// each other bit-for-bit.
+//   dense, banded  one class spanning all g columns. A band strip, wrapping
+//                  or not, is scattered cyclically straight into the class's
+//                  scratch row (Decoder::absorb_strip), so this is plain
+//                  Gaussian elimination — sound for every band placement and
+//                  for the full-width rows relays emit on banded streams.
+//   overlapped     one class per structure class, absorb cost
+//                  O(class_rank * (class_size + symbols)). When a class pins
+//                  down a source packet its neighbors also cover, the decoded
+//                  packet is injected into those neighbors as a unit row
+//                  (side information); classes that gain rank are
+//                  re-examined, so the propagation cascades.
 //
-// The decoder is also the relay's recoding buffer (emit_into). How recoding
-// interacts with the structure:
+// Recoding (emit_into) mixes the rows of one class with data:
 //
 //   dense       the Decoder's own mix, draw for draw.
-//   banded      mixing two bands with different offsets widens the support,
-//               so recoding densifies banded codes — a known property of
-//               sparse network codes. A relay on a banded stream therefore
-//               runs the dense policy (select_stream_policy) and emits dense
-//               rows; banded decoding pays off on encoder-direct traffic, and
-//               the band policy never relays.
-//   overlapped  class-local mixing (OverlapDecoder::emit_into) preserves the
-//               structure exactly, so its sparsity survives every hop.
+//   banded      a full-width row: mixing bands at different offsets widens
+//               the support, so recoding densifies banded codes (a known
+//               property of sparse network codes). The stream admission
+//               rule (GenerationStructure::admits_packet) lets those rows
+//               back in downstream.
+//   overlapped  a class packet: class-local mixing preserves the structure,
+//               so its sparsity survives every hop. Boundary packets that
+//               propagation placed in a class are forwarded too.
+//
+// BandDecoder (band_decoder.hpp) is the encoder-direct alternative for
+// non-wrap banded traffic: cheaper elimination, but it neither admits relay
+// rows nor recodes. The caller chooses between the two.
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <type_traits>
-#include <variant>
 #include <vector>
 
-#include "coding/band_decoder.hpp"
 #include "coding/decoder.hpp"
-#include "coding/overlap_decoder.hpp"
 #include "coding/packet.hpp"
 #include "coding/structure.hpp"
 #include "obs/metrics.hpp"
@@ -50,127 +48,198 @@
 
 namespace ncast::coding {
 
-enum class DecoderPolicy : std::uint8_t {
-  kAuto = 0,
-  kDense = 1,
-  kBand = 2,
-  kOverlap = 3,
-};
-
-inline const char* to_string(DecoderPolicy policy) {
-  switch (policy) {
-    case DecoderPolicy::kAuto: return "auto";
-    case DecoderPolicy::kDense: return "dense";
-    case DecoderPolicy::kBand: return "band";
-    case DecoderPolicy::kOverlap: return "overlap";
-  }
-  return "?";
-}
-
-/// The cheapest sound policy for `s`.
-inline DecoderPolicy select_policy(const GenerationStructure& s) {
-  switch (s.kind) {
-    case StructureKind::kDense:
-      return DecoderPolicy::kDense;
-    case StructureKind::kBanded:
-      // Wrap-around bands are not contiguous windows; only the dense policy
-      // is sound for them.
-      return s.wrap ? DecoderPolicy::kDense : DecoderPolicy::kBand;
-    case StructureKind::kOverlapped:
-      return DecoderPolicy::kOverlap;
-  }
-  return DecoderPolicy::kDense;
-}
-
-/// The cheapest policy that is sound for a *stream* of `s`-structured
-/// traffic crossing recoding relays. Differs from select_policy() in one
-/// case: banded streams map to the dense policy, because recoding densifies
-/// banded codes — an overlay receive buffer sees mixed band strips and
-/// full-width relay rows, and the BandDecoder can neither absorb the latter
-/// nor recode. Encoder-direct consumers (no relays in the path) should keep
-/// select_policy(), which is where the banded speedup lives.
-inline DecoderPolicy select_stream_policy(const GenerationStructure& s) {
-  return s.kind == StructureKind::kBanded ? DecoderPolicy::kDense
-                                          : select_policy(s);
-}
-
-/// Dense-policy decoder for any structure: compact coefficient strips are
-/// scattered into a preallocated g-wide row (cyclically, so wrap-around
-/// bands work) and absorbed by the original dense Decoder.
+/// Decoder (and recoding buffer) for one generation under any structure.
 template <typename Field>
-class ScatterDecoder {
+class StructuredDecoder {
  public:
   using value_type = typename Field::value_type;
   using Packet = CodedPacket<Field>;
 
-  ScatterDecoder(std::uint32_t generation, const GenerationStructure& structure,
-                 std::size_t symbols)
-      : structure_(structure),
-        inner_(generation, structure.g, symbols),
-        expand_(structure.g, value_type{0}) {
+  StructuredDecoder(std::uint32_t generation,
+                    const GenerationStructure& structure, std::size_t symbols)
+      : generation_(generation), structure_(structure), symbols_(symbols) {
     structure_.validate();
+    if (symbols_ == 0) {
+      throw std::invalid_argument("StructuredDecoder: zero symbols");
+    }
+    const std::size_t classes = structure_.num_classes();
+    std::size_t total_width = 0;
+    classes_.reserve(classes);
+    for (std::size_t c = 0; c < classes; ++c) {
+      classes_.emplace_back(generation, structure_.class_width(c), symbols);
+      total_width += structure_.class_width(c);
+    }
+    // One class has nothing to propagate, so it carries no propagation
+    // state. Otherwise each stack push corresponds to one innovative row
+    // gained somewhere, so pushes per absorb() are bounded by the total
+    // class width.
+    if (classes > 1) {
+      done_.assign(structure_.g, 0);
+      stack_.reserve(total_width + 1);
+    }
   }
 
-  std::uint32_t generation() const { return inner_.generation(); }
+  std::uint32_t generation() const { return generation_; }
   const GenerationStructure& structure() const { return structure_; }
   std::size_t generation_size() const { return structure_.g; }
-  std::size_t symbols() const { return inner_.symbols(); }
-  std::size_t rank() const { return inner_.rank(); }
-  bool complete() const { return inner_.complete(); }
-  std::uint64_t packets_received() const { return inner_.packets_received() + rejected_; }
-  std::uint64_t packets_innovative() const { return inner_.packets_innovative(); }
-  std::uint64_t packets_redundant() const { return packets_received() - packets_innovative(); }
+  std::size_t symbols() const { return symbols_; }
+  std::size_t num_classes() const { return classes_.size(); }
+  const Decoder<Field>& class_decoder(std::size_t c) const {
+    return classes_[c];
+  }
 
-  // ncast:hot-begin — scatter + dense absorb, dense recode: no allocation,
-  // no throw.
+  bool complete() const {
+    for (const auto& d : classes_) {
+      if (!d.complete()) return false;
+    }
+    return true;
+  }
 
-  /// Consumes a packet; returns true iff it was innovative. Malformed
-  /// placements and stray generations are rejected as data. Admission uses
-  /// the stream rule (admits_packet), not the strict encoder shape: on a
-  /// banded stream this decoder is exactly where relay-densified full-width
-  /// rows end up, and plain Gaussian elimination absorbs them soundly.
+  /// Source packets already individually pinned down somewhere. Exact.
+  std::size_t decoded_count() const {
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < structure_.g; ++j) n += decoded(j) ? 1 : 0;
+    return n;
+  }
+
+  /// Rank toward the g unknowns; exact with one class. With several it is a
+  /// lower bound: summed class ranks minus the unit rows injected by
+  /// propagation (those restate information a class already had). Overlap
+  /// columns learned independently by two classes from the *network* are
+  /// still double-counted until propagation collapses them.
+  std::size_t rank() const {
+    std::size_t sum = 0;
+    for (const auto& d : classes_) sum += d.rank();
+    const std::size_t r = sum > injected_ ? sum - injected_ : 0;
+    return r < structure_.g ? r : structure_.g;
+  }
+
+  /// Packets ever offered to absorb(); innovative + redundant == received,
+  /// the redundant count including malformed/stray rejects.
+  std::uint64_t packets_received() const { return received_; }
+  std::uint64_t packets_innovative() const { return innovative_; }
+  std::uint64_t packets_redundant() const { return received_ - innovative_; }
+
+  // ncast:hot-begin — per-packet routed absorb + propagation drain and
+  // class-local recode: no allocation (buffers preallocated at
+  // construction), no throw.
+
+  /// Consumes a packet; returns true iff it was innovative for its class.
+  /// Admission is the stream rule (admits_packet): strips must match the
+  /// structure, and a banded stream also admits the full-width rows its
+  /// relays emit. Malformed placements and stray generations are rejected
+  /// as data. Routed packets are counted inside the class decoder
+  /// (Decoder::absorb_strip), so the process-wide decoder.* counters see
+  /// exactly one event per packet.
   bool absorb(const Packet& p) {
-    if (p.generation != inner_.generation() ||
-        p.payload.size() != inner_.symbols() ||
+    ++received_;
+    if (p.generation != generation_ || p.payload.size() != symbols_ ||
         !structure_.admits_packet(p.band_offset, p.coeffs.size(),
                                   p.class_id)) {
-      ++rejected_;
       reg().received.inc();
       reg().redundant.inc();
       return false;
     }
-    const std::size_t g = structure_.g;
-    const std::size_t width = p.coeffs.size();
-    if (p.band_offset == 0 && width == g) {
-      // Dense packet: no expansion needed — identical to Decoder::absorb.
-      return inner_.absorb_row(p.coeffs.data(), p.payload.data());
+    const std::size_t c = p.class_id;
+    if (!classes_[c].absorb_strip(p.band_offset - structure_.class_begin(c),
+                                  p.coeffs.data(), p.coeffs.size(),
+                                  p.payload.data())) {
+      return false;
     }
-    std::fill(expand_.begin(), expand_.end(), value_type{0});
-    for (std::size_t j = 0; j < width; ++j) {
-      const std::size_t i =
-          p.band_offset + j < g ? p.band_offset + j : p.band_offset + j - g;
-      expand_[i] = p.coeffs[j];
-    }
-    return inner_.absorb_row(expand_.data(), p.payload.data());
+    ++innovative_;
+    if (!done_.empty()) propagate(c);
+    return true;
   }
 
-  /// Recodes from the dense basis: always a dense row, whatever the stream's
-  /// structure (mixing densifies bands).
+  /// Writes a random recombination of one uniformly chosen class with data
+  /// into `out`, stamped with that class's placement. Returns false if
+  /// nothing has been received. No draw is spent when only one class has
+  /// data, so the one-class case is Decoder::emit_into draw for draw.
   bool emit_into(Packet& out, Rng& rng) const {
-    return inner_.emit_into(out, rng);
+    std::size_t with_data = 0;
+    for (const auto& d : classes_) with_data += d.rank() > 0 ? 1 : 0;
+    if (with_data == 0) return false;
+    std::size_t pick = with_data > 1 ? rng.below(with_data) : 0;
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      if (classes_[c].rank() == 0 || pick-- != 0) continue;
+      if (!classes_[c].emit_into(out, rng)) return false;
+      out.band_offset = static_cast<std::uint16_t>(structure_.class_begin(c));
+      out.class_id = static_cast<std::uint16_t>(c);
+      return true;
+    }
+    return false;
+  }
+
+ private:
+  /// Drains the propagation worklist starting from class `k`: any source
+  /// packet newly pinned down in a multiply-covered column is injected into
+  /// its other owner classes; classes that gain rank are re-examined.
+  void propagate(std::size_t k) {
+    stack_.push_back(k);  // ncast:allow(hot_path.alloc): capacity reserved at construction (total class width)
+    while (!stack_.empty()) {
+      const std::size_t c = stack_.back();
+      stack_.pop_back();
+      const std::size_t begin = structure_.class_begin(c);
+      const std::size_t width = structure_.class_width(c);
+      for (std::size_t j = begin; j < begin + width; ++j) {
+        if (done_[j]) continue;
+        const std::size_t first = structure_.first_class_of(j);
+        const std::size_t last = structure_.last_class_of(j);
+        if (first == last) continue;  // single-owner column: nothing to share
+        if (!classes_[c].recoverable(j - begin)) continue;
+        done_[j] = 1;
+        const value_type* payload = classes_[c].recovered_payload(j - begin);
+        for (std::size_t o = first; o <= last; ++o) {
+          if (o == c) continue;
+          if (classes_[o].absorb_unit(j - structure_.class_begin(o), payload)) {
+            ++injected_;
+            stack_.push_back(o);  // ncast:allow(hot_path.alloc): capacity reserved at construction (total class width)
+          }
+        }
+      }
+    }
   }
 
   // ncast:hot-end
 
+ public:
+  /// Recovered source packet `index`; requires complete().
   std::vector<value_type> source_packet(std::size_t index) const {
-    return inner_.source_packet(index);
+    if (!complete()) {
+      throw std::logic_error("StructuredDecoder::source_packet: rank deficient");
+    }
+    if (index >= structure_.g) {
+      throw std::out_of_range("StructuredDecoder::source_packet");
+    }
+    const std::size_t c = structure_.first_class_of(index);
+    return classes_[c].recover_packet(index - structure_.class_begin(c));
   }
+
+  /// All recovered source packets in order; requires complete().
   std::vector<std::vector<value_type>> source_packets() const {
-    return inner_.source_packets();
+    std::vector<std::vector<value_type>> out;
+    out.reserve(structure_.g);
+    for (std::size_t i = 0; i < structure_.g; ++i) {
+      out.push_back(source_packet(i));
+    }
+    return out;
   }
-  const Decoder<Field>& inner() const { return inner_; }
 
  private:
+  /// True iff source packet `j` is individually recoverable in some owner
+  /// class (recoverability never regresses, so a propagated column stays
+  /// recoverable where it was found).
+  bool decoded(std::size_t j) const {
+    const std::size_t first = structure_.first_class_of(j);
+    const std::size_t last = structure_.last_class_of(j);
+    for (std::size_t c = first; c <= last; ++c) {
+      if (classes_[c].recoverable(j - structure_.class_begin(c))) return true;
+    }
+    return false;
+  }
+
+  // Early-reject counting shares the process-wide decoder.* counters with
+  // Decoder (routed packets are counted by the class decoder itself).
   struct Instrumentation {
     obs::Counter& received = obs::metrics().counter("decoder.packets_received");
     obs::Counter& redundant = obs::metrics().counter("decoder.packets_redundant");
@@ -180,109 +249,15 @@ class ScatterDecoder {
     return instr;
   }
 
+  std::uint32_t generation_;
   GenerationStructure structure_;
-  Decoder<Field> inner_;
-  std::vector<value_type> expand_;  // preallocated dense coefficient row
-  std::uint64_t rejected_ = 0;      // early rejects not seen by inner_
-};
-
-/// Facade: one decoder for any structure, behind a policy choice.
-template <typename Field>
-class StructuredDecoder {
- public:
-  using value_type = typename Field::value_type;
-  using Packet = CodedPacket<Field>;
-
-  StructuredDecoder(std::uint32_t generation,
-                    const GenerationStructure& structure, std::size_t symbols,
-                    DecoderPolicy policy = DecoderPolicy::kAuto)
-      : policy_(policy == DecoderPolicy::kAuto ? select_policy(structure)
-                                               : policy),
-        impl_(make(generation, structure, symbols, policy_)) {}
-
-  DecoderPolicy policy() const { return policy_; }
-
-  bool absorb(const Packet& p) {
-    return std::visit([&](auto& d) { return d.absorb(p); }, impl_);
-  }
-  bool complete() const {
-    return std::visit([](const auto& d) { return d.complete(); }, impl_);
-  }
-  /// Rank toward the g unknowns. Exact for the dense and band policies;
-  /// see OverlapDecoder::rank() for the overlap caveat.
-  std::size_t rank() const {
-    return std::visit([](const auto& d) { return d.rank(); }, impl_);
-  }
-  std::size_t symbols() const {
-    return std::visit([](const auto& d) { return d.symbols(); }, impl_);
-  }
-  std::size_t generation_size() const {
-    return std::visit([](const auto& d) { return d.generation_size(); }, impl_);
-  }
-  const GenerationStructure& structure() const {
-    return std::visit(
-        [](const auto& d) -> const GenerationStructure& { return d.structure(); },
-        impl_);
-  }
-  std::uint64_t packets_received() const {
-    return std::visit([](const auto& d) { return d.packets_received(); }, impl_);
-  }
-  std::uint64_t packets_innovative() const {
-    return std::visit([](const auto& d) { return d.packets_innovative(); }, impl_);
-  }
-  std::uint64_t packets_redundant() const {
-    return std::visit([](const auto& d) { return d.packets_redundant(); }, impl_);
-  }
-  std::vector<value_type> source_packet(std::size_t index) const {
-    return std::visit([&](const auto& d) { return d.source_packet(index); },
-                      impl_);
-  }
-  std::vector<std::vector<value_type>> source_packets() const {
-    return std::visit([](const auto& d) { return d.source_packets(); }, impl_);
-  }
-
-  /// Writes a random recombination of what this decoder holds into `out`
-  /// (see the structure notes at the top of this file). Returns false if
-  /// nothing has been received, and always under the band policy, which
-  /// never relays.
-  bool emit_into(Packet& out, Rng& rng) const {
-    return std::visit(
-        [&](const auto& d) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(d)>,
-                                       BandDecoder<Field>>) {
-            return false;
-          } else {
-            return d.emit_into(out, rng);
-          }
-        },
-        impl_);
-  }
-
- private:
-  using Impl = std::variant<ScatterDecoder<Field>, BandDecoder<Field>,
-                            OverlapDecoder<Field>>;
-
-  static Impl make(std::uint32_t generation,
-                   const GenerationStructure& structure, std::size_t symbols,
-                   DecoderPolicy policy) {
-    switch (policy) {
-      case DecoderPolicy::kDense:
-        return Impl{std::in_place_type<ScatterDecoder<Field>>, generation,
-                    structure, symbols};
-      case DecoderPolicy::kBand:
-        return Impl{std::in_place_type<BandDecoder<Field>>, generation,
-                    structure, symbols};
-      case DecoderPolicy::kOverlap:
-        return Impl{std::in_place_type<OverlapDecoder<Field>>, generation,
-                    structure, symbols};
-      case DecoderPolicy::kAuto:
-        break;
-    }
-    throw std::invalid_argument("StructuredDecoder: unresolved policy");
-  }
-
-  DecoderPolicy policy_;
-  Impl impl_;
+  std::size_t symbols_;
+  std::uint64_t received_ = 0;
+  std::uint64_t innovative_ = 0;
+  std::size_t injected_ = 0;             // successful absorb_unit injections
+  std::vector<Decoder<Field>> classes_;  // one dense buffer per class
+  std::vector<std::uint8_t> done_;       // column already propagated?
+  std::vector<std::size_t> stack_;       // propagation worklist (preallocated)
 };
 
 }  // namespace ncast::coding

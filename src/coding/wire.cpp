@@ -174,28 +174,6 @@ std::optional<CodedPacket<Field>> deserialize(
 }
 
 template <typename Field>
-std::optional<CodedPacket<Field>> deserialize(
-    const std::vector<std::uint8_t>& bytes,
-    const GenerationStructure& structure) {
-  auto p = deserialize<Field>(bytes);
-  if (!p) return std::nullopt;
-  // The on-wire generation size and kind must agree with the receiver's
-  // structure, and the placement must actually exist under it (this is where
-  // out-of-range class ids and wrong band widths die).
-  const std::size_t g = get16(bytes.data() + 8);
-  if (g != structure.g) return std::nullopt;
-  if (bytes[2] == kWireVersionStructured &&
-      static_cast<StructureKind>(bytes[12]) != structure.kind) {
-    return std::nullopt;
-  }
-  if (!structure.matches_packet(p->band_offset, p->coeffs.size(),
-                                p->class_id)) {
-    return std::nullopt;
-  }
-  return p;
-}
-
-template <typename Field>
 std::vector<std::uint8_t> serialize_stream(
     const CodedPacket<Field>& p, const GenerationStructure& structure) {
   const bool dense_shaped = p.band_offset == 0 && p.class_id == 0 &&
@@ -243,10 +221,6 @@ template std::optional<CodedPacket<gf::Gf256>> deserialize<gf::Gf256>(
     const std::vector<std::uint8_t>&);
 template std::optional<CodedPacket<gf::Gf2_16>> deserialize<gf::Gf2_16>(
     const std::vector<std::uint8_t>&);
-template std::optional<CodedPacket<gf::Gf256>> deserialize<gf::Gf256>(
-    const std::vector<std::uint8_t>&, const GenerationStructure&);
-template std::optional<CodedPacket<gf::Gf2_16>> deserialize<gf::Gf2_16>(
-    const std::vector<std::uint8_t>&, const GenerationStructure&);
 template std::vector<std::uint8_t> serialize_stream<gf::Gf256>(
     const CodedPacket<gf::Gf256>&, const GenerationStructure&);
 template std::vector<std::uint8_t> serialize_stream<gf::Gf2_16>(

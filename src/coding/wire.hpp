@@ -29,11 +29,12 @@
 //
 // Deserialization is defensive: any malformed buffer yields nullopt, never
 // undefined behavior — packets arrive from the network, not from friends.
-// Version-2 validation is two-stage: deserialize(bytes) enforces everything
-// checkable from the header alone (kind range, offset/width bounds, flag
-// consistency, exact length), and deserialize(bytes, structure) additionally
-// rejects placements that don't exist under the receiver's structure (wrong
-// band width, class id out of range, offset not a class boundary).
+// Validation is two-stage: deserialize(bytes) enforces everything checkable
+// from the header alone (kind range, offset/width bounds, flag consistency,
+// exact length), and deserialize_stream(bytes, structure) additionally
+// rejects frames that don't belong on the receiver's stream (wrong g or
+// kind, wrong band width, class id out of range, offset not a class
+// boundary).
 
 #include <cstdint>
 #include <optional>
@@ -96,15 +97,6 @@ std::vector<std::uint8_t> serialize_structured(
 template <typename Field>
 std::optional<CodedPacket<Field>> deserialize(
     const std::vector<std::uint8_t>& bytes);
-
-/// Decodes and additionally validates the placement against the receiver's
-/// structure: version-2 packets must be well-formed under `structure`
-/// (matching g, band width, class id in range, offset on a class boundary);
-/// version-1 packets must be dense packets of the right generation size.
-template <typename Field>
-std::optional<CodedPacket<Field>> deserialize(
-    const std::vector<std::uint8_t>& bytes,
-    const GenerationStructure& structure);
 
 /// Serializes a packet for a stream governed by `structure`, choosing the
 /// wire version by the packet's *shape*: dense-shaped packets (full-width

@@ -88,6 +88,9 @@ void ClientNode::leave(Transport& net) {
     }
     silence_timers_.clear();
     complaint_streak_.clear();
+    while (!complaint_spans_.empty()) {
+      end_complaint_span(complaint_spans_.begin()->first);
+    }
   }
 }
 
@@ -133,14 +136,16 @@ void ClientNode::event_tick() {
 void ClientNode::note_liveness(overlay::ColumnId column) {
   if (!joined_ || departed_) return;
   complaint_streak_[column] = 0;
-  // Data flowing again closes the column's outage episode, if one is open.
-  const auto span = complaint_spans_.find(column);
-  if (span != complaint_spans_.end()) {
-    obs::trace().emit(obs::TraceKind::kSpanEnd, address_, column, 0,
-                      "complaint", span->second);
-    complaint_spans_.erase(span);
-  }
+  end_complaint_span(column);
   arm_silence(column);
+}
+
+void ClientNode::end_complaint_span(overlay::ColumnId column) {
+  const auto span = complaint_spans_.find(column);
+  if (span == complaint_spans_.end()) return;
+  obs::trace().emit(obs::TraceKind::kSpanEnd, address_, column, 0,
+                    "complaint", span->second);
+  complaint_spans_.erase(span);
 }
 
 void ClientNode::arm_silence(overlay::ColumnId column) {
@@ -296,6 +301,7 @@ void ClientNode::on_message(const Message& m) {
       children_.erase(m.column);
       disarm_silence(m.column);
       complaint_streak_.erase(m.column);
+      end_complaint_span(m.column);
       break;
     }
     case MessageType::kColumnAdded:

@@ -102,6 +102,9 @@ class ClientNode : public Endpoint {
   void serve_children();
   void event_tick();
   void note_liveness(overlay::ColumnId column);
+  /// Ends the column's outage episode, if one is open: data flows again, or
+  /// the node gave the column up.
+  void end_complaint_span(overlay::ColumnId column);
   void arm_silence(overlay::ColumnId column);
   void disarm_silence(overlay::ColumnId column);
   void silence_fired(overlay::ColumnId column);
@@ -135,7 +138,8 @@ class ClientNode : public Endpoint {
   /// Consecutive unanswered complaints per column (backoff exponent).
   std::map<overlay::ColumnId, std::uint32_t> complaint_streak_;
   /// Open complaint span per column (one span per outage episode: begun on
-  /// the first complaint, ended when data flows again).
+  /// the first complaint, ended when data flows again or when the node
+  /// leaves or gives the column up).
   std::map<overlay::ColumnId, obs::SpanId> complaint_spans_;
   obs::SpanId join_span_ = obs::kNoSpan;
   std::uint64_t join_retries_ = 0;

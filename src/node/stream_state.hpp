@@ -15,9 +15,9 @@
 //     (coding/wire.hpp deserialize_stream): v2 strips must match the
 //     structure exactly, v1 dense rows are admitted on dense and banded
 //     streams (recoding densifies banded codes), never on overlapped ones;
-//   - the buffers run the policy select_stream_policy() picks — dense
-//     elimination for dense/banded streams, overlap propagation for
-//     overlapped ones;
+//   - each buffer keeps one dense Decoder per class of the structure: one
+//     class spanning g for dense and banded streams, band strips scattered
+//     into it; one per class, with boundary propagation, for overlapped ones;
 //   - recoding mixes straight from those buffers: structure-preserving where
 //     the mathematics allows (overlapped classes) and densifying where it
 //     does not (bands), so an upload is always a packet a downstream
@@ -109,9 +109,7 @@ class StreamState {
   /// `data_size` (a lying or corrupted announcement would otherwise silently
   /// build the wrong buffer count and the stream could never reassemble),
   /// and on a structure whose g is not the plan's generation size.
-  /// `structure` defaults to dense. The buffers run the cheapest policy
-  /// sound for relayed traffic (select_stream_policy) — the only sound
-  /// choice, since every buffer also recodes.
+  /// `structure` defaults to dense.
   bool initialize(
       std::uint64_t data_size, std::uint32_t gen_count, std::uint16_t gen_size,
       std::uint16_t symbols,
@@ -124,11 +122,10 @@ class StreamState {
     if (s.g != gen_size) return false;
     plan_ = plan;
     structure_ = s;
-    const auto policy = coding::select_stream_policy(structure_);
     decoders_.clear();
     decoders_.reserve(gen_count);
     for (std::uint32_t g = 0; g < gen_count; ++g) {
-      decoders_.emplace_back(g, structure_, symbols, policy);
+      decoders_.emplace_back(g, structure_, symbols);
     }
     return true;
   }
@@ -253,8 +250,8 @@ class StreamState {
   /// Null keys verify dense coefficient rows (validity commutes with
   /// recoding, so a key set generated from the source packets vouches for
   /// every linear combination — but only in dense coordinates). Compact
-  /// strips are scatter-expanded first, cyclically, exactly as the dense
-  /// decoder would absorb them.
+  /// strips are scatter-expanded first, by the same cyclic placement rule
+  /// the buffers absorb them with.
   bool verify_against_keys(const coding::CodedPacket<gf::Gf256>& p) {
     if (p.coeffs.size() == structure_.g) {
       return keys_[p.generation].verify(p);
@@ -265,9 +262,7 @@ class StreamState {
     scratch_.class_id = 0;
     scratch_.coeffs.assign(g, 0);
     for (std::size_t j = 0; j < p.coeffs.size(); ++j) {
-      const std::size_t i =
-          p.band_offset + j < g ? p.band_offset + j : p.band_offset + j - g;
-      scratch_.coeffs[i] = p.coeffs[j];
+      scratch_.coeffs[coding::cyclic_index(p.band_offset, j, g)] = p.coeffs[j];
     }
     scratch_.payload.assign(p.payload.begin(), p.payload.end());
     return keys_[p.generation].verify(scratch_);

@@ -95,14 +95,8 @@ ChurnReport run_churn(std::uint32_t k, std::uint32_t d,
                       std::uint64_t seed, overlay::CurtainServer* server_out) {
   overlay::CurtainServer server(k, d, Rng(seed), policy);
 
-  ChurnProcessSpec process;
-  process.arrival_rate = config.arrival_rate;
-  process.mean_lifetime = config.mean_lifetime;
-  process.failure_fraction = config.failure_fraction;
-  process.repair_delay = config.repair_delay;
-  process.horizon = config.horizon;
   const FaultPlan plan =
-      FaultPlan::poisson_churn(process, RngStreams(seed).stream("churn"));
+      FaultPlan::poisson_churn(config, RngStreams(seed).stream("churn"));
 
   ChurnReport report =
       run_fault_plan(server, plan, config.horizon, config.max_population);

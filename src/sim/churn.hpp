@@ -23,16 +23,13 @@
 
 namespace ncast::sim {
 
-/// Churn process parameters. Times are in abstract "repair interval" units:
-/// the repair delay is 1.0 by construction, and `p` in the paper's sense is
-/// the probability a node fails within one such unit.
-struct ChurnConfig {
-  double arrival_rate = 10.0;       ///< Poisson joins per unit time
-  double mean_lifetime = 100.0;     ///< exponential session length
-  double failure_fraction = 0.1;    ///< probability a departure is a crash
-  double repair_delay = 1.0;        ///< time from failure to repair completion
-  SimTime horizon = 200.0;          ///< simulated duration
-  std::uint64_t max_population = 0; ///< 0 = unbounded
+/// Churn run parameters: the generated process (ChurnProcessSpec; its
+/// horizon is also the simulated duration) plus the executor's population
+/// cap. Times are in abstract "repair interval" units: the repair delay is
+/// 1.0 by construction, and `p` in the paper's sense is the probability a
+/// node fails within one such unit.
+struct ChurnConfig : ChurnProcessSpec {
+  std::uint64_t max_population = 0;  ///< 0 = unbounded
 };
 
 /// Aggregate results of a churn run.

@@ -49,7 +49,7 @@ struct FaultEvent {
 };
 
 /// Parameters for the generated Poisson churn process (Section 3 life cycle).
-/// Times are in abstract repair-interval units, mirroring ChurnConfig.
+/// Times are in abstract repair-interval units; ChurnConfig extends this.
 struct ChurnProcessSpec {
   double arrival_rate = 10.0;        ///< Poisson joins per unit time
   double mean_lifetime = 100.0;      ///< exponential session length

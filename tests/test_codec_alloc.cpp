@@ -1,6 +1,7 @@
 // Proof that the codec hot path is allocation-free in steady state: global
 // operator new/new[] are replaced with counting versions, and the count must
-// not move across Decoder::absorb, Decoder::emit_into, and
+// not move across Decoder::absorb, Decoder::emit_into,
+// StructuredDecoder::absorb/emit_into, BandDecoder::absorb and
 // SourceEncoder::emit_into loops once construction and first-use metric
 // registration are behind us. This is the enforcement half of the contract
 // documented in coding/decoder.hpp and linalg/reduced_basis.hpp.
@@ -20,7 +21,6 @@
 #include "coding/band_decoder.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/overlap_decoder.hpp"
 #include "coding/structure.hpp"
 #include "coding/structured_decoder.hpp"
 #include "gf/gf256.hpp"
@@ -169,10 +169,64 @@ TEST(CodecAllocFree, BandDecoderAbsorbSteadyState) {
   EXPECT_EQ(delta, 0u);
 }
 
-// The overlap decoder's absorb — including the boundary-propagation cascade
-// (recovered_payload reads, absorb_unit injections, the worklist) — runs on
-// buffers preallocated at construction.
-TEST(CodecAllocFree, OverlapDecoderAbsorbAndPropagate) {
+// A one-class buffer (dense, or banded with or without wrap) costs its
+// Decoder's three buffers plus the one-entry class vector to build, and no
+// propagation state. An overlapped one adds the class decoders and the
+// propagation worklist, all up front.
+TEST(CodecAllocFree, StructuredDecoderConstruction) {
+  using Field = gf::Gf256;
+  const std::size_t g = 32, symbols = 128;
+  for (const auto& s : {coding::GenerationStructure::dense(g),
+                        coding::GenerationStructure::banded(g, 8),
+                        coding::GenerationStructure::banded(g, 8, true)}) {
+    const std::uint64_t before = g_news.load();
+    const coding::StructuredDecoder<Field> dec(0, s, symbols);
+    const std::uint64_t delta = g_news.load() - before;
+    EXPECT_EQ(dec.num_classes(), 1u);
+    EXPECT_EQ(delta, 4u) << coding::to_string(s.kind);
+  }
+  const auto over = coding::GenerationStructure::overlapping(g, 8, 2);
+  const std::uint64_t before = g_news.load();
+  const coding::StructuredDecoder<Field> dec(0, over, symbols);
+  const std::uint64_t delta = g_news.load() - before;
+  // Three per class decoder, the class vector, done_ and the worklist.
+  EXPECT_EQ(delta, 3 * over.num_classes() + 3);
+}
+
+// The one-class strip path: a banded buffer scatters compact strips —
+// innovative, redundant, wrapping and rejected — straight into its
+// Decoder's scratch row, with no heap traffic.
+TEST(CodecAllocFree, StructuredStripAbsorbSteadyState) {
+  using Field = gf::Gf256;
+  const std::size_t g = 32, symbols = 128;
+  const auto s = coding::GenerationStructure::banded(g, 8, true);
+  Rng rng(39);
+  const coding::SourceEncoder<Field> enc(0, s, random_flat<Field>(g * symbols, rng),
+                                         symbols);
+  std::vector<coding::CodedPacket<Field>> packets;
+  for (std::size_t i = 0; i < 3 * g; ++i) packets.push_back(enc.emit(rng));
+  packets.push_back(packets.front());
+  packets.back().coeffs.resize(7);  // reject path: neither strip nor row
+
+  coding::StructuredDecoder<Field> dec(0, s, symbols);
+  // Warm-up: one reject (registers the early-reject counters) plus two
+  // strips (register the class decoder's metrics).
+  dec.absorb(packets.back());
+  dec.absorb(packets[0]);
+  dec.absorb(packets[1]);
+
+  const std::uint64_t before = g_news.load();
+  for (std::size_t i = 2; i < packets.size(); ++i) dec.absorb(packets[i]);
+  const std::uint64_t delta = g_news.load() - before;
+
+  ASSERT_TRUE(dec.complete());
+  EXPECT_EQ(delta, 0u);
+}
+
+// The overlapped buffer's absorb — including the boundary-propagation
+// cascade (recovered_payload reads, absorb_unit injections, the worklist) —
+// runs on buffers preallocated at construction.
+TEST(CodecAllocFree, StructuredOverlappedAbsorbAndPropagate) {
   using Field = gf::Gf256;
   const std::size_t g = 32, symbols = 128;
   const auto s = coding::GenerationStructure::overlapping(g, 8, 2);
@@ -184,7 +238,7 @@ TEST(CodecAllocFree, OverlapDecoderAbsorbAndPropagate) {
   packets.push_back(packets.front());
   packets.back().class_id = static_cast<std::uint16_t>(s.num_classes());
 
-  coding::OverlapDecoder<Field> dec(0, s, symbols);
+  coding::StructuredDecoder<Field> dec(0, s, symbols);
   // Warm-up: one reject (registers the early-reject counters) plus two
   // routed packets (register the class decoders' metrics).
   dec.absorb(packets.back());
@@ -200,9 +254,9 @@ TEST(CodecAllocFree, OverlapDecoderAbsorbAndPropagate) {
 }
 
 // Structured recoding: a banded-stream relay scatters strips into its
-// preallocated dense row and mixes dense rows out, and class-routed
-// overlapped emission mixes one class in place. All free once the caller's
-// packet buffers are sized.
+// class's scratch row and mixes dense rows out, and class-routed overlapped
+// emission mixes one class in place. All free once the caller's packet
+// buffers are sized.
 TEST(CodecAllocFree, StructuredEmitIntoSteadyState) {
   using Field = gf::Gf256;
   const std::size_t g = 16, symbols = 64;
@@ -213,7 +267,7 @@ TEST(CodecAllocFree, StructuredEmitIntoSteadyState) {
       0, banded, random_flat<Field>(g * symbols, rng), symbols);
   std::vector<coding::CodedPacket<Field>> strips;
   for (std::size_t i = 0; i < 3 * g; ++i) strips.push_back(benc.emit(rng));
-  coding::ScatterDecoder<Field> brec(0, banded, symbols);
+  coding::StructuredDecoder<Field> brec(0, banded, symbols);
   brec.absorb(strips[0]);
   brec.absorb(strips[1]);  // warm-up registers the decode metrics
   coding::CodedPacket<Field> dense;
@@ -231,7 +285,7 @@ TEST(CodecAllocFree, StructuredEmitIntoSteadyState) {
   const auto over = coding::GenerationStructure::overlapping(g, 8, 2);
   const coding::SourceEncoder<Field> oenc(
       0, over, random_flat<Field>(g * symbols, rng), symbols);
-  coding::OverlapDecoder<Field> orec(0, over, symbols);
+  coding::StructuredDecoder<Field> orec(0, over, symbols);
   std::size_t fed = 0;
   while (!orec.complete()) {
     ASSERT_LT(fed++, 50 * g);

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "coding/band_decoder.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "coding/structure.hpp"
@@ -167,10 +168,11 @@ TEST(GfKernelParity, DecodeRoundTripCrossCheckGf2_16) {
 }
 
 /// Same cross-check through the structured codec: one packet stream, decoded
-/// under every tier with the auto-selected policy (band elimination for
-/// banded structures, per-class propagation for overlapped ones). Innovation
-/// verdicts and decoded bytes must be tier-independent bit for bit.
-template <typename Field>
+/// under every tier by a `Decoder<Field>` (band elimination, or the relay
+/// buffer: one class spanning g, or per-class propagation for overlapped
+/// structures). Innovation verdicts and decoded bytes must be
+/// tier-independent bit for bit.
+template <template <typename> class Decoder, typename Field>
 void run_structured_decode_cross_check(const coding::GenerationStructure& s,
                                        std::size_t symbols,
                                        std::uint64_t seed) {
@@ -190,7 +192,7 @@ void run_structured_decode_cross_check(const coding::GenerationStructure& s,
   std::vector<int> want_verdicts;
   for (const gf::Tier tier : supported_tiers()) {
     gf::set_tier_for_testing(tier);
-    coding::StructuredDecoder<Field> dec(0, s, symbols);
+    Decoder<Field> dec(0, s, symbols);
     std::vector<int> verdicts;
     for (const auto& p : packets) {
       if (dec.complete()) break;
@@ -214,18 +216,23 @@ void run_structured_decode_cross_check(const coding::GenerationStructure& s,
 }
 
 TEST(GfKernelParity, StructuredDecodeCrossCheckBanded) {
-  run_structured_decode_cross_check<gf::Gf256>(
-      coding::GenerationStructure::banded(24, 6), 200, 9);
+  const auto s = coding::GenerationStructure::banded(24, 6);
+  run_structured_decode_cross_check<coding::BandDecoder, gf::Gf256>(s, 200, 9);
+  run_structured_decode_cross_check<coding::StructuredDecoder, gf::Gf256>(
+      s, 200, 9);
 }
 
 TEST(GfKernelParity, StructuredDecodeCrossCheckOverlapped) {
-  run_structured_decode_cross_check<gf::Gf256>(
+  run_structured_decode_cross_check<coding::StructuredDecoder, gf::Gf256>(
       coding::GenerationStructure::overlapping(24, 8, 2), 200, 10);
 }
 
 TEST(GfKernelParity, StructuredDecodeCrossCheckBandedGf2_16) {
-  run_structured_decode_cross_check<gf::Gf2_16>(
-      coding::GenerationStructure::banded(12, 4), 100, 11);
+  const auto s = coding::GenerationStructure::banded(12, 4);
+  run_structured_decode_cross_check<coding::BandDecoder, gf::Gf2_16>(s, 100,
+                                                                      11);
+  run_structured_decode_cross_check<coding::StructuredDecoder, gf::Gf2_16>(
+      s, 100, 11);
 }
 
 }  // namespace

@@ -350,6 +350,28 @@ TEST(ProtocolScenarioTrace, RepairSpanIsParentedOnTheComplaint) {
   EXPECT_TRUE(repair_closed);
 }
 
+TEST(ProtocolScenarioTrace, AbandonedComplaintSpansAreClosed) {
+  // Children of a crashed parent open complaint spans, then leave before
+  // the repair restores their feed. Leaving abandons the outage, so it must
+  // end the span: every complaint span begun is also ended.
+  obs::trace().clear();
+  ProtocolScenarioSpec spec = quiet_spec(41);
+  spec.silence_timeout = 8;
+  spec.faults.join_burst(1.0, 10, 1.0);
+  spec.faults.crash_join_at(40.0, 0);
+  for (std::uint32_t j = 1; j < 10; ++j) spec.faults.leave_join_at(49.5, j);
+  run_scenario_sharded(spec, 1, 0);
+
+  std::set<obs::SpanId> begun, ended;
+  for (const auto& e : obs::trace().events_in_order()) {
+    if (e.detail != "complaint") continue;
+    if (e.kind == obs::TraceKind::kSpanBegin) begun.insert(e.span);
+    if (e.kind == obs::TraceKind::kSpanEnd) ended.insert(e.span);
+  }
+  ASSERT_FALSE(begun.empty());
+  EXPECT_EQ(ended, begun);
+}
+
 TEST(ProtocolScenarioTrace, SpanFieldDoesNotChangeControlBytes) {
   // Message::span is telemetry context, not wire payload: the byte
   // accounting (and with it every gossip-overhead claim) must be identical

@@ -14,6 +14,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "coding/structure.hpp"
 #include "node/protocol_scenario.hpp"
 #include "overlay/curtain_server.hpp"
 #include "overlay/flow_graph.hpp"
@@ -297,6 +298,48 @@ TEST(Determinism, ProtocolScenarioReproducesWithIdenticalEventCounts) {
   EXPECT_EQ(a.messages_dropped, 242u);
   EXPECT_EQ(a.control_bytes, 1210u);
   EXPECT_EQ(hash_outcomes(a.outcomes), 0xb2c24997c850858cULL);
+}
+
+// The protocol run on structured streams, where relays recode: band strips
+// come back as dense rows (banded, wrapping or not) and class packets stay
+// class packets (overlapped), with null keys checking every strip. A moved
+// recode draw, a changed admission verdict or a different wire size shows
+// up in these pins.
+TEST(Determinism, StructuredProtocolScenariosMatchGoldenPins) {
+  const struct {
+    const char* name;
+    coding::StructureSpec structure;
+    std::uint64_t events, messages, data_bytes, hash;
+  } pins[] = {
+      {"banded wrap", coding::StructureSpec::banded(4, true), 4600, 3107,
+       105360, 0xea73e14c00d32bc1ULL},
+      {"banded", coding::StructureSpec::banded(4), 4600, 3107, 105360,
+       0x5ae7927ed79d2326ULL},
+      {"overlapped", coding::StructureSpec::overlapping(6, 2), 4600, 3107,
+       102872, 0x7de33bd3760417c2ULL},
+  };
+  for (const auto& pin : pins) {
+    node::ProtocolScenarioSpec spec;
+    spec.k = 6;
+    spec.default_degree = 2;
+    spec.generations = 2;
+    spec.generation_size = 16;
+    spec.symbols = 8;
+    spec.null_keys = 2;
+    spec.structure = pin.structure;
+    spec.silence_timeout = 8;
+    spec.seed = 23;
+    spec.transport.latency = LatencySpec::uniform(0.5, 1.5);
+    spec.transport.data_loss = LossSpec::gilbert_elliott(0.05, 0.45);
+    spec.faults.join_burst(1.0, 8, 1.0);
+    spec.faults.crash_join_at(30.0, 1);
+    const auto r = node::run_scenario_sharded(spec, 1, 0);
+    EXPECT_EQ(r.decoded_fraction(), 1.0) << pin.name;
+    EXPECT_EQ(r.events_executed, pin.events) << pin.name;
+    EXPECT_EQ(r.messages_sent, pin.messages) << pin.name;
+    EXPECT_EQ(r.data_bytes, pin.data_bytes) << pin.name;
+    EXPECT_EQ(hash_outcomes(r.outcomes), pin.hash) << pin.name;
+  }
 }
 
 }  // namespace

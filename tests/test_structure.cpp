@@ -33,6 +33,12 @@ TEST(Structure, BandedFactory) {
   EXPECT_EQ(s.band_width, 8u);
   EXPECT_FALSE(s.wrap);
   EXPECT_EQ(s.offsets(), 25u);  // g - w + 1 legal starts
+  // One class spanning the generation: a band is a placement inside it.
+  EXPECT_EQ(s.num_classes(), 1u);
+  EXPECT_EQ(s.class_begin(0), 0u);
+  EXPECT_EQ(s.class_width(0), 32u);
+  EXPECT_EQ(s.first_class_of(31), 0u);
+  EXPECT_EQ(s.last_class_of(31), 0u);
 
   const auto w = GenerationStructure::banded(32, 8, true);
   EXPECT_TRUE(w.wrap);

@@ -1,11 +1,11 @@
 // Structured codec family: round trips for every generation structure, and —
-// the load-bearing part — bit-for-bit parity between decoder policies. Every
-// policy is exact linear algebra, so on the same packet sequence the
+// the load-bearing part — bit-for-bit parity between decoders. Every decoder
+// is exact linear algebra, so on the same packet sequence the
 // innovative/redundant verdicts and the decoded bytes must be identical
-// across the dense Decoder, BandDecoder, ScatterDecoder, and OverlapDecoder
-// wherever more than one is sound. The ctest suite re-runs this binary with
-// NCAST_FORCE_SCALAR=1 (tests/CMakeLists.txt), so parity also holds under
-// the portable GF kernels.
+// across the dense Decoder, the BandDecoder and the StructuredDecoder (one
+// class or several) wherever more than one is sound. The ctest suite re-runs
+// this binary with NCAST_FORCE_SCALAR=1 (tests/CMakeLists.txt), so parity
+// also holds under the portable GF kernels.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "coding/band_decoder.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
-#include "coding/overlap_decoder.hpp"
 #include "coding/structure.hpp"
 #include "coding/structured_decoder.hpp"
 #include "gf/gf256.hpp"
@@ -26,7 +25,6 @@
 namespace ncast {
 namespace {
 
-using coding::DecoderPolicy;
 using coding::GenerationStructure;
 using coding::StructureKind;
 
@@ -50,15 +48,14 @@ std::vector<std::vector<typename Field::value_type>> rows_of(
   return rows;
 }
 
-/// Encode-until-complete round trip through the auto-selected policy.
-template <typename Field>
+/// Encode-until-complete round trip through a `Decoder<Field>`.
+template <template <typename> class Decoder, typename Field>
 void run_round_trip(const GenerationStructure& s, std::size_t symbols,
-                    std::uint64_t seed, DecoderPolicy want_policy) {
+                    std::uint64_t seed) {
   Rng rng(seed);
   const auto flat = random_flat<Field>(s.g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
-  coding::StructuredDecoder<Field> dec(0, s, symbols);
-  EXPECT_EQ(dec.policy(), want_policy);
+  Decoder<Field> dec(0, s, symbols);
   EXPECT_EQ(dec.structure(), s);
   EXPECT_EQ(dec.generation_size(), s.g);
   EXPECT_EQ(dec.symbols(), symbols);
@@ -78,48 +75,75 @@ void run_round_trip(const GenerationStructure& s, std::size_t symbols,
   EXPECT_EQ(dec.source_packets(), rows_of<Field>(flat, symbols));
 }
 
+using coding::BandDecoder;
+using coding::StructuredDecoder;
+
 TEST(StructuredCodec, DenseRoundTrip) {
-  run_round_trip<gf::Gf256>(GenerationStructure::dense(24), 40, 1,
-                            DecoderPolicy::kDense);
+  run_round_trip<StructuredDecoder, gf::Gf256>(GenerationStructure::dense(24),
+                                               40, 1);
 }
 
+// Non-wrap banded traffic decodes on both the band decoder (encoder-direct)
+// and the relay buffer (one class spanning g).
 TEST(StructuredCodec, BandedRoundTrip) {
-  run_round_trip<gf::Gf256>(GenerationStructure::banded(32, 8), 40, 2,
-                            DecoderPolicy::kBand);
+  const auto s = GenerationStructure::banded(32, 8);
+  run_round_trip<BandDecoder, gf::Gf256>(s, 40, 2);
+  run_round_trip<StructuredDecoder, gf::Gf256>(s, 40, 2);
 }
 
 TEST(StructuredCodec, BandedWrapRoundTripDecodesDense) {
-  run_round_trip<gf::Gf256>(GenerationStructure::banded(32, 8, true), 40, 3,
-                            DecoderPolicy::kDense);
+  run_round_trip<StructuredDecoder, gf::Gf256>(
+      GenerationStructure::banded(32, 8, true), 40, 3);
 }
 
 TEST(StructuredCodec, OverlappedRoundTrip) {
-  run_round_trip<gf::Gf256>(GenerationStructure::overlapping(32, 8, 2), 40, 4,
-                            DecoderPolicy::kOverlap);
+  run_round_trip<StructuredDecoder, gf::Gf256>(
+      GenerationStructure::overlapping(32, 8, 2), 40, 4);
 }
 
 TEST(StructuredCodec, BandedRoundTripGf2_16) {
-  run_round_trip<gf::Gf2_16>(GenerationStructure::banded(16, 4), 24, 5,
-                             DecoderPolicy::kBand);
+  const auto s = GenerationStructure::banded(16, 4);
+  run_round_trip<BandDecoder, gf::Gf2_16>(s, 24, 5);
+  run_round_trip<StructuredDecoder, gf::Gf2_16>(s, 24, 5);
 }
 
 TEST(StructuredCodec, OverlappedRoundTripGf2_16) {
-  run_round_trip<gf::Gf2_16>(GenerationStructure::overlapping(16, 6, 2), 24, 6,
-                             DecoderPolicy::kOverlap);
+  run_round_trip<StructuredDecoder, gf::Gf2_16>(
+      GenerationStructure::overlapping(16, 6, 2), 24, 6);
 }
 
-TEST(StructuredCodec, PolicySelection) {
-  EXPECT_EQ(coding::select_policy(GenerationStructure::dense(8)),
-            DecoderPolicy::kDense);
-  EXPECT_EQ(coding::select_policy(GenerationStructure::banded(8, 4)),
-            DecoderPolicy::kBand);
-  EXPECT_EQ(coding::select_policy(GenerationStructure::banded(8, 4, true)),
-            DecoderPolicy::kDense);
-  EXPECT_EQ(coding::select_policy(GenerationStructure::overlapping(8, 4, 1)),
-            DecoderPolicy::kOverlap);
-  EXPECT_STREQ(coding::to_string(DecoderPolicy::kAuto), "auto");
-  EXPECT_STREQ(coding::to_string(DecoderPolicy::kBand), "band");
-  EXPECT_STREQ(coding::to_string(DecoderPolicy::kOverlap), "overlap");
+// Decoder::absorb_strip is the cyclic scatter of a compact strip: a strip
+// that wraps past g gives the same verdicts and decoded bytes as absorb_row
+// of its dense expansion.
+TEST(StructuredCodec, AbsorbStripMatchesExpandedRow) {
+  using Field = gf::Gf256;
+  const std::size_t g = 12, symbols = 16;
+  const auto s = GenerationStructure::banded(g, 5, true);
+  Rng rng(21);
+  const auto flat = random_flat<Field>(g * symbols, rng);
+  const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
+  coding::Decoder<Field> strips(0, g, symbols);
+  coding::Decoder<Field> rows(0, g, symbols);
+  coding::CodedPacket<Field> p;
+  std::vector<Field::value_type> row(g);
+  std::size_t sent = 0, wrapped = 0;
+  while (!rows.complete()) {
+    ASSERT_LT(sent++, 50 * g);
+    enc.emit_into(p, rng);
+    wrapped += p.band_offset + p.coeffs.size() > g ? 1 : 0;
+    std::fill(row.begin(), row.end(), Field::value_type{0});
+    for (std::size_t j = 0; j < p.coeffs.size(); ++j) {
+      row[(p.band_offset + j) % g] = p.coeffs[j];
+    }
+    EXPECT_EQ(strips.absorb_strip(p.band_offset, p.coeffs.data(),
+                                  p.coeffs.size(), p.payload.data()),
+              rows.absorb_row(row.data(), p.payload.data()));
+  }
+  EXPECT_GT(wrapped, 0u);
+  ASSERT_TRUE(strips.complete());
+  EXPECT_EQ(strips.packets_innovative(), rows.packets_innovative());
+  EXPECT_EQ(strips.source_packets(), rows.source_packets());
+  EXPECT_EQ(strips.source_packets(), rows_of<Field>(flat, symbols));
 }
 
 // The dense-equivalence parity pin: one dense packet stream (with redundant
@@ -141,17 +165,16 @@ TEST(StructuredCodec, DensePacketStreamParityAcrossAllDecoders) {
   // width == g banded is dense in all but wire kind; same elimination.
   coding::BandDecoder<Field> band_full(0, GenerationStructure::banded(g, g),
                                        symbols);
-  coding::StructuredDecoder<Field> scatter(0, dense, symbols,
-                                           DecoderPolicy::kDense);
+  coding::StructuredDecoder<Field> structured(0, dense, symbols);
   // A single full-width class with no overlap is the dense decoder too.
-  coding::OverlapDecoder<Field> overlap(
+  coding::StructuredDecoder<Field> overlap(
       0, GenerationStructure::overlapping(g, g, 0), symbols);
 
   for (const auto& p : packets) {
     const bool want = legacy.absorb(p);
     EXPECT_EQ(band_dense.absorb(p), want);
     EXPECT_EQ(band_full.absorb(p), want);
-    EXPECT_EQ(scatter.absorb(p), want);
+    EXPECT_EQ(structured.absorb(p), want);
     EXPECT_EQ(overlap.absorb(p), want);
   }
   ASSERT_TRUE(legacy.complete());
@@ -159,12 +182,13 @@ TEST(StructuredCodec, DensePacketStreamParityAcrossAllDecoders) {
   EXPECT_EQ(want, rows_of<Field>(flat, symbols));
   EXPECT_EQ(band_dense.source_packets(), want);
   EXPECT_EQ(band_full.source_packets(), want);
-  EXPECT_EQ(scatter.source_packets(), want);
+  EXPECT_EQ(structured.source_packets(), want);
   EXPECT_EQ(overlap.source_packets(), want);
 }
 
-// Same idea on a genuinely banded stream: the band policy against the dense
-// (scatter) policy. Both are exact, so verdicts match packet for packet.
+// Same idea on a genuinely banded stream: the band decoder against the
+// one-class relay buffer. Both are exact, so verdicts match packet for
+// packet.
 TEST(StructuredCodec, BandedStreamParityBandVsDensePolicy) {
   using Field = gf::Gf256;
   const std::size_t g = 32, symbols = 40;
@@ -173,8 +197,8 @@ TEST(StructuredCodec, BandedStreamParityBandVsDensePolicy) {
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
 
-  coding::StructuredDecoder<Field> band(0, s, symbols, DecoderPolicy::kBand);
-  coding::StructuredDecoder<Field> dense(0, s, symbols, DecoderPolicy::kDense);
+  coding::BandDecoder<Field> band(0, s, symbols);
+  coding::StructuredDecoder<Field> dense(0, s, symbols);
   coding::CodedPacket<Field> p;
   std::size_t sent = 0;
   while (!band.complete() || !dense.complete()) {
@@ -256,15 +280,14 @@ TEST(StructuredCodec, StrayPacketsAreDataNotErrors) {
   const coding::SourceEncoder<Field> enc(0, banded, flat, symbols);
 
   coding::BandDecoder<Field> band(0, banded, symbols);
-  coding::StructuredDecoder<Field> scatter(0, banded, symbols,
-                                           DecoderPolicy::kDense);
-  coding::OverlapDecoder<Field> overlap(0, over, symbols);
+  coding::StructuredDecoder<Field> relay(0, banded, symbols);
+  coding::StructuredDecoder<Field> overlap(0, over, symbols);
 
   auto p = enc.emit(rng);
   auto stray = p;
   stray.generation = 99;  // wrong generation
   EXPECT_FALSE(band.absorb(stray));
-  EXPECT_FALSE(scatter.absorb(stray));
+  EXPECT_FALSE(relay.absorb(stray));
   stray = p;
   stray.payload.resize(symbols - 1);  // wrong payload size
   EXPECT_FALSE(band.absorb(stray));
@@ -278,7 +301,7 @@ TEST(StructuredCodec, StrayPacketsAreDataNotErrors) {
   stray.class_id = 1;  // bands carry no class id
   EXPECT_FALSE(band.absorb(stray));
 
-  // Overlap decoder: class id out of range must not index out of bounds.
+  // Overlapped buffer: class id out of range must not index out of bounds.
   auto bad = p;
   bad.band_offset = 0;
   bad.coeffs.resize(8);
@@ -286,17 +309,17 @@ TEST(StructuredCodec, StrayPacketsAreDataNotErrors) {
   EXPECT_FALSE(overlap.absorb(bad));
 
   EXPECT_EQ(band.rank(), 0u);
-  EXPECT_EQ(scatter.rank(), 0u);
+  EXPECT_EQ(relay.rank(), 0u);
   // Rejects count as received + redundant, never innovative.
   EXPECT_EQ(band.packets_received(), 5u);
   EXPECT_EQ(band.packets_redundant(), 5u);
-  EXPECT_EQ(scatter.packets_received(), 1u);
+  EXPECT_EQ(relay.packets_received(), 1u);
   EXPECT_EQ(overlap.packets_received(), 1u);
   EXPECT_EQ(overlap.packets_redundant(), 1u);
 
   // Still healthy after the abuse.
   EXPECT_TRUE(band.absorb(p));
-  EXPECT_TRUE(scatter.absorb(p));
+  EXPECT_TRUE(relay.absorb(p));
 }
 
 TEST(StructuredCodec, ConstructorValidation) {
@@ -309,19 +332,9 @@ TEST(StructuredCodec, ConstructorValidation) {
   EXPECT_THROW(coding::BandDecoder<Field>(
                    0, GenerationStructure::overlapping(16, 4, 1), 8),
                std::invalid_argument);
+  // The relay buffer takes every valid structure, but no empty payloads.
   EXPECT_THROW(
-      coding::OverlapDecoder<Field>(0, GenerationStructure::dense(16), 8),
-      std::invalid_argument);
-  EXPECT_THROW(
-      coding::OverlapDecoder<Field>(0, GenerationStructure::banded(16, 4), 8),
-      std::invalid_argument);
-  // A forced policy that is unsound for the structure fails at construction.
-  EXPECT_THROW(coding::StructuredDecoder<Field>(0, GenerationStructure::dense(16),
-                                                8, DecoderPolicy::kOverlap),
-               std::invalid_argument);
-  EXPECT_THROW(
-      coding::StructuredDecoder<Field>(0, GenerationStructure::banded(16, 4, true),
-                                       8, DecoderPolicy::kBand),
+      coding::StructuredDecoder<Field>(0, GenerationStructure::dense(16), 0),
       std::invalid_argument);
 }
 
@@ -329,7 +342,7 @@ TEST(StructuredCodec, IncompleteDecoderRefusesReadOff) {
   using Field = gf::Gf256;
   coding::BandDecoder<Field> band(0, GenerationStructure::banded(16, 4), 8);
   EXPECT_THROW(band.source_packet(0), std::logic_error);
-  coding::OverlapDecoder<Field> over(
+  coding::StructuredDecoder<Field> over(
       0, GenerationStructure::overlapping(16, 8, 2), 8);
   EXPECT_THROW(over.source_packet(0), std::logic_error);
 }
@@ -363,14 +376,14 @@ TEST(StructuredCodec, BandDecoderReadOffIsIdempotent) {
   EXPECT_EQ(dec.source_packets(), want);
 }
 
-TEST(StructuredCodec, OverlapDecoderProgressTracking) {
+TEST(StructuredCodec, OverlappedProgressTracking) {
   using Field = gf::Gf256;
   const std::size_t g = 24, symbols = 16;
   const auto s = GenerationStructure::overlapping(g, 8, 2);
   Rng rng(15);
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
-  coding::OverlapDecoder<Field> dec(0, s, symbols);
+  coding::StructuredDecoder<Field> dec(0, s, symbols);
   EXPECT_EQ(dec.num_classes(), s.num_classes());
   EXPECT_EQ(dec.decoded_count(), 0u);
   coding::CodedPacket<Field> p;
@@ -418,7 +431,7 @@ TEST(StructuredRecoding, DenseDelegatesDrawForDraw) {
 }
 
 // Banded recoding densifies (mixing bands at different offsets widens the
-// support): a relay on a banded stream runs the dense policy, absorbs
+// support): a relay on a banded stream keeps one class spanning g, absorbs
 // compact strips, emits dense packets, and downstream must decode with the
 // dense structure.
 TEST(StructuredRecoding, BandedRecodingDensifies) {
@@ -428,9 +441,8 @@ TEST(StructuredRecoding, BandedRecodingDensifies) {
   Rng rng(18);
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
-  coding::StructuredDecoder<Field> rec(0, s, symbols,
-                                       coding::select_stream_policy(s));
-  EXPECT_EQ(rec.policy(), DecoderPolicy::kDense);
+  coding::StructuredDecoder<Field> rec(0, s, symbols);
+  EXPECT_EQ(rec.num_classes(), 1u);
   coding::CodedPacket<Field> p;
   std::size_t fed = 0;
   while (!rec.complete()) {
@@ -453,14 +465,13 @@ TEST(StructuredRecoding, BandedRecodingDensifies) {
   EXPECT_EQ(dec.source_packets(), rows_of<Field>(flat, symbols));
   // A relay may also sit behind another relay: densified packets are
   // themselves absorbable on the banded stream.
-  coding::StructuredDecoder<Field> second(0, s, symbols,
-                                          coding::select_stream_policy(s));
+  coding::StructuredDecoder<Field> second(0, s, symbols);
   ASSERT_TRUE(rec.emit_into(p, rng));
   EXPECT_TRUE(second.absorb(p));
 }
 
 // Overlapped recoding is class-local and structure-preserving: emissions are
-// valid class packets and a downstream OverlapDecoder absorbs them unchanged.
+// valid class packets and a downstream buffer absorbs them unchanged.
 TEST(StructuredRecoding, OverlappedRecodingPreservesStructure) {
   using Field = gf::Gf256;
   const std::size_t g = 24, symbols = 32;
@@ -469,7 +480,7 @@ TEST(StructuredRecoding, OverlappedRecodingPreservesStructure) {
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
   coding::StructuredDecoder<Field> rec(0, s, symbols);
-  EXPECT_EQ(rec.policy(), DecoderPolicy::kOverlap);
+  EXPECT_EQ(rec.num_classes(), s.num_classes());
   coding::CodedPacket<Field> p;
   std::size_t fed = 0;
   while (!rec.complete()) {
@@ -499,7 +510,7 @@ TEST(StructuredRecoding, OverlappedRelayForwardsPropagatedClasses) {
   Rng rng(23);
   const auto flat = random_flat<Field>(g * symbols, rng);
   const coding::SourceEncoder<Field> enc(0, s, flat, symbols);
-  coding::OverlapDecoder<Field> relay(0, s, symbols);
+  coding::StructuredDecoder<Field> relay(0, s, symbols);
   coding::CodedPacket<Field> p;
   std::size_t fed = 0;
   while (!relay.class_decoder(0).complete()) {
@@ -522,7 +533,7 @@ TEST(StructuredRecoding, OverlappedRelayForwardsPropagatedClasses) {
                        p.coeffs[j], symbols);
   }
   EXPECT_EQ(p.payload, expect);
-  coding::OverlapDecoder<Field> sink(0, s, symbols);
+  coding::StructuredDecoder<Field> sink(0, s, symbols);
   EXPECT_TRUE(sink.absorb(p));
   EXPECT_EQ(sink.class_decoder(1).rank(), 1u);
 }
@@ -548,8 +559,7 @@ TEST(StructuredRecoding, RejectsMalformedAndStaysSilentWhenEmpty) {
   EXPECT_FALSE(rec.emit_into(out, rng));  // rejects left nothing to mix
 
   const auto banded = GenerationStructure::banded(g, 4);
-  coding::StructuredDecoder<Field> brec(0, banded, symbols,
-                                        coding::select_stream_policy(banded));
+  coding::StructuredDecoder<Field> brec(0, banded, symbols);
   coding::CodedPacket<Field> strip;
   strip.generation = 0;
   strip.coeffs.assign(3, 1);  // wrong width: neither a strip nor densified
@@ -557,12 +567,6 @@ TEST(StructuredRecoding, RejectsMalformedAndStaysSilentWhenEmpty) {
   EXPECT_FALSE(brec.absorb(strip));
   EXPECT_EQ(brec.rank(), 0u);
   EXPECT_FALSE(brec.emit_into(out, rng));
-
-  // The band policy decodes encoder-direct traffic only and never relays.
-  coding::StructuredDecoder<Field> band(0, banded, symbols, DecoderPolicy::kBand);
-  strip.coeffs.assign(4, 1);
-  ASSERT_TRUE(band.absorb(strip));
-  EXPECT_FALSE(band.emit_into(out, rng));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // End-to-end structure-aware streaming on the sharded protocol plane: a
-// ServerNode announcing a banded (w = g/8) or overlapped structure, real
-// clients joining over the hello protocol on ShardedEngine/ShardedTransport,
-// and — the acceptance bar the scenario report cannot check — every client's
-// reconstructed bytes IDENTICAL to the server's content. This is the direct
-// proof that the v2 compact framing, the mixed banded traffic (encoder
-// strips + densified relay rows), the structure descriptor handshake, and
-// the structured recode path compose into a correct broadcast.
+// ServerNode announcing a banded (w = g/8 wrapping, or w = g/4 not) or
+// overlapped structure, real clients joining over the hello protocol on
+// ShardedEngine/ShardedTransport, and — the acceptance bar the scenario
+// report cannot check — every client's reconstructed bytes IDENTICAL to the
+// server's content. This is the direct proof that the v2 compact framing,
+// the mixed banded traffic (encoder strips + densified relay rows), the
+// structure descriptor handshake, and the structured recode path compose
+// into a correct broadcast.
 
 #include <gtest/gtest.h>
 
@@ -94,6 +95,13 @@ TEST(StructuredProtocol, BandedStreamDecodesByteIdentical) {
   // w = g/8 = 2, wrapping: the thinnest band the issue's sweep names.
   expect_byte_identical_broadcast(coding::StructureSpec::banded(2, true),
                                   "banded");
+}
+
+TEST(StructuredProtocol, NonWrapBandedStreamDecodesByteIdentical) {
+  // Clamped-window bands: relays absorb edge-clamped strips and recode them
+  // into dense rows the same way they do wrapping ones.
+  expect_byte_identical_broadcast(coding::StructureSpec::banded(4),
+                                  "banded non-wrap");
 }
 
 TEST(StructuredProtocol, OverlappedStreamDecodesByteIdentical) {

@@ -176,9 +176,9 @@ void run_structured_round_trip(std::uint64_t seed) {
     const auto generic = coding::deserialize<Field>(bytes);
     ASSERT_TRUE(generic.has_value());
     expect_same_packet(*generic, p);
-    const auto strict = coding::deserialize<Field>(bytes, s);
-    ASSERT_TRUE(strict.has_value());
-    expect_same_packet(*strict, p);
+    const auto stream = coding::deserialize_stream<Field>(bytes, s);
+    ASSERT_TRUE(stream.has_value());
+    expect_same_packet(*stream, p);
   }
 }
 
@@ -198,10 +198,10 @@ TEST(WireV2, RoundTripOverlapped) {
     const std::size_t k = rng.below(s.num_classes());
     const auto p = strip_packet<gf::Gf256>(s.class_begin(k), s.class_width(k),
                                            k, 1 + rng.below(16), rng);
-    const auto strict =
-        coding::deserialize<gf::Gf256>(coding::serialize_structured(p, s), s);
-    ASSERT_TRUE(strict.has_value());
-    expect_same_packet(*strict, p);
+    const auto stream = coding::deserialize_stream<gf::Gf256>(
+        coding::serialize_structured(p, s), s);
+    ASSERT_TRUE(stream.has_value());
+    expect_same_packet(*stream, p);
   }
 }
 
@@ -242,11 +242,11 @@ TEST(WireV2, WrapFlagRoundTrip) {
   auto p = strip_packet<gf::Gf256>(6, 4, 0, 2, rng);  // 6 + 4 > 8: wraps
   const auto bytes = coding::serialize_structured(p, s);
   EXPECT_EQ(bytes[13], coding::kWireFlagWrap);
-  const auto q = coding::deserialize<gf::Gf256>(bytes, s);
+  const auto q = coding::deserialize_stream<gf::Gf256>(bytes, s);
   ASSERT_TRUE(q.has_value());
   expect_same_packet(*q, p);
   // The same placement is malformed under a non-wrap structure.
-  EXPECT_FALSE(coding::deserialize<gf::Gf256>(
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(
                    bytes, GenerationStructure::banded(8, 4))
                    .has_value());
 }
@@ -317,52 +317,56 @@ TEST(WireV2, RejectsMalformedBuffers) {
 }
 
 TEST(WireV2, StrictOverloadEnforcesReceiverStructure) {
+  // deserialize_stream is the structure-aware receive path: it enforces
+  // the receiver's structure on top of the header-only checks.
   const auto over = GenerationStructure::overlapping(8, 4, 1);  // classes 0,3,6
   Rng rng(10);
   const auto p = strip_packet<gf::Gf256>(3, 4, 1, 4, rng);  // valid class 1
   const auto good = coding::serialize_structured(p, over);
-  ASSERT_TRUE(coding::deserialize<gf::Gf256>(good, over).has_value());
+  ASSERT_TRUE(coding::deserialize_stream<gf::Gf256>(good, over).has_value());
 
   // Class id out of range: passes the generic stage (nothing in the header
   // contradicts it), dies against the structure.
   auto bad = good;
   bad[16] = 3;
   EXPECT_TRUE(coding::deserialize<gf::Gf256>(bad).has_value());
-  EXPECT_FALSE(coding::deserialize<gf::Gf256>(bad, over).has_value());
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(bad, over).has_value());
   // Right class id, wrong offset for it.
   bad = good;
   bad[16] = 2;
   EXPECT_TRUE(coding::deserialize<gf::Gf256>(bad).has_value());
-  EXPECT_FALSE(coding::deserialize<gf::Gf256>(bad, over).has_value());
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(bad, over).has_value());
 
   // Band width mismatch: a width-3 strip is a fine banded packet in general
   // but not under a width-4 structure.
   const auto narrow = coding::serialize_structured(
       strip_packet<gf::Gf256>(1, 3, 0, 4, rng), GenerationStructure::banded(8, 3));
   EXPECT_TRUE(coding::deserialize<gf::Gf256>(narrow).has_value());
-  EXPECT_FALSE(coding::deserialize<gf::Gf256>(narrow,
-                                              GenerationStructure::banded(8, 4))
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(
+                   narrow, GenerationStructure::banded(8, 4))
                    .has_value());
   // Generation-size and kind mismatches.
-  EXPECT_FALSE(coding::deserialize<gf::Gf256>(narrow,
-                                              GenerationStructure::banded(16, 3))
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(
+                   narrow, GenerationStructure::banded(16, 3))
                    .has_value());
-  EXPECT_FALSE(
-      coding::deserialize<gf::Gf256>(narrow, GenerationStructure::dense(8))
-          .has_value());
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(
+                   narrow, GenerationStructure::dense(8))
+                   .has_value());
 
-  // Version-1 buffers are dense packets: accepted by a dense structure of the
-  // right size, rejected by sparse ones.
+  // Version-1 buffers are dense rows: accepted on a dense stream of the
+  // right size and — recoding densifies bands — on a banded one, rejected
+  // on an overlapped one (class-local recoding never emits them).
   const auto v1 = coding::serialize(random_packet<gf::Gf256>(8, 4, rng));
-  EXPECT_TRUE(
-      coding::deserialize<gf::Gf256>(v1, GenerationStructure::dense(8))
-          .has_value());
-  EXPECT_FALSE(
-      coding::deserialize<gf::Gf256>(v1, GenerationStructure::banded(8, 4))
-          .has_value());
-  EXPECT_FALSE(
-      coding::deserialize<gf::Gf256>(v1, GenerationStructure::dense(4))
-          .has_value());
+  EXPECT_TRUE(coding::deserialize_stream<gf::Gf256>(
+                  v1, GenerationStructure::dense(8))
+                  .has_value());
+  EXPECT_TRUE(coding::deserialize_stream<gf::Gf256>(
+                  v1, GenerationStructure::banded(8, 4))
+                  .has_value());
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(v1, over).has_value());
+  EXPECT_FALSE(coding::deserialize_stream<gf::Gf256>(
+                   v1, GenerationStructure::dense(4))
+                   .has_value());
 }
 
 TEST(WireV2, FuzzNeverCrashes) {
@@ -381,8 +385,8 @@ TEST(WireV2, FuzzNeverCrashes) {
         EXPECT_FALSE(q->coeffs.empty());
         EXPECT_FALSE(q->payload.empty());
       }
-      // The strict overload must be at least as picky.
-      const auto qs = coding::deserialize<gf::Gf256>(bad, s);
+      // The structure-aware receive path must be at least as picky.
+      const auto qs = coding::deserialize_stream<gf::Gf256>(bad, s);
       if (qs) {
         EXPECT_TRUE(q.has_value());
       }
