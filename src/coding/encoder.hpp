@@ -173,12 +173,6 @@ class SourceEncoder {
     return p;
   }
 
-  /// Source row `index` (symbols() entries), without copying.
-  const value_type* source_row(std::size_t index) const {
-    if (index >= structure_.g) throw std::out_of_range("SourceEncoder::source_row");
-    return flat_.data() + index * symbols_;
-  }
-
   /// The source packets materialized as per-row vectors (copies; the flat
   /// buffer is the storage of record).
   std::vector<std::vector<value_type>> source_packets() const {

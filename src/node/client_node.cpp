@@ -43,10 +43,7 @@ void ClientNode::crash() {
   if (engine_) {
     engine_->cancel(join_timer_);
     engine_->cancel(serve_timer_);
-    for (const auto& [column, handle] : silence_timers_) {
-      engine_->cancel(handle);
-    }
-    silence_timers_.clear();
+    for (const Feed& f : feeds_) engine_->cancel(f.silence);
   }
 }
 
@@ -81,17 +78,8 @@ void ClientNode::leave(Transport& net) {
   // node is meaningful.
   departed_ = true;
   children_.clear();
-  if (engine_) {
-    engine_->cancel(join_timer_);
-    for (const auto& [column, handle] : silence_timers_) {
-      engine_->cancel(handle);
-    }
-    silence_timers_.clear();
-    complaint_streak_.clear();
-    while (!complaint_spans_.empty()) {
-      end_complaint_span(complaint_spans_.begin()->first);
-    }
-  }
+  adopt({});  // give every in-thread up
+  if (engine_) engine_->cancel(join_timer_);
 }
 
 void ClientNode::start(sim::Scheduler& engine, AttachableTransport& net,
@@ -120,7 +108,7 @@ void ClientNode::schedule_join_retry(double delay) {
         // Doubling backoff, capped: a congested server is not helped by a
         // thundering herd of hellos, but the client must never give up.
         const double cap = config_.join_retry *
-                           static_cast<double>(1u << config_.max_backoff_exp);
+                           static_cast<double>(1u << kMaxBackoffExp);
         schedule_join_retry(std::min(delay * 2.0, cap));
       },
       sim::TimerClass::kJoinRetry);
@@ -133,54 +121,66 @@ void ClientNode::event_tick() {
                                       sim::TimerClass::kServe);
 }
 
+ClientNode::Feed* ClientNode::feed(overlay::ColumnId column) {
+  for (Feed& f : feeds_) {
+    if (f.column == column) return &f;
+  }
+  return nullptr;
+}
+
+void ClientNode::clip(overlay::ColumnId column) {
+  if (!joined_ || departed_) return;  // from the first accept to good-bye
+  if (feed(column) == nullptr) feeds_.push_back(Feed{column});
+  note_liveness(column);
+}
+
+void ClientNode::adopt(const std::vector<overlay::ColumnId>& columns) {
+  for (Feed& f : feeds_) stop(f);
+  feeds_.clear();
+  // Arm in the accept's order: equal-time silence timers fire in the order
+  // they were armed, and the order of complaints fixes the sender's draws.
+  for (overlay::ColumnId c : columns) clip(c);
+}
+
+void ClientNode::stop(Feed& f) {
+  engine_->cancel(f.silence);
+  end_complaint_span(f);
+}
+
 void ClientNode::note_liveness(overlay::ColumnId column) {
-  if (!joined_ || departed_) return;
-  complaint_streak_[column] = 0;
-  end_complaint_span(column);
-  arm_silence(column);
+  Feed* f = feed(column);
+  if (f == nullptr) return;  // a frame on a column this node does not clip
+  f->streak = 0;
+  end_complaint_span(*f);
+  arm_silence(*f);
 }
 
-void ClientNode::end_complaint_span(overlay::ColumnId column) {
-  const auto span = complaint_spans_.find(column);
-  if (span == complaint_spans_.end()) return;
-  obs::trace().emit(obs::TraceKind::kSpanEnd, address_, column, 0,
-                    "complaint", span->second);
-  complaint_spans_.erase(span);
+void ClientNode::end_complaint_span(Feed& f) {
+  if (f.complaint_span == obs::kNoSpan) return;
+  obs::trace().emit(obs::TraceKind::kSpanEnd, address_, f.column, 0,
+                    "complaint", f.complaint_span);
+  f.complaint_span = obs::kNoSpan;
 }
 
-void ClientNode::arm_silence(overlay::ColumnId column) {
-  disarm_silence(column);
-  const std::uint32_t exp =
-      std::min(complaint_streak_[column], config_.max_backoff_exp);
+void ClientNode::arm_silence(Feed& f) {
+  engine_->cancel(f.silence);
+  const std::uint32_t exp = std::min(f.streak, kMaxBackoffExp);
   const double delay =
       static_cast<double>(config_.silence_timeout) * static_cast<double>(1u << exp);
-  silence_timers_[column] =
-      engine_->schedule_in(delay, [this, column] { silence_fired(column); },
-                           sim::TimerClass::kSilence);
-}
-
-void ClientNode::disarm_silence(overlay::ColumnId column) {
-  const auto it = silence_timers_.find(column);
-  if (it != silence_timers_.end()) {
-    engine_->cancel(it->second);
-    silence_timers_.erase(it);
-  }
+  f.silence = engine_->schedule_in(
+      delay, [this, column = f.column] { silence_fired(column); },
+      sim::TimerClass::kSilence);
 }
 
 void ClientNode::silence_fired(overlay::ColumnId column) {
-  silence_timers_.erase(column);
-  if (crashed_ || departed_ || !joined_) return;
-  if (std::find(columns_.begin(), columns_.end(), column) == columns_.end()) {
-    return;  // column was dropped while the timer was in flight
-  }
-  std::uint32_t& streak = complaint_streak_[column];
-  obs::SpanId& span = complaint_spans_[column];
-  if (streak == 0 || span == obs::kNoSpan) {
+  // Giving a column up cancels its timer, so the feed is still there.
+  Feed& f = *feed(column);
+  if (f.complaint_span == obs::kNoSpan) {
     // A fresh outage opens its own span, parented on the join span so the
     // node's whole history hangs off one tree.
-    span = obs::trace().new_span();
+    f.complaint_span = obs::trace().new_span();
     obs::trace().emit(obs::TraceKind::kSpanBegin, address_, column, 0,
-                      "complaint", span, join_span_);
+                      "complaint", f.complaint_span, join_span_);
   }
   Message complaint;
   complaint.type = MessageType::kComplaint;
@@ -190,31 +190,29 @@ void ClientNode::silence_fired(overlay::ColumnId column) {
   // The hello's degree request rides along: if this node was evicted by a
   // false-positive repair, the server re-admits it at the width it asked for.
   complaint.subject = join_degree_;
-  complaint.span = span;
+  complaint.span = f.complaint_span;
   net_->send(std::move(complaint));
   ++complaints_sent_;
-  if (streak > 0) {
+  if (f.streak > 0) {
     // Same outage, another complaint: either the complaint or the repair's
     // effect got lost on the control plane — retransmit with backoff.
-    ++complaint_retries_;
     RetryCounters::get().complaint_retries.inc();
-    obs::trace().emit(obs::TraceKind::kMsgRetry, address_, streak,
+    obs::trace().emit(obs::TraceKind::kMsgRetry, address_, f.streak,
                       static_cast<std::uint64_t>(MessageType::kComplaint), {},
-                      span);
+                      f.complaint_span);
   }
-  if (streak < config_.max_backoff_exp) ++streak;
-  arm_silence(column);
+  if (f.streak < kMaxBackoffExp) ++f.streak;
+  arm_silence(f);
 }
 
 void ClientNode::handle_accept(const Message& m) {
   if (joined_) {
     // Not necessarily a duplicate: the server re-admits an orphaned member
     // (evicted by a false-positive repair) by answering its complaint with
-    // a fresh accept. Adopt the new columns and keep the decode progress; a
-    // true duplicate accept (same columns) is a no-op through this path.
-    // Timers armed for columns no longer ours self-cancel in silence_fired.
-    columns_ = m.columns;
-    for (overlay::ColumnId c : columns_) note_liveness(c);
+    // a fresh accept. Give the old columns up, adopt the new ones and keep
+    // the decode progress; a true duplicate accept (same columns) just
+    // restarts every feed's silence clock.
+    adopt(m.columns);
     return;
   }
   // The stream announcement is untrusted wire data: a nonsense plan or
@@ -223,11 +221,10 @@ void ClientNode::handle_accept(const Message& m) {
   joined_ = true;
   joined_time_ = engine_->now();
   engine_->cancel(join_timer_);
-  columns_ = m.columns;
   // The accept closes the join episode the first hello opened.
   obs::trace().emit(obs::TraceKind::kSpanEnd, address_, 0, 0, "join",
                     join_span_);
-  for (overlay::ColumnId c : columns_) note_liveness(c);
+  adopt(m.columns);
 }
 
 void ClientNode::handle_data(const Message& m) {
@@ -294,24 +291,18 @@ void ClientNode::on_message(const Message& m) {
       // still empty. Resets the silence clock, carries no information.
       note_liveness(m.column);
       break;
-    case MessageType::kColumnDropped: {
+    case MessageType::kColumnDropped:
       // Congestion offload granted: stop receiving and serving the column.
-      const auto it = std::find(columns_.begin(), columns_.end(), m.column);
-      if (it != columns_.end()) columns_.erase(it);
+      if (Feed* f = feed(m.column)) {
+        stop(*f);
+        feeds_.erase(feeds_.begin() + (f - feeds_.data()));
+      }
       children_.erase(m.column);
-      disarm_silence(m.column);
-      complaint_streak_.erase(m.column);
-      end_complaint_span(m.column);
       break;
-    }
     case MessageType::kColumnAdded:
       // Congestion restore granted: start receiving on the column and, if
       // the server named a downstream clipper, start serving it.
-      if (std::find(columns_.begin(), columns_.end(), m.column) ==
-          columns_.end()) {
-        columns_.push_back(m.column);
-      }
-      note_liveness(m.column);
+      clip(m.column);
       if (m.subject != kServerAddress) children_[m.column] = m.subject;
       break;
     default:

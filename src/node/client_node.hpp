@@ -8,8 +8,8 @@
 // start() runs the endpoint on a kernel Scheduler (its lane of the sharded
 // engine) with cancellable timers — a periodic serve timer, a join-retry
 // timer that retransmits the hello with doubling backoff until the accept
-// arrives (control links can drop it), and one silence timer per column that
-// fires a complaint and re-arms with doubling backoff until data flows again.
+// arrives (control links can drop it), and one silence timer per in-thread
+// that complains and re-arms with doubling backoff until data flows again.
 
 #include <cstdint>
 #include <map>
@@ -27,7 +27,6 @@ namespace ncast::node {
 struct ClientConfig {
   std::uint64_t silence_timeout = 4;  ///< time without liveness -> complain
   double join_retry = 4.0;            ///< hello retransmit delay
-  std::uint32_t max_backoff_exp = 4;  ///< cap retransmit doubling at 2^this
   std::uint64_t seed = 1;
 };
 
@@ -35,6 +34,10 @@ struct ClientConfig {
 /// the join acknowledgment, so the client needs no out-of-band setup.
 class ClientNode : public Endpoint {
  public:
+  /// Hello and complaint retransmissions back off by doubling, capped at
+  /// 2^kMaxBackoffExp times the base delay.
+  static constexpr std::uint32_t kMaxBackoffExp = 4;
+
   ClientNode(Address address, ClientConfig config);
 
   Address address() const { return address_; }
@@ -56,11 +59,6 @@ class ClientNode : public Endpoint {
 
   /// Retry/latency observability.
   std::uint64_t join_retries() const { return join_retries_; }
-  std::uint64_t complaint_retries() const { return complaint_retries_; }
-  /// Causal span of this node's join episode (kNoSpan before the first
-  /// hello): every hello retransmission, the accept, and the node's rank
-  /// advances carry it, so the whole chain reconstructs from the trace.
-  obs::SpanId join_span() const { return join_span_; }
   /// Hello-sent and accept-received times (-1 until they happen).
   double join_sent_time() const { return join_sent_time_; }
   double joined_time() const { return joined_time_; }
@@ -68,8 +66,8 @@ class ClientNode : public Endpoint {
   double decode_time() const { return decode_time_; }
 
   /// Sends the good-bye and retires the endpoint: the node stops serving,
-  /// stops complaining (its feeds are about to be rewired around it), and
-  /// cancels its timers. Good-bye means gone.
+  /// gives up every in-thread (its feeds are about to be rewired around it),
+  /// and cancels its timers. Good-bye means gone.
   void leave(Transport& net);
 
   /// Congestion adaptation (Section 5): ask the server to shed one of this
@@ -78,7 +76,7 @@ class ClientNode : public Endpoint {
   void request_restore(Transport& net);
 
   /// Current number of in-threads (degree after offloads/restores).
-  std::size_t degree() const { return columns_.size(); }
+  std::size_t degree() const { return feeds_.size(); }
 
   /// Non-ergodic failure: the node goes dark and its pending timers are
   /// cancelled. Callers should also net.crash(address()) so in-flight mail
@@ -95,24 +93,44 @@ class ClientNode : public Endpoint {
   void on_message(const Message& m) override;
 
  private:
+  /// One in-thread: a column this node clips, with its outage state.
+  /// Giving the column up (leave, offload, re-admission) is stop(): its
+  /// timer is cancelled and its span ended, so nothing of it outlives it.
+  struct Feed {
+    overlay::ColumnId column;
+    /// Consecutive unanswered complaints (the backoff exponent).
+    std::uint32_t streak = 0;
+    /// The keepalive/complaint clock, re-armed on every sign of life.
+    sim::TimerHandle silence{};
+    /// The open outage episode (kNoSpan if none): begun on the first
+    /// complaint, ended when data flows again or the column is given up.
+    obs::SpanId complaint_span = obs::kNoSpan;
+  };
+
   /// Sends the hello (the first one opens the join span).
   void join();
   void handle_accept(const Message& m);
   void handle_data(const Message& m);
   void serve_children();
   void event_tick();
+  /// The feed on `column`, or nullptr if this node does not clip it.
+  Feed* feed(overlay::ColumnId column);
+  /// Starts the feed on `column` (refreshes it if it runs already).
+  void clip(overlay::ColumnId column);
+  /// Replaces every feed with fresh ones on `columns`, in their order.
+  void adopt(const std::vector<overlay::ColumnId>& columns);
+  /// Gives the feed's column up: cancels its timer and ends its span.
+  void stop(Feed& f);
   void note_liveness(overlay::ColumnId column);
-  /// Ends the column's outage episode, if one is open: data flows again, or
-  /// the node gave the column up.
-  void end_complaint_span(overlay::ColumnId column);
-  void arm_silence(overlay::ColumnId column);
-  void disarm_silence(overlay::ColumnId column);
+  /// Ends the feed's outage episode, if one is open.
+  void end_complaint_span(Feed& f);
+  void arm_silence(Feed& f);
   void silence_fired(overlay::ColumnId column);
   void schedule_join_retry(double delay);
 
   Address address_;
   // The flags fill address_'s padding word: one ClientNode is allocated per
-  // client, and this keeps it at 648 B.
+  // client, and this keeps it at 488 B.
   bool joined_ = false;
   bool crashed_ = false;
   bool departed_ = false;
@@ -121,7 +139,8 @@ class ClientNode : public Endpoint {
 
   StreamState stream_;
 
-  std::vector<overlay::ColumnId> columns_;
+  /// The in-threads, in the order the server handed them out.
+  std::vector<Feed> feeds_;
   std::map<overlay::ColumnId, Address> children_;
   std::uint64_t complaints_sent_ = 0;
   std::uint64_t packets_received_ = 0;
@@ -132,18 +151,11 @@ class ClientNode : public Endpoint {
   std::uint32_t join_degree_ = 0;
   sim::TimerHandle join_timer_{};
   sim::TimerHandle serve_timer_{};
-  /// One cancellable silence timer per column (the keepalive/complaint
-  /// clock), re-armed on every sign of life.
-  std::map<overlay::ColumnId, sim::TimerHandle> silence_timers_;
-  /// Consecutive unanswered complaints per column (backoff exponent).
-  std::map<overlay::ColumnId, std::uint32_t> complaint_streak_;
-  /// Open complaint span per column (one span per outage episode: begun on
-  /// the first complaint, ended when data flows again or when the node
-  /// leaves or gives the column up).
-  std::map<overlay::ColumnId, obs::SpanId> complaint_spans_;
+  /// Causal span of this node's join episode (kNoSpan before the first
+  /// hello): every hello retransmission, the accept, and the node's rank
+  /// advances carry it, so the whole chain reconstructs from the trace.
   obs::SpanId join_span_ = obs::kNoSpan;
   std::uint64_t join_retries_ = 0;
-  std::uint64_t complaint_retries_ = 0;
   double join_sent_time_ = -1.0;
   double joined_time_ = -1.0;
   double decode_time_ = -1.0;

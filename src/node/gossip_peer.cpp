@@ -31,19 +31,21 @@ void GossipPeer::start(sim::Scheduler& engine, AttachableTransport& net) {
   engine_ = &engine;
   net_ = &net;
   net.attach(address_, this);
-  tick_timer_ = engine.schedule_in(1.0, [this] { event_tick(); });
+  tick_timer_ = engine.schedule_in(1.0, [this] { event_tick(); },
+                                   sim::TimerClass::kServe);
 }
 
 void GossipPeer::event_tick() {
-  if (crashed_) return;  // the periodic loop dies with the peer
-  if (active()) tick_body();
-  tick_timer_ = engine_->schedule_in(1.0, [this] { event_tick(); });
+  if (!active()) return;  // the periodic loop dies with the peer
+  tick_body();
+  tick_timer_ = engine_->schedule_in(1.0, [this] { event_tick(); },
+                                     sim::TimerClass::kServe);
 }
 
 void GossipPeer::learn(Address peer) {
   if (peer == address_) return;
   if (std::find(view_.begin(), view_.end(), peer) != view_.end()) return;
-  if (view_.size() >= config_.view_limit) {
+  if (view_.size() >= kViewLimit) {
     // Evict a random old entry; churned-out addresses age away this way.
     view_[rng_.below(view_.size())] = peer;
     return;
@@ -65,6 +67,7 @@ std::vector<Address> GossipPeer::sample_view(std::size_t count,
 void GossipPeer::leave(Transport& net) {
   if (!active()) return;
   departed_ = true;
+  if (engine_) engine_->cancel(tick_timer_);
   for (const auto& [parent, last] : parents_) {
     Message m;
     m.type = MessageType::kSlotRelease;
@@ -103,7 +106,7 @@ void GossipPeer::handle_slot_request(const Message& m) {
     deny.type = MessageType::kSlotDeny;
     deny.from = address_;
     deny.to = m.from;
-    deny.peers = sample_view(config_.sample_size, m.from);
+    deny.peers = sample_view(kSampleSize, m.from);
     net_->send(std::move(deny));
   }
 }
@@ -167,7 +170,7 @@ void GossipPeer::on_message(const Message& m) {
       reply.type = MessageType::kPeerSampleReply;
       reply.from = address_;
       reply.to = m.from;
-      reply.peers = sample_view(config_.sample_size, m.from);
+      reply.peers = sample_view(kSampleSize, m.from);
       net_->send(std::move(reply));
       break;
     }
@@ -190,7 +193,7 @@ void GossipPeer::acquire_parents() {
   // grant or denial may also have been lost on a lossy control plane —
   // expiry-then-reissue is this protocol's retransmission).
   for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now() - it->second >= static_cast<double>(config_.request_timeout)) {
+    if (now() - it->second >= kRequestTimeout) {
       it = pending_.erase(it);
     } else {
       ++it;
@@ -240,7 +243,7 @@ void GossipPeer::tick_body() {
 
   // Proactive view gossip keeps partitions from fossilizing.
   if (!view_.empty() &&
-      now() - last_sample_ >= static_cast<double>(config_.sample_period)) {
+      now() - last_sample_ >= kSamplePeriod) {
     last_sample_ = now();
     Message req;
     req.type = MessageType::kPeerSampleRequest;

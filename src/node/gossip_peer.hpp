@@ -10,7 +10,7 @@
 //     but include a sample of their view, so rejection still makes progress);
 //   - a peer whose feed goes silent simply drops it and re-acquires a slot
 //     elsewhere — repair without any central authority. The pending-request
-//     expiry (request_timeout) is this protocol's retransmission: a slot
+//     expiry (kRequestTimeout) is this protocol's retransmission: a slot
 //     request whose grant or denial is lost is simply re-issued elsewhere;
 //   - the source is just a peer that holds the content and never requests.
 //
@@ -41,10 +41,6 @@ struct GossipPeerConfig {
   std::uint32_t want_parents = 3;     ///< feeds this peer tries to hold
   std::uint32_t upload_slots = 3;     ///< children this peer will serve
   std::uint64_t silence_timeout = 6;  ///< time before a feed counts as dead
-  std::uint64_t request_timeout = 4;  ///< time before a slot request expires
-  std::size_t view_limit = 32;        ///< bounded partial membership view
-  std::size_t sample_size = 6;        ///< addresses per gossip reply
-  std::uint64_t sample_period = 8;    ///< time between proactive samples
   std::size_t null_keys = 0;          ///< source only: keys per generation
   /// Source only: the stream's coding structure; non-sources learn it from
   /// the slot grant that initializes them and forward it in their own grants.
@@ -56,6 +52,11 @@ struct GossipPeerConfig {
 /// in one. Construct with content to act as the source.
 class GossipPeer : public Endpoint {
  public:
+  static constexpr double kRequestTimeout = 4.0;  ///< slot request expiry
+  static constexpr std::size_t kViewLimit = 32;   ///< partial view bound
+  static constexpr std::size_t kSampleSize = 6;   ///< addresses per sample
+  static constexpr double kSamplePeriod = 8.0;    ///< time between samples
+
   /// Regular peer; `introducer` is the one address it starts out knowing.
   GossipPeer(Address address, GossipPeerConfig config, Address introducer);
 

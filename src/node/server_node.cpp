@@ -117,37 +117,27 @@ void ServerNode::splice_out(Address addr, obs::SpanId span, bool repair) {
   } else {
     curtain_.leave(addr, span);
   }
-  // A goodbye can race an already-scheduled repair of the same node; the
-  // cancellable handle is what makes the race harmless.
-  const auto timer = repair_timers_.find(addr);
-  if (timer != repair_timers_.end()) {
-    engine_->cancel(timer->second);
-    repair_timers_.erase(timer);
-  }
-  // If a repair episode was open for this node and something else (a racing
-  // good-bye) spliced it out, close the span here rather than leaking it.
-  const auto open = repair_spans_.find(addr);
-  if (open != repair_spans_.end()) {
-    if (open->second != span) {
-      obs::trace().emit(obs::TraceKind::kSpanEnd, addr, 0, 0, "repair",
-                        open->second);
-    }
-    repair_spans_.erase(open);
-  }
 }
 
-void ServerNode::finish_repair(Address addr) {
-  repair_timers_.erase(addr);
-  const auto it = repair_spans_.find(addr);
-  const obs::SpanId span =
-      it != repair_spans_.end() ? it->second : obs::kNoSpan;
+void ServerNode::finish_repair(Address addr, obs::SpanId span) {
+  repairs_.erase(addr);
   splice_out(addr, span, /*repair=*/true);
   last_repair_time_ = engine_->now();
   obs::trace().emit(obs::TraceKind::kSpanEnd, addr, 0, 0, "repair", span);
 }
 
 void ServerNode::handle_goodbye(const Message& m) {
-  if (matrix().contains(m.from)) splice_out(m.from, m.span, /*repair=*/false);
+  if (!matrix().contains(m.from)) return;
+  splice_out(m.from, m.span, /*repair=*/false);
+  // A good-bye can race an already-scheduled repair of the same node: the
+  // leave ends that episode, so its timer is cancelled and its span closed.
+  const auto it = repairs_.find(m.from);
+  if (it != repairs_.end()) {
+    engine_->cancel(it->second.timer);
+    obs::trace().emit(obs::TraceKind::kSpanEnd, m.from, 0, 0, "repair",
+                      it->second.span);
+    repairs_.erase(it);
+  }
 }
 
 void ServerNode::handle_complaint(const Message& m) {
@@ -172,12 +162,12 @@ void ServerNode::handle_complaint(const Message& m) {
   const auto threads = matrix().row(m.from).threads;
   if (!std::binary_search(threads.begin(), threads.end(), m.column)) {
     // A complaint about a column the complainer does not clip: an offload
-    // took it, or a re-admission handed out fresh columns while timers for
-    // the old ones still fire (or the column is not even < k). Walking up
-    // from its row would convict whichever row above happens to clip that
-    // column — a bystander. Instead resend its current accept, as for a
-    // duplicate hello: if the client missed its re-admission accept, this
-    // is the only message that repairs its view of its own columns.
+    // took it, or a re-admission handed out fresh columns before the client
+    // learned of them (or the column is not even < k). Walking up from its
+    // row would convict whichever row above happens to clip that column — a
+    // bystander. Instead resend its current accept, as for a duplicate
+    // hello: if the client missed its re-admission accept, this is the only
+    // message that repairs its view of its own columns.
     send_accept(m.from, threads, m.span);
     return;
   }
@@ -187,13 +177,14 @@ void ServerNode::handle_complaint(const Message& m) {
   // The repair episode: a child span of the triggering complaint, open from
   // here until the splice completes.
   const obs::SpanId span = obs::trace().new_span();
-  repair_spans_[parent] = span;
   obs::trace().emit(obs::TraceKind::kSpanBegin, parent, m.column, m.from,
                     "repair", span, m.span);
   curtain_.report_failure(parent, span);
-  repair_timers_[parent] = engine_->schedule_in(
+  const sim::TimerHandle timer = engine_->schedule_in(
       static_cast<double>(config_.repair_delay),
-      [this, parent] { finish_repair(parent); }, sim::TimerClass::kRepair);
+      [this, parent, span] { finish_repair(parent, span); },
+      sim::TimerClass::kRepair);
+  repairs_[parent] = Repair{timer, span};
 }
 
 void ServerNode::handle_offload(const Message& m) {

@@ -94,7 +94,15 @@ class ServerNode : public Endpoint {
   /// membership event (the good-bye's span on a leave, the repair span
   /// during a repair).
   void splice_out(Address addr, obs::SpanId span, bool repair);
-  void finish_repair(Address addr);
+  void finish_repair(Address addr, obs::SpanId span);
+
+  /// A repair episode, opened by the complaint that convicted the node and
+  /// ended by the splice or by a good-bye that races it. Its span is a
+  /// child of the complaint's: the server half of the span tree.
+  struct Repair {
+    sim::TimerHandle timer;
+    obs::SpanId span;
+  };
 
   /// Sends one upload per directly-fed column.
   void emit_direct();
@@ -119,12 +127,8 @@ class ServerNode : public Endpoint {
   StreamState stream_;
   /// Columns the server currently feeds directly: column -> child address.
   std::map<overlay::ColumnId, Address> direct_children_;
-  /// One cancellable repair timer per failed node.
-  std::map<Address, sim::TimerHandle> repair_timers_;
-  /// Open repair span per failed node (begun at the complaint that scheduled
-  /// the repair, parented on the complaint's span, ended when the splice
-  /// completes) — the server half of the complaint/repair span tree.
-  std::map<Address, obs::SpanId> repair_spans_;
+  /// The open repair episode of each convicted node.
+  std::map<Address, Repair> repairs_;
   Transport* net_ = nullptr;
   sim::Scheduler* engine_ = nullptr;
   sim::TimerHandle emit_timer_{};

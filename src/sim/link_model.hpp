@@ -233,7 +233,6 @@ class LinkModel {
     }
   }
 
-  std::size_t link_count() const { return links_.size(); }
   const LinkEnd& link(std::size_t i) const { return links_[i]; }
   double latency(std::size_t i) const { return latency_[i]; }
   double phase(std::size_t i) const { return phase_[i]; }

@@ -79,8 +79,6 @@ class LaneScheduler final : public Scheduler {
                           TimerClass klass = TimerClass::kGeneric) override;
   bool cancel(TimerHandle handle) override;
 
-  LaneId lane_id() const { return lane_; }
-
  private:
   ShardedEngine* engine_;
   LaneId lane_;

@@ -111,7 +111,7 @@ TEST(GossipPeer, ViewsStayBoundedAndUseful) {
   Swarm s(30);
   s.run(100);
   for (auto& p : s.members) {
-    EXPECT_LE(p->view_size(), s.cfg.view_limit);
+    EXPECT_LE(p->view_size(), GossipPeer::kViewLimit);
     EXPECT_GE(p->view_size(), 1u);
   }
 }
@@ -136,8 +136,8 @@ TEST(GossipPeer, DecentralizedRepairAfterCrash) {
   // Decoding often finishes before the silence timeout even fires (the
   // redundancy covers the outage); run on so the repair machinery itself is
   // observable: the children must drop the corpse and re-acquire.
-  s.run(static_cast<double>(s.cfg.silence_timeout * 2 +
-                            s.cfg.request_timeout + 6));
+  s.run(static_cast<double>(s.cfg.silence_timeout * 2) +
+        GossipPeer::kRequestTimeout + 6.0);
   std::uint64_t reacquisitions = 0;
   for (auto& p : s.members) {
     if (p->crashed()) continue;
@@ -173,6 +173,18 @@ TEST(GossipPeer, SourceNeverRequestsAndServesItsSlots) {
   EXPECT_EQ(s.source->parent_count(), 0u);
   EXPECT_LE(s.source->child_count(), 4u);
   EXPECT_GE(s.source->child_count(), 1u);
+}
+
+TEST(GossipPeer, DepartedPeerStopsTicking) {
+  // Leaving retires the periodic serve/repair/gossip loop with the peer: a
+  // lone source that leaves at t = 0.5 runs no tick and leaves none pending.
+  Mesh mesh;
+  GossipPeer source(1, GossipPeerConfig{}, random_bytes(8 * 8, 3), 8, 8);
+  mesh.add(source);
+  mesh.run(0.5);
+  source.leave(mesh.net);
+  EXPECT_EQ(mesh.engine.run_until(100.5), 0u);
+  EXPECT_EQ(mesh.engine.pending(), 0u);
 }
 
 TEST(GossipPeer, LateJoinerFindsTheSwarmViaGossip) {

@@ -14,6 +14,7 @@
 #include "node/client_node.hpp"
 #include "node/server_node.hpp"
 #include "node/sharded_transport.hpp"
+#include "obs/trace.hpp"
 #include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
@@ -491,6 +492,182 @@ TEST(NodeProtocol, FalsePositiveReadmissionKeepsTheRequestedDegree) {
   ASSERT_TRUE(h.server.matrix().contains(1));
   EXPECT_EQ(h.server.matrix().row(1).threads.size(), 5u);
   EXPECT_EQ(wide.degree(), 5u);
+}
+
+TEST(NodeProtocol, GoodbyeRacingARepairEndsItsEpisodeOnce) {
+  // The server convicts a live member; before the repair fires, the member
+  // says good-bye. The leave ends the repair episode: the repair never runs
+  // and its span closes exactly once.
+  obs::trace().clear();
+  const ServerConfig scfg = server_config(6, 2, 4);
+  Harness h(scfg, random_bytes(4 * 8, 5));
+  Recorder upper, lower;
+  h.net.attach(1, &upper);
+  h.net.attach(2, &lower);
+  // Member 1 clips every column, so it feeds member 2 on each of 2's.
+  h.net.send(to_server(MessageType::kJoinRequest, 1, 0, /*degree=*/scfg.k));
+  h.run(2);
+  h.net.send(to_server(MessageType::kJoinRequest, 2));
+  h.run(2);
+  const overlay::ColumnId framed = h.server.matrix().row(2).threads[0];
+  ASSERT_EQ(h.server.matrix().parent_on_column(2, framed), 1u);
+  h.net.send(to_server(MessageType::kComplaint, 2, framed));
+  h.run(1);
+  ASSERT_TRUE(h.server.matrix().row(1).failed);  // convicted, repair pending
+  h.net.send(to_server(MessageType::kGoodbye, 1));
+  h.run(static_cast<double>(scfg.repair_delay) + 2.0);
+  EXPECT_FALSE(h.server.matrix().contains(1));
+  EXPECT_EQ(h.server.repairs_done(), 0u);
+  EXPECT_EQ(h.server.last_repair_time(), -1.0);
+#if NCAST_OBS_ENABLED
+  std::vector<obs::SpanId> begun, ended;
+  for (const auto& e : obs::trace().events_in_order()) {
+    if (e.detail != "repair") continue;
+    if (e.kind == obs::TraceKind::kSpanBegin) begun.push_back(e.span);
+    if (e.kind == obs::TraceKind::kSpanEnd) ended.push_back(e.span);
+  }
+  ASSERT_EQ(begun.size(), 1u);
+  EXPECT_EQ(ended, begun);
+#endif
+}
+
+/// Lane decorator that counts the silence timers that fire on it.
+class SilenceCounter final : public sim::Scheduler {
+ public:
+  explicit SilenceCounter(sim::Scheduler& lane) : lane_(&lane) {}
+
+  sim::SimTime now() const override { return lane_->now(); }
+  sim::TimerHandle schedule_at(
+      sim::SimTime at, Callback fn,
+      sim::TimerClass klass = sim::TimerClass::kGeneric) override {
+    if (klass == sim::TimerClass::kSilence) {
+      fn = [this, inner = std::move(fn)]() mutable {
+        ++fired;
+        inner();
+      };
+    }
+    return lane_->schedule_at(at, std::move(fn), klass);
+  }
+  bool cancel(sim::TimerHandle handle) override {
+    return lane_->cancel(handle);
+  }
+
+  std::size_t fired = 0;
+
+ private:
+  sim::Scheduler* lane_;
+};
+
+/// One client driven by hand on the default ideal links (latency 1): a
+/// Recorder stands in for the server, and the test writes the accepts and
+/// the parents' keepalives.
+struct OneClient {
+  sim::ShardedEngine engine{1, 0, 1.0};
+  ShardedTransport net{engine, TransportSpec{}, 1, kAddresses};
+  Recorder server;
+  StreamState origin;
+  SilenceCounter lane{engine.lane(1)};
+  ClientNode client{1, ClientConfig{}};
+  double now = 0.0;
+
+  OneClient() {
+    Rng key_rng(1);
+    origin.initialize_source(random_bytes(4 * 8, 6), 4, 8,
+                             coding::StructureSpec{}, 0, key_rng);
+    net.attach(kServerAddress, &server);
+    client.start(lane, net);
+  }
+
+  void accept(std::vector<overlay::ColumnId> columns) {
+    Message m;
+    m.type = MessageType::kJoinAccept;
+    m.from = kServerAddress;
+    m.to = 1;
+    m.columns = std::move(columns);
+    origin.announce(m);
+    net.send(std::move(m));
+  }
+
+  void keepalive(overlay::ColumnId column) {
+    Message m;
+    m.type = MessageType::kKeepalive;
+    m.from = 2;
+    m.to = 1;
+    m.column = column;
+    net.send(std::move(m));
+  }
+
+  void run(double span) {
+    now += span;
+    engine.run_until(now);
+  }
+
+  std::size_t complaints_about(overlay::ColumnId column) const {
+    std::size_t n = 0;
+    for (const Message& m : server.got) {
+      n += m.type == MessageType::kComplaint && m.column == column;
+    }
+    return n;
+  }
+};
+
+TEST(NodeProtocol, ReadmissionGivesTheOldColumnsUp) {
+  // Column 1 goes silent until the client complains, opening the column's
+  // outage span; then a re-admission accept moves the client to columns
+  // {2, 3}. Giving {0, 1} up ends that span at the accept and cancels both
+  // silence timers: none of them fires afterwards.
+  obs::trace().clear();
+  OneClient c;
+  c.accept({0, 1});
+  c.run(1);
+  ASSERT_TRUE(c.client.joined());
+  while (c.complaints_about(1) == 0 && c.now < 20) {
+    c.keepalive(0);
+    c.run(1);
+  }
+  ASSERT_EQ(c.complaints_about(1), 1u);
+  EXPECT_EQ(c.complaints_about(0), 0u);
+
+  c.accept({2, 3});
+  c.run(1);  // the accept lands now
+  [[maybe_unused]] const double accepted_at = c.now;
+  const std::size_t fired_at_accept = c.lane.fired;
+  for (int step = 0; step < 40; ++step) {
+    c.keepalive(2);
+    c.keepalive(3);
+    c.run(1);
+  }
+  EXPECT_EQ(c.lane.fired, fired_at_accept);
+  EXPECT_EQ(c.complaints_about(0) + c.complaints_about(1), 1u);
+
+#if NCAST_OBS_ENABLED
+  obs::SpanId outage = obs::kNoSpan;
+  std::vector<double> ends;
+  for (const auto& e : obs::trace().events_in_order()) {
+    if (e.detail != "complaint") continue;
+    if (e.kind == obs::TraceKind::kSpanBegin) {
+      EXPECT_EQ(e.a, 1u) << "only column 1 went silent";
+      outage = e.span;
+    } else if (e.kind == obs::TraceKind::kSpanEnd && e.span == outage) {
+      ends.push_back(e.t);
+    }
+  }
+  ASSERT_NE(outage, obs::kNoSpan);
+  EXPECT_EQ(ends, std::vector<double>{accepted_at});
+#endif
+}
+
+TEST(NodeProtocol, KeepaliveOnAnUnclippedColumnArmsNothing) {
+  // Liveness on a column the client does not clip restarts no clock: a
+  // timer there could only ever fire as a no-op.
+  OneClient c;
+  c.accept({0, 1});
+  c.run(1);
+  ASSERT_TRUE(c.client.joined());
+  const std::size_t pending = c.engine.pending();
+  c.keepalive(5);
+  c.run(1);
+  EXPECT_EQ(c.engine.pending(), pending);
 }
 
 TEST(NodeProtocol, ClientValidation) {
