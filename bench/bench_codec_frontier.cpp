@@ -16,7 +16,10 @@
 //   - in smoke mode with observability compiled in, the best banded
 //     configuration at g = 256 whose overhead is within +0.05 of dense must
 //     absorb at least 3x faster than dense (the ROADMAP item-1 claim). The
-//     committed baseline pins this via the perf gate too
+//     two are timed in interleaved repetitions and each side's fastest
+//     repetition counts: preemption and co-runners only ever add time, so
+//     the ratio compares the codecs, not the moments they happened to run
+//     at. The committed baseline pins this via the perf gate too
 //     (notes:band_speedup_g256).
 
 #include <cstdint>
@@ -129,6 +132,19 @@ RunResult run_one(const coding::GenerationStructure& s, std::size_t symbols,
   return r;
 }
 
+/// One configuration's run on whichever decoder band_decoded() picks.
+RunResult run_config(const coding::GenerationStructure& s, std::size_t symbols,
+                     std::uint64_t seed) {
+  return band_decoded(s)
+             ? run_one<coding::BandDecoder<Gf>>(s, symbols, seed)
+             : run_one<coding::StructuredDecoder<Gf>>(s, symbols, seed);
+}
+
+/// The sweep's seed for `seed` at generation size `g`.
+std::uint64_t run_seed(std::uint64_t seed, std::size_t g) {
+  return seed * 2 + g;
+}
+
 std::string note_key(const std::string& prefix, std::size_t g,
                      const std::string& label) {
   std::string key = prefix + "_g" + std::to_string(g) + "_" + label;
@@ -170,22 +186,18 @@ int main() {
                "absorb_ns", "decode_us", "coeffs/pkt", "wire_bytes"});
 
   bool all_ok = true;
-  double dense_absorb_g256 = 0.0, dense_overhead_g256 = 0.0;
+  double dense_overhead_g256 = 0.0;
   double best_band_absorb_g256 = 0.0;
   std::string best_band_label;
+  coding::GenerationStructure best_band_structure;
 
   for (const std::size_t g : g_list) {
     for (const auto& cfg : make_configs(g, smoke)) {
       double sent = 0, coeffs = 0, absorb_ns = 0, decode_ns = 0;
       bool ok = true;
       for (const std::uint64_t seed : seeds) {
-        const std::uint64_t run_seed = seed * 2 + g;
         const RunResult r =
-            band_decoded(cfg.structure)
-                ? run_one<coding::BandDecoder<Gf>>(cfg.structure, symbols,
-                                                   run_seed)
-                : run_one<coding::StructuredDecoder<Gf>>(cfg.structure,
-                                                         symbols, run_seed);
+            run_config(cfg.structure, symbols, run_seed(seed, g));
         ok = ok && r.complete && r.verified;
         sent += static_cast<double>(r.sent);
         coeffs += static_cast<double>(r.coeff_entries);
@@ -213,7 +225,6 @@ int main() {
 
       if (g == 256) {
         if (cfg.label == "dense") {
-          dense_absorb_g256 = mean_absorb;
           dense_overhead_g256 = overhead;
         } else if (cfg.label.rfind("banded", 0) == 0 &&
                    !cfg.structure.wrap &&
@@ -222,6 +233,7 @@ int main() {
               mean_absorb < best_band_absorb_g256) {
             best_band_absorb_g256 = mean_absorb;
             best_band_label = cfg.label;
+            best_band_structure = cfg.structure;
           }
         }
       }
@@ -233,26 +245,50 @@ int main() {
 
   // The ROADMAP item-1 headline: banded absorb at g = 256, at overhead
   // comparable to dense (within +0.05), must be >= 3x cheaper than dense.
-  const double speedup = best_band_absorb_g256 > 0.0
-                             ? dense_absorb_g256 / best_band_absorb_g256
-                             : 0.0;
+  // Dense and the chosen banded configuration are timed again in
+  // interleaved repetitions (each one a mean per-absorb cost over the
+  // sweep's seeds), and the gate takes the ratio of each side's fastest.
+  constexpr int kGateRepetitions = 10;
+  double dense_fastest = 0.0, band_fastest = 0.0;
+  const auto fastest_into = [&](double& best,
+                                const coding::GenerationStructure& s) {
+    double ns = 0.0, sent = 0.0;
+    for (const std::uint64_t seed : seeds) {
+      const RunResult r = run_config(s, symbols, run_seed(seed, 256));
+      ns += r.absorb_ns;
+      sent += static_cast<double>(r.sent);
+    }
+    const double mean = sent > 0 ? ns / sent : 0.0;
+    if (best == 0.0 || mean < best) best = mean;
+  };
+  if (!best_band_label.empty()) {
+    const auto dense = coding::GenerationStructure::dense(256);
+    for (int rep = 0; rep < kGateRepetitions; ++rep) {
+      fastest_into(dense_fastest, dense);
+      fastest_into(band_fastest, best_band_structure);
+    }
+  }
+  const double speedup = band_fastest > 0.0 ? dense_fastest / band_fastest
+                                            : 0.0;
   session.note("band_speedup_g256", speedup);
   session.note("all_configs_decoded", all_ok);
 
   const bool obs_on = NCAST_OBS_ENABLED != 0;
   std::printf(
       "\nReading: at g = 256, the cheapest comparable-overhead banded config\n"
-      "(%s) absorbs %.1fx faster than dense. Overlapped classes trade more\n"
-      "overhead for cheap per-class decoding; wrap-around bands fix the edge\n"
-      "overhead of plain bands but must decode dense.\n",
-      best_band_label.empty() ? "none" : best_band_label.c_str(), speedup);
+      "(%s) absorbs %.1fx faster than dense (%.0f vs %.0f ns, fastest of %d\n"
+      "interleaved repetitions each). Overlapped classes trade more overhead\n"
+      "for cheap per-class decoding; wrap-around bands fix the edge overhead\n"
+      "of plain bands but must decode dense.\n",
+      best_band_label.empty() ? "none" : best_band_label.c_str(), speedup,
+      band_fastest, dense_fastest, kGateRepetitions);
 
   if (!all_ok) return 1;
   if (smoke && obs_on && speedup < 3.0) {
     std::fprintf(stderr,
                  "FAIL: banded speedup %.2fx < 3x at g=256 (dense %.0f ns vs "
                  "banded %.0f ns)\n",
-                 speedup, dense_absorb_g256, best_band_absorb_g256);
+                 speedup, dense_fastest, band_fastest);
     return 1;
   }
   return 0;

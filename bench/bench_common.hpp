@@ -67,10 +67,6 @@ class ScenarioBuilder {
     spec_.horizon = h;
     return *this;
   }
-  ScenarioBuilder& send_period(double p) {
-    spec_.send_period = p;
-    return *this;
-  }
   ScenarioBuilder& fixed_latency(double t) {
     spec_.link.latency = sim::LatencySpec::fixed_delay(t);
     return *this;
@@ -91,10 +87,6 @@ class ScenarioBuilder {
     spec_.link.bandwidth_cap = per_period;
     return *this;
   }
-  ScenarioBuilder& partition(double from, double until, double b_fraction) {
-    spec_.link.partition = sim::PartitionSpec::window(from, until, b_fraction);
-    return *this;
-  }
   ScenarioBuilder& null_keys(std::size_t count) {
     spec_.null_keys = count;
     return *this;
@@ -109,15 +101,6 @@ class ScenarioBuilder {
   }
   ScenarioBuilder& leave(double t, overlay::NodeId node) {
     spec_.faults.leave_at(t, node);
-    return *this;
-  }
-  ScenarioBuilder& behavior(double t, overlay::NodeId node,
-                            sim::NodeBehavior b) {
-    spec_.faults.behavior_at(t, node, b);
-    return *this;
-  }
-  ScenarioBuilder& faults(const sim::FaultPlan& plan) {
-    spec_.faults.merge(plan);
     return *this;
   }
 
@@ -140,8 +123,9 @@ class ScenarioBuilder {
     session.param(key("symbols"), spec_.symbols);
     session.param(key("mode"), spec_.round_sync ? "rounds" : "async");
     session.param(key("mean_loss"), spec_.link.loss.mean_loss());
+    // Round mode pins every link to half a send period (the time unit).
     session.param(key("latency_bound"), spec_.round_sync
-                                            ? spec_.send_period / 2.0
+                                            ? 0.5
                                             : spec_.link.latency.upper_bound());
     if (spec_.link.bandwidth_cap > 0.0) {
       session.param(key("bandwidth_cap"), spec_.link.bandwidth_cap);

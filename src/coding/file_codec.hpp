@@ -1,34 +1,32 @@
 #pragma once
 // Whole-file RLNC codec over GF(2^8): glues generation segmentation, the
-// source encoder, and per-generation decoders into the object a server or a
-// downloading client actually holds. Used by the examples, the
-// file-distribution simulator, and the protocol endpoints.
+// source encoder, and per-generation buffers into the objects an origin and
+// a sink or relay hold. Used by the examples and, through node::StreamState,
+// by every protocol endpoint.
 //
 // The encoder is structure-aware (coding/structure.hpp): it builds one
 // SourceEncoder per generation under a StructureSpec (dense by default, so
 // every pre-structure call site keeps its exact behavior — including the RNG
-// draw sequence), and emit/emit_round_robin preserve the band/class geometry
-// because SourceEncoder's placement draws do. The decoder decodes dense
-// generations, one Decoder each; structured streams are decoded by the
-// protocol endpoints through StreamState.
+// draw sequence), and its emissions preserve the band/class geometry because
+// SourceEncoder's placement draws do. The decoder is the one multi-generation
+// buffer: one StructuredDecoder per generation (dense by default), which
+// decodes, reassembles, and — at a relay — recodes.
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "coding/generation.hpp"
 #include "coding/structure.hpp"
+#include "coding/structured_decoder.hpp"
 #include "gf/gf256.hpp"
 #include "util/rng.hpp"
 
 namespace ncast::coding {
 
-/// Server-side file encoder: owns one SourceEncoder per generation and emits
-/// coded packets round-robin or for a chosen generation.
+/// Origin-side file encoder: owns one SourceEncoder per generation and emits
+/// coded packets for a chosen, a random, or the next generation.
 class FileEncoder {
  public:
   using Packet = CodedPacket<gf::Gf256>;
@@ -62,9 +60,11 @@ class FileEncoder {
     return encoders_.at(gen).emit(rng);
   }
 
-  /// emit() into `p`, reusing its buffers; the same draws.
-  void emit_into(std::size_t gen, Packet& p, Rng& rng) const {
-    encoders_.at(gen).emit_into(p, rng);
+  /// The origin's upload: a coded packet from a uniformly random
+  /// generation, written into `p` (reusing its buffers). Draws the
+  /// generation, then the encoder's placement and coefficients.
+  void emit_into(Packet& p, Rng& rng) const {
+    encoders_[rng.below(plan_.generations)].emit_into(p, rng);
   }
 
   /// Random coded packet, cycling generations across calls.
@@ -82,25 +82,58 @@ class FileEncoder {
   std::size_t next_ = 0;
 };
 
-/// Client-side file decoder: one dense decoder per generation plus
-/// reassembly.
+/// The multi-generation buffer of a sink or relay: one StructuredDecoder per
+/// generation (decode and recode), plus reassembly.
 class FileDecoder {
  public:
   using Packet = CodedPacket<gf::Gf256>;
 
-  explicit FileDecoder(const GenerationPlan& plan) : plan_(plan) {
+  /// Dense generations.
+  explicit FileDecoder(const GenerationPlan& plan)
+      : FileDecoder(plan, GenerationStructure::dense(plan.generation_size)) {}
+
+  /// Generations under `structure`, whose g must be the plan's generation
+  /// size.
+  FileDecoder(const GenerationPlan& plan, const GenerationStructure& structure)
+      : plan_(plan) {
     decoders_.reserve(plan_.generations);
     for (std::size_t g = 0; g < plan_.generations; ++g) {
-      decoders_.emplace_back(static_cast<std::uint32_t>(g),
-                             plan_.generation_size, plan_.symbols);
+      decoders_.emplace_back(static_cast<std::uint32_t>(g), structure,
+                             plan_.symbols);
     }
   }
+
+  const GenerationPlan& plan() const { return plan_; }
+  /// A plan has at least one generation, and every buffer shares it.
+  const GenerationStructure& structure() const {
+    return decoders_.front().structure();
+  }
+
+  // ncast:hot-begin — per-packet absorb and recode: no allocation, no throw.
 
   /// Consumes a packet; returns true iff innovative.
   bool absorb(const Packet& p) {
     if (p.generation >= decoders_.size()) return false;
     return decoders_[p.generation].absorb(p);
   }
+
+  /// A relay's upload: recodes a uniformly random generation with data into
+  /// `p` (random, not round-robin: deterministic rotations over a static
+  /// edge order can starve descendants of whole generations). Returns false,
+  /// drawing nothing, while every buffer is empty.
+  bool emit_into(Packet& p, Rng& rng) const {
+    std::size_t with_data = 0;
+    for (const auto& d : decoders_) with_data += d.rank() > 0 ? 1 : 0;
+    if (with_data == 0) return false;
+    std::size_t pick = rng.below(with_data);
+    for (const auto& d : decoders_) {
+      if (d.rank() == 0 || pick-- != 0) continue;
+      return d.emit_into(p, rng);
+    }
+    return false;
+  }
+
+  // ncast:hot-end
 
   bool complete() const {
     for (const auto& d : decoders_) {
@@ -120,7 +153,7 @@ class FileDecoder {
     return plan_.generations * plan_.generation_size;
   }
 
-  const Decoder<gf::Gf256>& decoder(std::size_t gen) const {
+  const StructuredDecoder<gf::Gf256>& decoder(std::size_t gen) const {
     return decoders_.at(gen);
   }
 
@@ -135,7 +168,7 @@ class FileDecoder {
 
  private:
   GenerationPlan plan_;
-  std::vector<Decoder<gf::Gf256>> decoders_;
+  std::vector<StructuredDecoder<gf::Gf256>> decoders_;
 };
 
 }  // namespace ncast::coding

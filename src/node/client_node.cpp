@@ -77,7 +77,7 @@ void ClientNode::leave(Transport& net) {
   // upstream — so neither a complaint nor another served packet from this
   // node is meaningful.
   departed_ = true;
-  children_.clear();
+  stream_.unfeed_all();
   adopt({});  // give every in-thread up
   if (engine_) engine_->cancel(join_timer_);
 }
@@ -116,7 +116,7 @@ void ClientNode::schedule_join_retry(double delay) {
 
 void ClientNode::event_tick() {
   if (crashed_ || departed_) return;  // the serve loop dies with the node
-  serve_children();
+  stream_.serve(address_, *net_, rng_);
   serve_timer_ = engine_->schedule_in(1.0, [this] { event_tick(); },
                                       sim::TimerClass::kServe);
 }
@@ -278,10 +278,10 @@ void ClientNode::on_message(const Message& m) {
       handle_accept(m);
       break;
     case MessageType::kAttachChild:
-      children_[m.column] = m.subject;
+      stream_.feed(m.column, m.subject);
       break;
     case MessageType::kDetachChild:
-      children_.erase(m.column);
+      stream_.unfeed(m.column);
       break;
     case MessageType::kData:
       handle_data(m);
@@ -297,25 +297,16 @@ void ClientNode::on_message(const Message& m) {
         stop(*f);
         feeds_.erase(feeds_.begin() + (f - feeds_.data()));
       }
-      children_.erase(m.column);
+      stream_.unfeed(m.column);
       break;
     case MessageType::kColumnAdded:
       // Congestion restore granted: start receiving on the column and, if
       // the server named a downstream clipper, start serving it.
       clip(m.column);
-      if (m.subject != kServerAddress) children_[m.column] = m.subject;
+      if (m.subject != kServerAddress) stream_.feed(m.column, m.subject);
       break;
     default:
       break;
-  }
-}
-
-void ClientNode::serve_children() {
-  // Serve the children the server attached to us, one upload per child per
-  // tick (StreamState::upload: data, or a keepalive while our buffers are
-  // empty).
-  for (const auto& [column, child] : children_) {
-    net_->send(stream_.upload(address_, child, column, rng_));
   }
 }
 

@@ -2,8 +2,9 @@
 // The client endpoint: joins via the hello protocol, learns the stream plan
 // (and optional null keys) from the join acknowledgment, receives coded
 // packets on its threads, recodes onto the children the server attaches to
-// it, and complains when a feed goes silent. A crashed client simply stops —
-// its children's complaints drive the repair path.
+// it (its StreamState's out-links, one per column it continues), and
+// complains when a feed goes silent. A crashed client simply stops — its
+// children's complaints drive the repair path.
 //
 // start() runs the endpoint on a kernel Scheduler (its lane of the sharded
 // engine) with cancellable timers — a periodic serve timer, a join-retry
@@ -13,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "node/message.hpp"
@@ -77,6 +77,9 @@ class ClientNode : public Endpoint {
 
   /// Current number of in-threads (degree after offloads/restores).
   std::size_t degree() const { return feeds_.size(); }
+  /// The out-links: column -> the child this node feeds on it, as the
+  /// server's attach/detach and column orders left them.
+  const std::map<LinkId, Address>& links() const { return stream_.links(); }
 
   /// Non-ergodic failure: the node goes dark and its pending timers are
   /// cancelled. Callers should also net.crash(address()) so in-flight mail
@@ -111,7 +114,6 @@ class ClientNode : public Endpoint {
   void join();
   void handle_accept(const Message& m);
   void handle_data(const Message& m);
-  void serve_children();
   void event_tick();
   /// The feed on `column`, or nullptr if this node does not clip it.
   Feed* feed(overlay::ColumnId column);
@@ -130,7 +132,7 @@ class ClientNode : public Endpoint {
 
   Address address_;
   // The flags fill address_'s padding word: one ClientNode is allocated per
-  // client, and this keeps it at 488 B.
+  // client, and this keeps it at 456 B.
   bool joined_ = false;
   bool crashed_ = false;
   bool departed_ = false;
@@ -141,7 +143,6 @@ class ClientNode : public Endpoint {
 
   /// The in-threads, in the order the server handed them out.
   std::vector<Feed> feeds_;
-  std::map<overlay::ColumnId, Address> children_;
   std::uint64_t complaints_sent_ = 0;
   std::uint64_t packets_received_ = 0;
   std::uint64_t packets_rejected_ = 0;

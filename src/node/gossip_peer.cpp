@@ -75,7 +75,7 @@ void GossipPeer::leave(Transport& net) {
     m.to = parent;
     net.send(std::move(m));
   }
-  for (Address child : children_) {
+  for (const auto& [link, child] : stream_.links()) {
     Message m;
     m.type = MessageType::kParentBye;
     m.from = address_;
@@ -83,14 +83,14 @@ void GossipPeer::leave(Transport& net) {
     net.send(std::move(m));
   }
   parents_.clear();
-  children_.clear();
+  stream_.unfeed_all();
 }
 
 void GossipPeer::handle_slot_request(const Message& m) {
   learn(m.from);
-  if (stream_.initialized() && children_.size() < config_.upload_slots &&
-      children_.find(m.from) == children_.end()) {
-    children_.insert(m.from);
+  if (stream_.initialized() && stream_.links().size() < config_.upload_slots &&
+      stream_.links().count(m.from) == 0) {
+    stream_.feed(m.from, m.from);  // a slot link is keyed by its child
     Message grant;
     grant.type = MessageType::kSlotGrant;
     grant.from = address_;
@@ -144,7 +144,7 @@ void GossipPeer::on_message(const Message& m) {
       for (Address a : m.peers) learn(a);
       break;
     case MessageType::kSlotRelease:
-      children_.erase(m.from);
+      stream_.unfeed(m.from);
       break;
     case MessageType::kParentBye:
       parents_.erase(m.from);
@@ -182,12 +182,6 @@ void GossipPeer::on_message(const Message& m) {
   }
 }
 
-void GossipPeer::serve_children() {
-  for (Address child : children_) {
-    net_->send(stream_.upload(address_, child, 0, rng_));
-  }
-}
-
 void GossipPeer::acquire_parents() {
   // Expire stale slot requests (the target may be gone or overloaded; the
   // grant or denial may also have been lost on a lossy control plane —
@@ -222,7 +216,7 @@ void GossipPeer::acquire_parents() {
 }
 
 void GossipPeer::tick_body() {
-  serve_children();
+  stream_.serve(address_, *net_, rng_);
 
   if (!is_source()) {
     // Decentralized repair: drop silent feeds, look for replacements.

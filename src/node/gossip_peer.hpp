@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "coding/structure.hpp"
@@ -72,7 +71,7 @@ class GossipPeer : public Endpoint {
   bool departed() const { return departed_; }
 
   std::size_t parent_count() const { return parents_.size(); }
-  std::size_t child_count() const { return children_.size(); }
+  std::size_t child_count() const { return stream_.links().size(); }
   std::size_t view_size() const { return view_.size(); }
   std::uint64_t reacquisitions() const { return reacquisitions_; }
 
@@ -103,7 +102,6 @@ class GossipPeer : public Endpoint {
   std::vector<Address> sample_view(std::size_t count, Address exclude);
   void handle_slot_request(const Message& m);
   void handle_slot_grant(const Message& m);
-  void serve_children();
   void acquire_parents();
   void tick_body();
   void event_tick();
@@ -117,15 +115,15 @@ class GossipPeer : public Endpoint {
 
   std::vector<Address> view_;            // bounded partial membership
   std::map<Address, double> parents_;    // feed -> last liveness time
-  std::set<Address> children_;
   std::map<Address, double> pending_;    // slot request -> sent time
   double last_sample_ = 0.0;
   std::uint64_t reacquisitions_ = 0;
 
-  /// The stream, as its source or a relay. Its announcement — plan,
-  /// structure and the null-key bundles the source generated — is handed
-  /// from parent to child inside every slot grant (trust flows with the
-  /// slots).
+  /// The stream, as its source or a relay, and the children this peer
+  /// serves (its out-links, each keyed by the child's address). Its
+  /// announcement — plan, structure and the null-key bundles the source
+  /// generated — is handed from parent to child inside every slot grant
+  /// (trust flows with the slots).
   StreamState stream_;
 
   Transport* net_ = nullptr;

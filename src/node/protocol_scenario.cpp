@@ -70,7 +70,7 @@ ProtocolScenarioReport run_scenario_sharded(const ProtocolScenarioSpec& spec,
   ServerConfig scfg;
   scfg.k = spec.k;
   scfg.default_degree = spec.default_degree;
-  scfg.repair_delay = static_cast<std::uint64_t>(spec.repair_delay);
+  scfg.repair_delay = spec.repair_delay;
   scfg.generation_size = spec.generation_size;
   scfg.symbols = spec.symbols;
   scfg.null_keys = spec.null_keys;

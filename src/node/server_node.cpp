@@ -26,7 +26,7 @@ void ServerNode::start(sim::Scheduler& engine, AttachableTransport& net) {
 }
 
 void ServerNode::event_tick() {
-  emit_direct();
+  stream_.serve(kServerAddress, *net_, emit_rng_);
   emit_timer_ = engine_->schedule_in(1.0, [this] { event_tick(); },
                                      sim::TimerClass::kEmit);
 }
@@ -60,9 +60,9 @@ void ServerNode::rewire(Address parent, overlay::ColumnId column,
                         std::optional<Address> child, obs::SpanId span) {
   if (parent == kServerAddress) {
     if (child) {
-      direct_children_[column] = *child;
+      stream_.feed(column, *child);
     } else {
-      direct_children_.erase(column);
+      stream_.unfeed(column);
     }
     return;
   }
@@ -181,7 +181,7 @@ void ServerNode::handle_complaint(const Message& m) {
                     "repair", span, m.span);
   curtain_.report_failure(parent, span);
   const sim::TimerHandle timer = engine_->schedule_in(
-      static_cast<double>(config_.repair_delay),
+      config_.repair_delay,
       [this, parent, span] { finish_repair(parent, span); },
       sim::TimerClass::kRepair);
   repairs_[parent] = Repair{timer, span};
@@ -247,12 +247,6 @@ void ServerNode::on_message(const Message& m) {
       break;
     default:
       break;  // the server ignores data and stray control
-  }
-}
-
-void ServerNode::emit_direct() {
-  for (const auto& [column, child] : direct_children_) {
-    net_->send(stream_.upload(kServerAddress, child, column, emit_rng_));
   }
 }
 

@@ -8,9 +8,10 @@
 // an overlay::CurtainServer owns the thread matrix and every membership pick
 // (each hello, good-bye, conviction, repair, offload and restore is one call
 // on it), and a StreamState owns the origin — encoder, null keys, the stream
-// announcement in each accept, and every upload. What stays here are the
-// messages that carry each decision out (accept, attach/detach, column
-// dropped/added), the timers, and the trace spans.
+// announcement in each accept, the out-links of the columns the server still
+// feeds directly, and every upload. What stays here are the messages that
+// carry each decision out (accept, attach/detach, column dropped/added), the
+// timers, and the trace spans.
 //
 // start() schedules the endpoint on a kernel Scheduler (its lane of the
 // sharded engine) — a periodic emit timer plus one cancellable repair timer
@@ -34,7 +35,7 @@ namespace ncast::node {
 struct ServerConfig {
   std::uint32_t k = 16;              ///< server threads
   std::uint32_t default_degree = 3;  ///< d assigned to joiners
-  std::uint64_t repair_delay = 3;    ///< time units from complaint to repair
+  double repair_delay = 3.0;         ///< time from complaint to repair
   std::size_t generation_size = 16;  ///< packets per generation
   std::size_t symbols = 16;          ///< payload bytes per packet
   std::size_t null_keys = 0;         ///< keys per generation (0 = off)
@@ -54,6 +55,8 @@ class ServerNode : public Endpoint {
   const overlay::ThreadMatrix& matrix() const { return curtain_.matrix(); }
   const ServerConfig& config() const { return config_; }
   const coding::GenerationPlan& plan() const { return stream_.plan(); }
+  /// The columns the server feeds directly: column -> the first clipper.
+  const std::map<LinkId, Address>& links() const { return stream_.links(); }
 
   /// The original content (for end-to-end verification in tests).
   const std::vector<std::uint8_t>& data() const {
@@ -81,9 +84,9 @@ class ServerNode : public Endpoint {
   /// `span` is the causal span the accept rides (the hello's span, so the
   /// join episode's request and response share one id).
   void send_accept(Address addr, overlay::ThreadSpan columns, obs::SpanId span);
-  /// Points `parent`'s feed on `column` at `child` (nullopt: stop feeding).
-  /// The server's own feeds change in place; a client's by an attach or
-  /// detach order tagged with `span`.
+  /// Points `parent`'s out-link on `column` at `child` (nullopt: stop
+  /// feeding). The server's own out-links change in place; a client's by an
+  /// attach or detach order tagged with `span`.
   void rewire(Address parent, overlay::ColumnId column,
               std::optional<Address> child, obs::SpanId span);
 
@@ -104,8 +107,6 @@ class ServerNode : public Endpoint {
     obs::SpanId span;
   };
 
-  /// Sends one upload per directly-fed column.
-  void emit_direct();
   void event_tick();
 
   /// Previous clipper of `column` above the row of `addr` (server if none).
@@ -123,10 +124,9 @@ class ServerNode : public Endpoint {
   /// Data-plane draws (generation choice + coding coefficients), decoupled
   /// from membership so emission volume cannot shift topology decisions.
   Rng emit_rng_;
-  /// The origin: encoder, null keys, announcement and uploads.
+  /// The origin: encoder, null keys, announcement, the directly-fed
+  /// columns' out-links and their uploads.
   StreamState stream_;
-  /// Columns the server currently feeds directly: column -> child address.
-  std::map<overlay::ColumnId, Address> direct_children_;
   /// The open repair episode of each convicted node.
   std::map<Address, Repair> repairs_;
   Transport* net_ = nullptr;

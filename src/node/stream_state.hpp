@@ -2,12 +2,13 @@
 // Per-endpoint stream state: the one owner of a content object's data plane
 // at every endpoint. At the origin (ServerNode, a source GossipPeer) it holds
 // the FileEncoder and the null-key bundles generated from the content; at a
-// relay (ClientNode, every other GossipPeer) the generation plan, one
-// structured buffer per generation (a StructuredDecoder, which both decodes
-// and recodes), and the key bundles it verified. Either way it is the one
-// writer (announce) and the one reader (initialize) of the stream
-// announcement a join accept or slot grant carries, and it builds every
-// upload (upload: a data packet, or a keepalive while the buffers are empty).
+// relay (ClientNode, every other GossipPeer) the FileDecoder (one structured
+// buffer per generation, which both decodes and recodes) and the key bundles
+// it verified. Either way it is the one writer (announce) and the one reader
+// (initialize) of the stream announcement a join accept or slot grant
+// carries, it keeps the endpoint's out-link table (who it feeds), and its
+// serve step sends every upload (a data packet, or a keepalive while the
+// buffers are empty).
 //
 // The stream's GenerationStructure arrives with the plan (join accept / slot
 // grant) and governs every hop of the data plane:
@@ -24,6 +25,7 @@
 //     StreamState admits.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -32,13 +34,17 @@
 #include "coding/generation.hpp"
 #include "coding/null_keys.hpp"
 #include "coding/structure.hpp"
-#include "coding/structured_decoder.hpp"
 #include "coding/wire.hpp"
 #include "gf/gf256.hpp"
 #include "node/message.hpp"
+#include "node/transport.hpp"
 #include "util/rng.hpp"
 
 namespace ncast::node {
+
+/// An out-link's key, carried in each upload's `column`: the column it
+/// continues (server, clients), or the child's address (trackerless peer).
+using LinkId = overlay::ColumnId;
 
 /// The origin or receive/recode state for one content object.
 class StreamState {
@@ -54,11 +60,9 @@ class StreamState {
                          std::size_t null_keys, Rng& key_rng) {
     source_ = std::make_unique<const coding::FileEncoder>(
         std::move(content), generation_size, symbols, structure);
-    plan_ = source_->plan();
-    structure_ = source_->structure();
-    for (std::size_t g = 0; null_keys > 0 && g < plan_.generations; ++g) {
+    for (std::size_t g = 0; null_keys > 0 && g < source_->generations(); ++g) {
       const auto packets =
-          coding::generation_packets(source_->data(), plan_, g);
+          coding::generation_packets(source_->data(), source_->plan(), g);
       const auto keys = coding::NullKeySet<gf::Gf256>::generate(
           static_cast<std::uint32_t>(g), packets, null_keys, key_rng);
       key_bundles_.push_back(keys.serialize());
@@ -66,10 +70,15 @@ class StreamState {
   }
 
   bool is_source() const { return source_ != nullptr; }
-  bool initialized() const { return is_source() || !decoders_.empty(); }
-  const coding::GenerationPlan& plan() const { return plan_; }
-  /// The stream's coding structure; meaningful only when initialized().
-  const coding::GenerationStructure& structure() const { return structure_; }
+  bool initialized() const { return is_source() || buffer_.has_value(); }
+  /// The stream's generation plan; requires initialized().
+  const coding::GenerationPlan& plan() const {
+    return source_ ? source_->plan() : buffer_.value().plan();
+  }
+  /// The stream's coding structure; requires initialized().
+  const coding::GenerationStructure& structure() const {
+    return source_ ? source_->structure() : buffer_.value().structure();
+  }
   /// True when announce() hands out key bundles: the origin generated them,
   /// or a relay installed and checks them.
   bool verification_enabled() const { return !key_bundles_.empty(); }
@@ -77,14 +86,14 @@ class StreamState {
   /// Writes the stream announcement — plan, structure descriptor and null-key
   /// bundles — into a join accept or slot grant. Requires initialized().
   void announce(Message& m) const {
-    m.data_size = plan_.data_size;
-    m.gen_count = static_cast<std::uint32_t>(plan_.generations);
-    m.gen_size = static_cast<std::uint16_t>(plan_.generation_size);
-    m.symbols = static_cast<std::uint16_t>(plan_.symbols);
-    m.structure_kind = static_cast<std::uint8_t>(structure_.kind);
-    m.band_width = static_cast<std::uint16_t>(structure_.band_width);
-    m.structure_wrap = structure_.wrap ? 1 : 0;
-    m.class_overlap = static_cast<std::uint16_t>(structure_.overlap);
+    m.data_size = plan().data_size;
+    m.gen_count = static_cast<std::uint32_t>(plan().generations);
+    m.gen_size = static_cast<std::uint16_t>(plan().generation_size);
+    m.symbols = static_cast<std::uint16_t>(plan().symbols);
+    m.structure_kind = static_cast<std::uint8_t>(structure().kind);
+    m.band_width = static_cast<std::uint16_t>(structure().band_width);
+    m.structure_wrap = structure().wrap ? 1 : 0;
+    m.class_overlap = static_cast<std::uint16_t>(structure().overlap);
     m.key_bundles = key_bundles_;
   }
 
@@ -120,13 +129,7 @@ class StreamState {
     const coding::GenerationStructure s =
         structure ? *structure : coding::GenerationStructure::dense(gen_size);
     if (s.g != gen_size) return false;
-    plan_ = plan;
-    structure_ = s;
-    decoders_.clear();
-    decoders_.reserve(gen_count);
-    for (std::uint32_t g = 0; g < gen_count; ++g) {
-      decoders_.emplace_back(g, structure_, symbols);
-    }
+    buffer_.emplace(plan, s);
     return true;
   }
 
@@ -135,7 +138,7 @@ class StreamState {
   void install_keys(const std::vector<std::vector<std::uint8_t>>& bundles) {
     keys_.clear();
     key_bundles_.clear();
-    if (bundles.size() != decoders_.size()) return;
+    if (!buffer_ || bundles.size() != buffer_->plan().generations) return;
     std::vector<coding::NullKeySet<gf::Gf256>> parsed;
     for (const auto& bundle : bundles) {
       auto keys = coding::NullKeySet<gf::Gf256>::deserialize(bundle);
@@ -151,12 +154,14 @@ class StreamState {
   /// stream's structure or symbol count, out of range, or failed
   /// verification).
   bool absorb_wire(const std::vector<std::uint8_t>& wire) {
-    const auto packet = coding::deserialize_stream<gf::Gf256>(wire, structure_);
+    if (!buffer_) return false;
+    const auto packet =
+        coding::deserialize_stream<gf::Gf256>(wire, buffer_->structure());
     if (!packet) return false;
-    if (packet->generation >= decoders_.size()) return false;
-    if (packet->payload.size() != plan_.symbols) return false;
+    if (packet->generation >= buffer_->plan().generations) return false;
+    if (packet->payload.size() != buffer_->plan().symbols) return false;
     if (!keys_.empty() && !verify_against_keys(*packet)) return false;
-    decoders_[packet->generation].absorb(*packet);
+    buffer_->absorb(*packet);
     return true;
   }
 
@@ -169,26 +174,41 @@ class StreamState {
   /// (version 2), so the structure's sparsity survives every hop.
   std::optional<std::vector<std::uint8_t>> emit_wire(Rng& rng) {
     if (source_) {
-      const auto gen = rng.below(source_->generations());
-      source_->emit_into(gen, scratch_, rng);
-    } else if (!recode_into(scratch_, rng)) {
+      source_->emit_into(scratch_, rng);
+    } else if (!buffer_ || !buffer_->emit_into(scratch_, rng)) {
       return std::nullopt;
     }
     // The scratch packet recycles its buffers across emissions; only the
     // wire serialization allocates.
-    return coding::serialize_stream(scratch_, structure_);
+    return coding::serialize_stream(scratch_, structure());
   }
 
-  /// The upload step of every endpoint: the message `from` sends `to` on
-  /// `column` each serve tick — data from emit_wire(), or a keepalive while
-  /// there is nothing to send, so a deep child does not mistake a slow
-  /// bootstrap for a dead parent.
-  Message upload(Address from, Address to, overlay::ColumnId column,
-                 Rng& rng) {
+  /// Starts (or redirects) the out-link `link`: serve() uploads to `child`
+  /// on it from the next tick on.
+  void feed(LinkId link, Address child) { links_[link] = child; }
+  /// Stops the out-link `link` (no-op if this endpoint does not feed it).
+  void unfeed(LinkId link) { links_.erase(link); }
+  /// Stops every out-link.
+  void unfeed_all() { links_.clear(); }
+  /// The out-link table: link -> the child it feeds, in serve order.
+  const std::map<LinkId, Address>& links() const { return links_; }
+
+  /// The serve step of every endpoint: one upload from `from` per out-link,
+  /// in link order, sent on `net`.
+  void serve(Address from, Transport& net, Rng& rng) {
+    for (const auto& [link, child] : links_) {
+      net.send(upload(from, child, link, rng));
+    }
+  }
+
+  /// The message `from` sends `to` on `link` each serve tick — data from
+  /// emit_wire(), or a keepalive while there is nothing to send, so a deep
+  /// child does not mistake a slow bootstrap for a dead parent.
+  Message upload(Address from, Address to, LinkId link, Rng& rng) {
     Message out;
     out.from = from;
     out.to = to;
-    out.column = column;
+    out.column = link;
     if (auto wire = emit_wire(rng)) {
       out.type = MessageType::kData;
       out.wire = std::move(*wire);
@@ -198,31 +218,17 @@ class StreamState {
     return out;
   }
 
-  std::size_t rank() const {
-    std::size_t r = 0;
-    for (const auto& d : decoders_) r += d.rank();
-    return r;
-  }
+  /// Innovative packets held, summed over generations (0 at the origin).
+  std::size_t rank() const { return buffer_ ? buffer_->total_rank() : 0; }
 
   /// The origin holds the content; a relay has full rank everywhere.
   bool decoded() const {
-    if (source_) return true;
-    if (decoders_.empty()) return false;
-    for (const auto& d : decoders_) {
-      if (!d.complete()) return false;
-    }
-    return true;
+    return source_ != nullptr || (buffer_ && buffer_->complete());
   }
 
   /// The content (reconstructed at a relay); requires decoded().
   std::vector<std::uint8_t> data() const {
-    if (source_) return source_->data();
-    std::vector<std::vector<std::vector<std::uint8_t>>> decoded_gens;
-    decoded_gens.reserve(decoders_.size());
-    for (const auto& d : decoders_) {
-      decoded_gens.push_back(d.source_packets());
-    }
-    return coding::reassemble(decoded_gens, plan_);
+    return source_ ? source_->data() : buffer_.value().data();
   }
 
   /// The origin's content, without a copy; requires is_source().
@@ -231,32 +237,14 @@ class StreamState {
   }
 
  private:
-  /// Recodes a uniformly random generation with data into `p`; false when
-  /// every buffer is empty.
-  bool recode_into(coding::CodedPacket<gf::Gf256>& p, Rng& rng) const {
-    std::size_t with_data = 0;
-    for (const auto& d : decoders_) {
-      if (d.rank() > 0) ++with_data;
-    }
-    if (with_data == 0) return false;
-    std::size_t pick = rng.below(with_data);
-    for (const auto& d : decoders_) {
-      if (d.rank() == 0 || pick-- != 0) continue;
-      return d.emit_into(p, rng);
-    }
-    return false;
-  }
-
   /// Null keys verify dense coefficient rows (validity commutes with
   /// recoding, so a key set generated from the source packets vouches for
   /// every linear combination — but only in dense coordinates). Compact
   /// strips are scatter-expanded first, by the same cyclic placement rule
   /// the buffers absorb them with.
   bool verify_against_keys(const coding::CodedPacket<gf::Gf256>& p) {
-    if (p.coeffs.size() == structure_.g) {
-      return keys_[p.generation].verify(p);
-    }
-    const std::size_t g = structure_.g;
+    const std::size_t g = buffer_->structure().g;
+    if (p.coeffs.size() == g) return keys_[p.generation].verify(p);
     scratch_.generation = p.generation;
     scratch_.band_offset = 0;
     scratch_.class_id = 0;
@@ -268,16 +256,16 @@ class StreamState {
     return keys_[p.generation].verify(scratch_);
   }
 
-  coding::GenerationPlan plan_;
-  coding::GenerationStructure structure_ =
-      coding::GenerationStructure::dense(1);
-  std::vector<coding::StructuredDecoder<gf::Gf256>> decoders_;  // decode + recode
+  /// Relay only, by value: one buffer per generation (decode + recode).
+  std::optional<coding::FileDecoder> buffer_;
   std::vector<coding::NullKeySet<gf::Gf256>> keys_;  // parsed key_bundles_ (relay)
   /// Serialized null-key sets, one per generation: generated at the origin,
   /// verified at a relay; empty when the stream is unkeyed.
   std::vector<std::vector<std::uint8_t>> key_bundles_;
   /// Origin only, behind a pointer so relays carry one null word.
   std::unique_ptr<const coding::FileEncoder> source_;
+  /// Who this endpoint feeds: link -> child, served in key order.
+  std::map<LinkId, Address> links_;
   /// Recycled packet for emit_wire() and for the key check's dense
   /// expansion; each use overwrites every field and ends before the call
   /// returns, so the two never overlap.

@@ -84,11 +84,9 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
   if (spec.generation_size == 0 || spec.symbols == 0) {
     throw std::invalid_argument("run_scenario: bad spec");
   }
-  if (spec.send_period <= 0.0) {
-    throw std::invalid_argument("run_scenario: send_period must be positive");
-  }
   const std::size_t gs = spec.generation_size;
-  const double period = spec.send_period;
+  // Every link sends one packet per period, and the period is the time unit.
+  constexpr double period = 1.0;
   const bool round_mode = spec.round_sync;
 
   Rng rng(spec.seed);

@@ -28,16 +28,15 @@
 
 namespace ncast::sim {
 
+/// Time is measured in send periods: every link sends one packet per unit.
 struct ScenarioSpec {
   std::size_t generation_size = 16;  ///< g: packets per generation
   std::size_t symbols = 8;           ///< payload symbols per packet
-  double send_period = 1.0;          ///< one packet per link per period
 
   /// Round-synchronous degenerate mode: phases are 0, the first send fires
-  /// at t = send_period, and every link takes send_period / 2 so deliveries
-  /// land at round boundaries; link.latency is ignored. Async mode draws
-  /// each link's latency from link.latency and its phase uniformly from
-  /// [0, send_period).
+  /// at t = 1, and every link takes 1/2 so deliveries land at round
+  /// boundaries; link.latency is ignored. Async mode draws each link's
+  /// latency from link.latency and its phase uniformly from [0, 1).
   bool round_sync = false;
   std::size_t rounds = 0;  ///< round_sync round budget; 0 = auto (depth + 4g)
   double horizon = 0.0;    ///< async horizon; 0 = auto (wavefront + 4g periods)

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "node/client_node.hpp"
 #include "node/protocol_scenario.hpp"
@@ -184,6 +185,106 @@ TEST(ProtocolScenario, CrossPlaneEquivalenceCongestion) {
   EXPECT_EQ(server.repairs_done(), 0u);
   EXPECT_TRUE(server.matrix().check_invariants());
   expect_matrix_equivalent(server.matrix(), direct.matrix());
+}
+
+TEST(ProtocolScenario, OutLinksMatchTheMatrixAtQuiescence) {
+  // The parent-side view of the curtain: once a loss-free control plane is
+  // quiet, every live client's out-link table is exactly the matrix's next
+  // clipper below it on each column it clips, and the server's is the first
+  // clipper of each column — after joins, good-byes, crash repairs, late
+  // joins, and every one of a seeded run of offload/restore requests.
+  ServerConfig scfg;
+  scfg.k = 8;
+  scfg.default_degree = 3;
+  scfg.repair_delay = 2.0;
+  scfg.generation_size = 8;
+  scfg.symbols = 8;
+  scfg.seed = 47;
+  ClientConfig ccfg;
+  ccfg.silence_timeout = 6;
+  constexpr Address kClients = 42;  // 40 at first, then two late joins
+  sim::ShardedEngine engine(1, 0, 1.0);
+  ShardedTransport net(engine, TransportSpec{}, scfg.seed, kClients + 1);
+  ServerNode server(scfg, std::vector<std::uint8_t>(256, 7));
+  server.start(engine.lane(kServerAddress), net);
+
+  double now = 0.0;
+  const auto run = [&](double span) {
+    now += span;
+    engine.run_until(now);
+  };
+  std::vector<std::unique_ptr<ClientNode>> clients;
+  for (Address a = 1; a <= kClients; ++a) {
+    clients.push_back(std::make_unique<ClientNode>(a, ccfg));
+  }
+  const auto live = [&](Address a) {
+    return !clients[a - 1]->crashed() && !clients[a - 1]->departed();
+  };
+  const auto expect_links_match = [&](const std::string& when) {
+    const overlay::ThreadMatrix& m = server.matrix();
+    std::map<LinkId, Address> first_clipper;
+    for (const overlay::NodeId n : m.order()) {
+      for (const overlay::ColumnId c : m.row(n).threads) {
+        first_clipper.emplace(c, n);
+      }
+    }
+    EXPECT_EQ(server.links(), first_clipper) << when;
+    for (Address a = 1; a <= kClients; ++a) {
+      if (!live(a) || !clients[a - 1]->joined()) continue;
+      ASSERT_TRUE(m.contains(a)) << when << ", address " << a;
+      std::map<LinkId, Address> below;
+      for (const overlay::ColumnId c : m.row(a).threads) {
+        const overlay::NodeId child = m.child_on_column(a, c);
+        if (child != overlay::kNoNode) below[c] = child;
+      }
+      EXPECT_EQ(clients[a - 1]->links(), below) << when << ", address " << a;
+    }
+    EXPECT_EQ(server.repairs_done(), 2u) << when;  // the two crashes only
+  };
+
+  for (Address a = 1; a <= 40; ++a) clients[a - 1]->start(engine.lane(a), net);
+  run(20.0);
+  clients[6]->leave(net);   // address 7
+  clients[20]->leave(net);  // address 21
+  for (const Address a : {3u, 15u}) {
+    clients[a - 1]->crash();
+    net.crash(a);
+  }
+  for (Address a = 41; a <= kClients; ++a) {
+    clients[a - 1]->start(engine.lane(a), net);
+  }
+  run(40.0);
+  expect_links_match("after membership");
+
+  Rng ops(0xC1);
+  for (int i = 0; i < 30; ++i) {
+    Address a = 0;
+    while (a == 0 || !live(a)) a = static_cast<Address>(1 + ops.below(kClients));
+    if (ops.chance(0.6)) {
+      clients[a - 1]->request_offload(net);
+    } else {
+      clients[a - 1]->request_restore(net);
+    }
+    run(3.0);
+    expect_links_match("after request " + std::to_string(i));
+  }
+}
+
+TEST(ProtocolScenario, FractionalRepairDelayIsKept) {
+  // The complaint-to-splice delay is a time like any other: a spec's 2.5
+  // splices half a unit later than 2.0, not at 2.0.
+  const auto last_repair = [](double delay) {
+    ProtocolScenarioSpec spec = quiet_spec(41);
+    spec.default_degree = 3;
+    spec.silence_timeout = 8;
+    spec.repair_delay = delay;
+    spec.faults.join_burst(1.0, 10, 1.0);
+    spec.faults.crash_join_at(40.0, 0);
+    const auto report = run_scenario_sharded(spec, 1, 0);
+    EXPECT_EQ(report.repairs_done, 1u);
+    return report.last_repair_time;
+  };
+  EXPECT_DOUBLE_EQ(last_repair(2.5) - last_repair(2.0), 0.5);
 }
 
 TEST(ProtocolScenario, JoinRetriesPushHellosThroughLossyControlLinks) {

@@ -14,12 +14,19 @@
 //
 // Every run prints the effective parameters so results are reproducible.
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "node/client_node.hpp"
 #include "node/server_node.hpp"
@@ -39,35 +46,69 @@ using namespace ncast;
 
 namespace {
 
+/// Bad command-line input; main() prints it with the usage text (exit 2).
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Args {
   std::map<std::string, std::string> kv;
 
-  std::uint64_t get(const std::string& key, std::uint64_t def) const {
+  /// The whole-number value of `--key` (`def` if absent). Anything but
+  /// digits, or a value past T's range, is a UsageError.
+  template <typename T>
+  T get(const std::string& key, T def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == kv.end()) return def;
+    const std::string& s = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])) ||
+        *end != '\0' || errno == ERANGE ||
+        v > std::numeric_limits<T>::max()) {
+      throw UsageError("--" + key + " wants a whole number, got '" + s + "'");
+    }
+    return static_cast<T>(v);
   }
+  /// The finite real value of `--key` (`def` if absent).
   double getf(const std::string& key, double def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : std::strtod(it->second.c_str(), nullptr);
+    if (it == kv.end()) return def;
+    const std::string& s = it->second;
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0' || !std::isfinite(v)) {
+      throw UsageError("--" + key + " wants a number, got '" + s + "'");
+    }
+    return v;
   }
 };
 
-Args parse(int argc, char** argv, int first) {
+/// Parses `--key value` pairs; `keys` lists the command's own keys (the
+/// observability dumps --metrics and --trace are accepted everywhere).
+Args parse(int argc, char** argv, int first,
+           const std::vector<std::string>& keys) {
   Args args;
-  for (int i = first; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
+  for (int i = first; i < argc; i += 2) {
+    const std::string arg = argv[i];
+    const std::string key = arg.rfind("--", 0) == 0 ? arg.substr(2) : "";
+    if (std::find(keys.begin(), keys.end(), key) == keys.end() &&
+        key != "metrics" && key != "trace") {
+      throw UsageError("unknown option '" + arg + "'");
+    }
+    if (i + 1 >= argc) throw UsageError(arg + " needs a value");
     args.kv[key] = argv[i + 1];
   }
   return args;
 }
 
 int cmd_overlay(const Args& a) {
-  const auto k = static_cast<std::uint32_t>(a.get("k", 16));
-  const auto d = static_cast<std::uint32_t>(a.get("d", 3));
-  const auto n = a.get("n", 2000);
+  const auto k = a.get<std::uint32_t>("k", 16);
+  const auto d = a.get<std::uint32_t>("d", 3);
+  const auto n = a.get<std::uint64_t>("n", 2000);
   const double p = a.getf("p", 0.02);
-  const auto seed = a.get("seed", 1);
+  const auto seed = a.get<std::uint64_t>("seed", 1);
   std::printf("overlay: k=%u d=%u n=%llu p=%.4f seed=%llu\n", k, d,
               static_cast<unsigned long long>(n),
               p, static_cast<unsigned long long>(seed));
@@ -113,11 +154,11 @@ int cmd_overlay(const Args& a) {
 }
 
 int cmd_defect(const Args& a) {
-  const auto k = static_cast<std::uint32_t>(a.get("k", 16));
-  const auto d = static_cast<std::uint32_t>(a.get("d", 3));
+  const auto k = a.get<std::uint32_t>("k", 16);
+  const auto d = a.get<std::uint32_t>("d", 3);
   const double p = a.getf("p", 0.01);
-  const auto steps = a.get("steps", 5000);
-  const auto seed = a.get("seed", 1);
+  const auto steps = a.get<std::uint64_t>("steps", 5000);
+  const auto seed = a.get<std::uint64_t>("seed", 1);
   if (k > 22) {
     std::fprintf(stderr, "defect: exact engine needs k <= 22\n");
     return 1;
@@ -145,12 +186,12 @@ int cmd_defect(const Args& a) {
 }
 
 int cmd_broadcast(const Args& a) {
-  const auto k = static_cast<std::uint32_t>(a.get("k", 12));
-  const auto d = static_cast<std::uint32_t>(a.get("d", 3));
-  const auto n = a.get("n", 300);
+  const auto k = a.get<std::uint32_t>("k", 12);
+  const auto d = a.get<std::uint32_t>("d", 3);
+  const auto n = a.get<std::uint64_t>("n", 300);
   const double p = a.getf("p", 0.05);
-  const auto g = a.get("g", 16);
-  const auto seed = a.get("seed", 1);
+  const auto g = a.get<std::uint64_t>("g", 16);
+  const auto seed = a.get<std::uint64_t>("seed", 1);
   std::printf("broadcast: k=%u d=%u n=%llu p=%.4f g=%llu seed=%llu\n", k, d,
               static_cast<unsigned long long>(n), p,
               static_cast<unsigned long long>(g),
@@ -185,11 +226,11 @@ int cmd_broadcast(const Args& a) {
 }
 
 int cmd_stream(const Args& a) {
-  const auto k = static_cast<std::uint32_t>(a.get("k", 8));
-  const auto d = static_cast<std::uint32_t>(a.get("d", 3));
-  const auto n = a.get("n", 25);
-  const auto bytes = a.get("bytes", 4096);
-  const auto seed = a.get("seed", 1);
+  const auto k = a.get<std::uint32_t>("k", 8);
+  const auto d = a.get<std::uint32_t>("d", 3);
+  const auto n = a.get<std::uint64_t>("n", 25);
+  const auto bytes = a.get<std::uint64_t>("bytes", 4096);
+  const auto seed = a.get<std::uint64_t>("seed", 1);
   std::printf("stream: k=%u d=%u n=%llu bytes=%llu seed=%llu\n", k, d,
               static_cast<unsigned long long>(n),
               static_cast<unsigned long long>(bytes),
@@ -297,24 +338,41 @@ bool dump_observability(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  struct Command {
+    const char* name;
+    std::vector<std::string> keys;
+    int (*run)(const Args&);
+  };
+  const Command commands[] = {
+      {"overlay", {"k", "d", "n", "p", "seed"}, cmd_overlay},
+      {"defect", {"k", "d", "p", "steps", "seed"}, cmd_defect},
+      {"broadcast", {"k", "d", "n", "p", "g", "seed"}, cmd_broadcast},
+      {"stream", {"k", "d", "n", "bytes", "seed"}, cmd_stream},
+  };
+  const Command* cmd = nullptr;
+  for (const Command& c : commands) {
+    if (argc >= 2 && std::strcmp(argv[1], c.name) == 0) cmd = &c;
+  }
+  if (cmd == nullptr) {
     usage();
     return 2;
   }
-  const std::string cmd = argv[1];
-  const Args args = parse(argc, argv, 2);
-  int rc = 2;
-  if (cmd == "overlay") {
-    rc = cmd_overlay(args);
-  } else if (cmd == "defect") {
-    rc = cmd_defect(args);
-  } else if (cmd == "broadcast") {
-    rc = cmd_broadcast(args);
-  } else if (cmd == "stream") {
-    rc = cmd_stream(args);
-  } else {
+  // Bad input — an unparsable or unknown option, or a parameter the library
+  // refuses (k = 0, g = 0, ...) — is reported, not an abort.
+  const auto bad_input = [](const char* what) {
+    std::fprintf(stderr, "ncast_explore: %s\n", what);
     usage();
     return 2;
+  };
+  Args args;
+  int rc = 0;
+  try {
+    args = parse(argc, argv, 2, cmd->keys);
+    rc = cmd->run(args);
+  } catch (const std::invalid_argument& e) {
+    return bad_input(e.what());
+  } catch (const std::out_of_range& e) {
+    return bad_input(e.what());
   }
   if (!dump_observability(args) && rc == 0) rc = 1;
   return rc;
