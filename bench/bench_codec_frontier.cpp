@@ -4,7 +4,11 @@
 // (coding/structure.hpp, structured_decoder.hpp, band_decoder.hpp) and
 // measures, per configuration: overhead (redundant-packet fraction until
 // complete), mean per-packet absorb cost, full-decode latency, and the
-// coefficient bytes a packet carries on the wire. This is the trade the
+// coefficient bytes a packet carries on the wire. Each row's two timings are
+// the fastest of kRowPasses passes over the seeds, each pass pooled over
+// them (the gate's own statistic), so one preempted absorb cannot inflate a
+// row or change which banded configuration the gate times; the packet and
+// overhead columns are fixed by the seeds. This is the trade the
 // sparse-coding papers promise ("Effects of the Generation Size and Overlap
 // on Throughput and Complexity in Randomized Linear Network Coding"; "Sparse
 // Network Coding with Overlapping Classes"): banded and overlapped
@@ -22,6 +26,7 @@
 //     at. The committed baseline pins this via the perf gate too
 //     (notes:band_speedup_g256).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -145,6 +150,31 @@ std::uint64_t run_seed(std::uint64_t seed, std::size_t g) {
   return seed * 2 + g;
 }
 
+/// One configuration run once per seed: packet and coefficient totals
+/// (fixed by the seeds) and the timed totals.
+struct Pass {
+  double sent = 0, coeffs = 0, absorb_ns = 0, decode_ns = 0;
+  bool ok = true;
+
+  /// Per-absorb cost pooled over the seeds: the statistic the table, the
+  /// notes and the gate compare.
+  double mean_absorb_ns() const { return sent > 0 ? absorb_ns / sent : 0.0; }
+};
+
+Pass run_pass(const coding::GenerationStructure& s, std::size_t symbols,
+              const std::vector<std::uint64_t>& seeds) {
+  Pass p;
+  for (const std::uint64_t seed : seeds) {
+    const RunResult r = run_config(s, symbols, run_seed(seed, s.g));
+    p.ok = p.ok && r.complete && r.verified;
+    p.sent += static_cast<double>(r.sent);
+    p.coeffs += static_cast<double>(r.coeff_entries);
+    p.absorb_ns += r.absorb_ns;
+    p.decode_ns += r.absorb_ns + r.finalize_ns;
+  }
+  return p;
+}
+
 std::string note_key(const std::string& prefix, std::size_t g,
                      const std::string& label) {
   std::string key = prefix + "_g" + std::to_string(g) + "_" + label;
@@ -185,6 +215,7 @@ int main() {
   Table table({"g", "structure", "policy", "packets", "overhead",
                "absorb_ns", "decode_us", "coeffs/pkt", "wire_bytes"});
 
+  constexpr int kRowPasses = 3;
   bool all_ok = true;
   double dense_overhead_g256 = 0.0;
   double best_band_absorb_g256 = 0.0;
@@ -193,24 +224,22 @@ int main() {
 
   for (const std::size_t g : g_list) {
     for (const auto& cfg : make_configs(g, smoke)) {
-      double sent = 0, coeffs = 0, absorb_ns = 0, decode_ns = 0;
-      bool ok = true;
-      for (const std::uint64_t seed : seeds) {
-        const RunResult r =
-            run_config(cfg.structure, symbols, run_seed(seed, g));
-        ok = ok && r.complete && r.verified;
-        sent += static_cast<double>(r.sent);
-        coeffs += static_cast<double>(r.coeff_entries);
-        absorb_ns += r.absorb_ns;
-        decode_ns += r.absorb_ns + r.finalize_ns;
+      const Pass first = run_pass(cfg.structure, symbols, seeds);
+      double mean_absorb = first.mean_absorb_ns();
+      double decode_ns = first.decode_ns;
+      all_ok = all_ok && first.ok;
+      for (int pass = 1; pass < kRowPasses; ++pass) {
+        const Pass p = run_pass(cfg.structure, symbols, seeds);
+        all_ok = all_ok && p.ok;
+        mean_absorb = std::min(mean_absorb, p.mean_absorb_ns());
+        decode_ns = std::min(decode_ns, p.decode_ns);
       }
-      all_ok = all_ok && ok;
       const double trials = static_cast<double>(seeds.size());
-      const double mean_sent = sent / trials;
+      const double mean_sent = first.sent / trials;
       const double overhead = mean_sent / static_cast<double>(g) - 1.0;
-      const double mean_absorb = sent > 0 ? absorb_ns / sent : 0.0;
       const double mean_decode_us = decode_ns / trials / 1000.0;
-      const double mean_coeffs = sent > 0 ? coeffs / sent : 0.0;
+      const double mean_coeffs =
+          first.sent > 0 ? first.coeffs / first.sent : 0.0;
       const double wire_bytes = static_cast<double>(
           coding::wire_size_structured<Gf>(
               static_cast<std::size_t>(mean_coeffs + 0.5), symbols));
@@ -246,19 +275,13 @@ int main() {
   // The ROADMAP item-1 headline: banded absorb at g = 256, at overhead
   // comparable to dense (within +0.05), must be >= 3x cheaper than dense.
   // Dense and the chosen banded configuration are timed again in
-  // interleaved repetitions (each one a mean per-absorb cost over the
-  // sweep's seeds), and the gate takes the ratio of each side's fastest.
+  // interleaved repetitions (each one pass over the sweep's seeds), and the
+  // gate takes the ratio of each side's fastest.
   constexpr int kGateRepetitions = 10;
   double dense_fastest = 0.0, band_fastest = 0.0;
   const auto fastest_into = [&](double& best,
                                 const coding::GenerationStructure& s) {
-    double ns = 0.0, sent = 0.0;
-    for (const std::uint64_t seed : seeds) {
-      const RunResult r = run_config(s, symbols, run_seed(seed, 256));
-      ns += r.absorb_ns;
-      sent += static_cast<double>(r.sent);
-    }
-    const double mean = sent > 0 ? ns / sent : 0.0;
+    const double mean = run_pass(s, symbols, seeds).mean_absorb_ns();
     if (best == 0.0 || mean < best) best = mean;
   };
   if (!best_band_label.empty()) {

@@ -87,8 +87,9 @@ int main() {
   std::printf("%s\n", all_match ? "all match the source" : "MISMATCH");
 
   std::printf(
-      "\ntraffic: %llu data, %llu control, %llu keepalive, %llu dropped\n"
-      "Control stays O(d) per membership event; everything else is payload.\n",
+      "\ntraffic: %llu data, %llu control, %llu keepalive/have, %llu dropped\n"
+      "Control stays O(d) per membership event; everything else is the data\n"
+      "plane, and once a child holds a generation its parents stop sending it.\n",
       static_cast<unsigned long long>(net.data_messages()),
       static_cast<unsigned long long>(net.control_messages()),
       static_cast<unsigned long long>(net.keepalive_messages()),

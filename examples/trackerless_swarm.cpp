@@ -102,7 +102,7 @@ int main() {
   }
 
   std::printf(
-      "\ntraffic: %llu data, %llu control, %llu keepalive\n"
+      "\ntraffic: %llu data, %llu control, %llu keepalive/have\n"
       "No participant ever held global membership; repair was local silence\n"
       "detection; and the swarm outlived its source — the paper's Section 7\n"
       "endgame, running.\n",

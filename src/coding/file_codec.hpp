@@ -11,6 +11,11 @@
 // SourceEncoder's placement draws do. The decoder is the one multi-generation
 // buffer: one StructuredDecoder per generation (dense by default), which
 // decodes, reassembles, and — at a relay — recodes.
+//
+// Both uploads draw their generation among those a GenerationMask leaves
+// open: a parent passes the generations its child reported finished, so no
+// recode is spent on a generation the child can only reject. An empty mask
+// leaves the draw exactly the unmasked one.
 
 #include <cstdint>
 #include <stdexcept>
@@ -24,6 +29,27 @@
 #include "util/rng.hpp"
 
 namespace ncast::coding {
+
+/// A set of a stream's generations, one bit each, covering any generation
+/// count: the generations a child holds in full, which its parent's upload
+/// draws skip. The empty default holds nothing and owns no memory.
+class GenerationMask {
+ public:
+  bool contains(std::size_t gen) const {
+    const std::size_t word = gen / 64;
+    return word < words_.size() && ((words_[word] >> (gen % 64)) & 1u) != 0;
+  }
+
+  /// Adds `gen`, growing the set to cover it.
+  void insert(std::size_t gen) {
+    const std::size_t word = gen / 64;
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    words_[word] |= std::uint64_t{1} << (gen % 64);
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
 
 /// Origin-side file encoder: owns one SourceEncoder per generation and emits
 /// coded packets for a chosen, a random, or the next generation.
@@ -60,12 +86,29 @@ class FileEncoder {
     return encoders_.at(gen).emit(rng);
   }
 
-  /// The origin's upload: a coded packet from a uniformly random
-  /// generation, written into `p` (reusing its buffers). Draws the
-  /// generation, then the encoder's placement and coefficients.
-  void emit_into(Packet& p, Rng& rng) const {
-    encoders_[rng.below(plan_.generations)].emit_into(p, rng);
+  // ncast:hot-begin — the origin's per-upload draw: no allocation, no throw.
+
+  /// The origin's upload: a coded packet from a uniformly random generation
+  /// outside `skip`, written into `p` (reusing its buffers). Draws the
+  /// generation, then the encoder's placement and coefficients; with nothing
+  /// skipped the generation draw is one rng.below(generations). Returns
+  /// false, drawing nothing, when `skip` holds every generation.
+  bool emit_into(Packet& p, Rng& rng, const GenerationMask& skip = {}) const {
+    std::size_t open = 0;
+    for (std::size_t g = 0; g < plan_.generations; ++g) {
+      open += skip.contains(g) ? 0 : 1;
+    }
+    if (open == 0) return false;
+    std::size_t pick = rng.below(open);
+    for (std::size_t g = 0; g < plan_.generations; ++g) {
+      if (skip.contains(g) || pick-- != 0) continue;
+      encoders_[g].emit_into(p, rng);
+      return true;
+    }
+    return false;
   }
+
+  // ncast:hot-end
 
   /// Random coded packet, cycling generations across calls.
   Packet emit_round_robin(Rng& rng) {
@@ -117,18 +160,24 @@ class FileDecoder {
     return decoders_[p.generation].absorb(p);
   }
 
-  /// A relay's upload: recodes a uniformly random generation with data into
-  /// `p` (random, not round-robin: deterministic rotations over a static
-  /// edge order can starve descendants of whole generations). Returns false,
-  /// drawing nothing, while every buffer is empty.
-  bool emit_into(Packet& p, Rng& rng) const {
-    std::size_t with_data = 0;
-    for (const auto& d : decoders_) with_data += d.rank() > 0 ? 1 : 0;
-    if (with_data == 0) return false;
-    std::size_t pick = rng.below(with_data);
-    for (const auto& d : decoders_) {
-      if (d.rank() == 0 || pick-- != 0) continue;
-      return d.emit_into(p, rng);
+  /// A relay's upload: recodes into `p` a uniformly random generation that
+  /// has data and is outside `skip` (random, not round-robin: deterministic
+  /// rotations over a static edge order can starve descendants of whole
+  /// generations). Returns false, drawing nothing, while no such generation
+  /// exists: every buffer is empty or skipped.
+  bool emit_into(Packet& p, Rng& rng, const GenerationMask& skip = {}) const {
+    const auto open = [&](std::size_t g) {
+      return decoders_[g].rank() > 0 && !skip.contains(g);
+    };
+    std::size_t candidates = 0;
+    for (std::size_t g = 0; g < decoders_.size(); ++g) {
+      candidates += open(g) ? 1 : 0;
+    }
+    if (candidates == 0) return false;
+    std::size_t pick = rng.below(candidates);
+    for (std::size_t g = 0; g < decoders_.size(); ++g) {
+      if (!open(g) || pick-- != 0) continue;
+      return decoders_[g].emit_into(p, rng);
     }
     return false;
   }

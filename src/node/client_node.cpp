@@ -232,7 +232,11 @@ void ClientNode::handle_data(const Message& m) {
   // content turns out to be garbage; verification happens inside absorb.
   note_liveness(m.column);
   const std::size_t rank_before = stream_.rank();
-  if (stream_.absorb_wire(m.wire)) {
+  // A departed node still absorbs what was in flight, but answers no frame
+  // with a have: good-bye means gone.
+  const bool accepted = departed_ ? stream_.absorb_wire(m.wire)
+                                  : stream_.receive(address_, m, *net_);
+  if (accepted) {
     ++packets_received_;
     const std::size_t rank_after = stream_.rank();
     if (rank_after > rank_before) {
@@ -287,9 +291,13 @@ void ClientNode::on_message(const Message& m) {
       handle_data(m);
       break;
     case MessageType::kKeepalive:
-      // Liveness without payload: a healthy parent whose own buffer is
-      // still empty. Resets the silence clock, carries no information.
+      // Liveness without payload: a healthy parent with nothing to send
+      // (its buffer is still empty, or this node has all it has). Resets
+      // the silence clock, carries no information.
       note_liveness(m.column);
+      break;
+    case MessageType::kHave:
+      stream_.apply_have(m);
       break;
     case MessageType::kColumnDropped:
       // Congestion offload granted: stop receiving and serving the column.

@@ -79,7 +79,7 @@ class ClientNode : public Endpoint {
   std::size_t degree() const { return feeds_.size(); }
   /// The out-links: column -> the child this node feeds on it, as the
   /// server's attach/detach and column orders left them.
-  const std::map<LinkId, Address>& links() const { return stream_.links(); }
+  std::map<LinkId, Address> links() const { return stream_.links(); }
 
   /// Non-ergodic failure: the node goes dark and its pending timers are
   /// cancelled. Callers should also net.crash(address()) so in-flight mail

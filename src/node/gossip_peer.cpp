@@ -88,8 +88,9 @@ void GossipPeer::leave(Transport& net) {
 
 void GossipPeer::handle_slot_request(const Message& m) {
   learn(m.from);
-  if (stream_.initialized() && stream_.links().size() < config_.upload_slots &&
-      stream_.links().count(m.from) == 0) {
+  const auto children = stream_.links();
+  if (stream_.initialized() && children.size() < config_.upload_slots &&
+      children.count(m.from) == 0) {
     stream_.feed(m.from, m.from);  // a slot link is keyed by its child
     Message grant;
     grant.type = MessageType::kSlotGrant;
@@ -154,7 +155,7 @@ void GossipPeer::on_message(const Message& m) {
       const auto it = parents_.find(m.from);
       if (it != parents_.end()) it->second = now();
       if (!is_source()) {
-        stream_.absorb_wire(m.wire);
+        stream_.receive(address_, m, *net_);
         if (decode_time_ < 0.0 && stream_.decoded()) decode_time_ = now();
       }
       break;
@@ -164,6 +165,9 @@ void GossipPeer::on_message(const Message& m) {
       if (it != parents_.end()) it->second = now();
       break;
     }
+    case MessageType::kHave:
+      stream_.apply_have(m);  // on the slot link keyed by its sender
+      break;
     case MessageType::kPeerSampleRequest: {
       learn(m.from);
       Message reply;

@@ -41,15 +41,19 @@ enum class MessageType : std::uint8_t {
   kSlotDeny = 16,           ///< peer -> peer: full; carries a view sample
   kSlotRelease = 17,        ///< child -> parent: detach me
   kParentBye = 18,          ///< parent -> child: I am leaving; rewire
+  // Data-plane feedback: a child that holds generation `subject` in full
+  // answers each further frame of it, so its parent stops drawing it.
+  kHave = 19,  ///< child -> parent: I hold `subject`; skip it on `column`
 };
 
 struct Message {
   MessageType type = MessageType::kData;
   Address from = 0;
   Address to = 0;
-  overlay::ColumnId column = 0;           ///< attach/detach/data/complaint
+  overlay::ColumnId column = 0;           ///< attach/detach/data/complaint/have
   Address subject = 0;                    ///< attach: the child to feed;
-                                          ///< hello/complaint: requested degree
+                                          ///< hello/complaint: requested degree;
+                                          ///< have: the finished generation
   std::vector<overlay::ColumnId> columns; ///< join accept: assigned threads
   std::vector<std::uint8_t> wire;         ///< data: serialized coded packet
 

@@ -245,6 +245,9 @@ void ServerNode::on_message(const Message& m) {
     case MessageType::kCongestionRestore:
       handle_restore(m);
       break;
+    case MessageType::kHave:
+      stream_.apply_have(m);
+      break;
     default:
       break;  // the server ignores data and stray control
   }

@@ -56,7 +56,7 @@ class ServerNode : public Endpoint {
   const ServerConfig& config() const { return config_; }
   const coding::GenerationPlan& plan() const { return stream_.plan(); }
   /// The columns the server feeds directly: column -> the first clipper.
-  const std::map<LinkId, Address>& links() const { return stream_.links(); }
+  std::map<LinkId, Address> links() const { return stream_.links(); }
 
   /// The original content (for end-to-end verification in tests).
   const std::vector<std::uint8_t>& data() const {

@@ -6,9 +6,15 @@
 // buffer per generation, which both decodes and recodes) and the key bundles
 // it verified. Either way it is the one writer (announce) and the one reader
 // (initialize) of the stream announcement a join accept or slot grant
-// carries, it keeps the endpoint's out-link table (who it feeds), and its
-// serve step sends every upload (a data packet, or a keepalive while the
-// buffers are empty).
+// carries, it keeps the endpoint's out-link table (who it feeds, and which
+// generations each child has finished), and its serve step sends every
+// upload (a data packet, or a keepalive while nothing is left to send).
+//
+// A child answers every accepted frame of a generation it holds in full
+// with a have (receive), and the parent marks that generation on the
+// out-link (apply_have), so its draws for that child skip it. The child
+// keeps no record of what it answered: the next frame of the generation
+// re-sends a lost have.
 //
 // The stream's GenerationStructure arrives with the plan (join accept / slot
 // grant) and governs every hop of the data plane:
@@ -154,62 +160,98 @@ class StreamState {
   /// stream's structure or symbol count, out of range, or failed
   /// verification).
   bool absorb_wire(const std::vector<std::uint8_t>& wire) {
-    if (!buffer_) return false;
-    const auto packet =
-        coding::deserialize_stream<gf::Gf256>(wire, buffer_->structure());
-    if (!packet) return false;
-    if (packet->generation >= buffer_->plan().generations) return false;
-    if (packet->payload.size() != buffer_->plan().symbols) return false;
-    if (!keys_.empty() && !verify_against_keys(*packet)) return false;
-    buffer_->absorb(*packet);
+    return absorb_frame(wire).has_value();
+  }
+
+  /// The receive step of a relay `self`: absorbs the data frame `m` and, if
+  /// the frame's generation is complete after the absorb, answers its
+  /// sender on `net` with a have — `column` the frame's link key, `subject`
+  /// the generation. Every such frame is answered, so the next frame of a
+  /// generation repairs a lost have. Returns false, answering nothing, if
+  /// the frame was dropped (see absorb_wire).
+  bool receive(Address self, const Message& m, Transport& net) {
+    const auto gen = absorb_frame(m.wire);
+    if (!gen) return false;
+    if (buffer_->decoder(*gen).complete()) {
+      Message have;
+      have.type = MessageType::kHave;
+      have.from = self;
+      have.to = m.from;
+      have.column = m.column;
+      have.subject = *gen;
+      net.send(std::move(have));
+    }
     return true;
   }
 
-  /// A wire-encoded coded packet. The origin encodes a uniformly random
-  /// generation; a relay recodes a uniformly random generation with data
-  /// (random, not round-robin: deterministic rotations over a static edge
-  /// order can starve descendants of whole generations), and returns
-  /// nullopt while every buffer is empty. Dense and banded streams relay
-  /// dense rows (version-1 wire); overlapped streams relay class packets
-  /// (version 2), so the structure's sparsity survives every hop.
-  std::optional<std::vector<std::uint8_t>> emit_wire(Rng& rng) {
-    if (source_) {
-      source_->emit_into(scratch_, rng);
-    } else if (!buffer_ || !buffer_->emit_into(scratch_, rng)) {
-      return std::nullopt;
+  /// Applies a child's have: serve() stops drawing generation `m.subject`
+  /// on out-link `m.column`. A have is untrusted wire input, so it applies
+  /// only while that link feeds its sender and only to a generation of the
+  /// plan; anything else is ignored.
+  void apply_have(const Message& m) {
+    if (!initialized() || m.subject >= plan().generations) return;
+    const auto it = links_.find(m.column);
+    if (it != links_.end() && it->second.child == m.from) {
+      it->second.have.insert(m.subject);
     }
+  }
+
+  /// A wire-encoded coded packet of a generation outside `skip`. The origin
+  /// encodes a uniformly random such generation; a relay recodes a
+  /// uniformly random such generation with data (random, not round-robin:
+  /// deterministic rotations over a static edge order can starve
+  /// descendants of whole generations). Returns nullopt when no generation
+  /// qualifies. Dense and banded streams relay dense rows (version-1 wire);
+  /// overlapped streams relay class packets (version 2), so the structure's
+  /// sparsity survives every hop.
+  std::optional<std::vector<std::uint8_t>> emit_wire(
+      Rng& rng, const coding::GenerationMask& skip = {}) {
+    const bool emitted =
+        source_ ? source_->emit_into(scratch_, rng, skip)
+                : buffer_ && buffer_->emit_into(scratch_, rng, skip);
+    if (!emitted) return std::nullopt;
     // The scratch packet recycles its buffers across emissions; only the
     // wire serialization allocates.
     return coding::serialize_stream(scratch_, structure());
   }
 
   /// Starts (or redirects) the out-link `link`: serve() uploads to `child`
-  /// on it from the next tick on.
-  void feed(LinkId link, Address child) { links_[link] = child; }
+  /// on it from the next tick on, every generation open to its draws (so a
+  /// new child needs no handshake).
+  void feed(LinkId link, Address child) { links_[link] = OutLink{child, {}}; }
   /// Stops the out-link `link` (no-op if this endpoint does not feed it).
   void unfeed(LinkId link) { links_.erase(link); }
   /// Stops every out-link.
   void unfeed_all() { links_.clear(); }
   /// The out-link table: link -> the child it feeds, in serve order.
-  const std::map<LinkId, Address>& links() const { return links_; }
+  std::map<LinkId, Address> links() const {
+    std::map<LinkId, Address> children;
+    for (const auto& [link, out] : links_) {
+      children.emplace_hint(children.end(), link, out.child);
+    }
+    return children;
+  }
 
   /// The serve step of every endpoint: one upload from `from` per out-link,
-  /// in link order, sent on `net`.
+  /// in link order, sent on `net`; each skips the generations its child has
+  /// reported finished.
   void serve(Address from, Transport& net, Rng& rng) {
-    for (const auto& [link, child] : links_) {
-      net.send(upload(from, child, link, rng));
+    for (const auto& [link, out] : links_) {
+      net.send(upload(from, out.child, link, rng, out.have));
     }
   }
 
-  /// The message `from` sends `to` on `link` each serve tick — data from
-  /// emit_wire(), or a keepalive while there is nothing to send, so a deep
-  /// child does not mistake a slow bootstrap for a dead parent.
-  Message upload(Address from, Address to, LinkId link, Rng& rng) {
+  /// The message `from` sends `to` on `link` each serve tick — data of a
+  /// generation outside `skip` from emit_wire(), or a keepalive while there
+  /// is nothing to send, so a deep child does not mistake a slow bootstrap
+  /// (or a finished stream) for a dead parent.
+  Message upload(Address from, Address to, LinkId link, Rng& rng,
+                 const coding::GenerationMask& skip = {}) {
     Message out;
     out.from = from;
     out.to = to;
     out.column = link;
-    if (auto wire = emit_wire(rng)) {
+    if (auto wire = emit_wire(rng, skip)) {
       out.type = MessageType::kData;
       out.wire = std::move(*wire);
     } else {
@@ -237,6 +279,28 @@ class StreamState {
   }
 
  private:
+  /// One out-link: the child it feeds and the generations that child has
+  /// reported finished, which its uploads no longer draw.
+  struct OutLink {
+    Address child;
+    coding::GenerationMask have;
+  };
+
+  /// absorb_wire's step: the absorbed packet's generation, or nullopt if the
+  /// packet was dropped.
+  std::optional<std::uint32_t> absorb_frame(
+      const std::vector<std::uint8_t>& wire) {
+    if (!buffer_) return std::nullopt;
+    const auto packet =
+        coding::deserialize_stream<gf::Gf256>(wire, buffer_->structure());
+    if (!packet) return std::nullopt;
+    if (packet->generation >= buffer_->plan().generations) return std::nullopt;
+    if (packet->payload.size() != buffer_->plan().symbols) return std::nullopt;
+    if (!keys_.empty() && !verify_against_keys(*packet)) return std::nullopt;
+    buffer_->absorb(*packet);
+    return packet->generation;
+  }
+
   /// Null keys verify dense coefficient rows (validity commutes with
   /// recoding, so a key set generated from the source packets vouches for
   /// every linear combination — but only in dense coordinates). Compact
@@ -264,8 +328,9 @@ class StreamState {
   std::vector<std::vector<std::uint8_t>> key_bundles_;
   /// Origin only, behind a pointer so relays carry one null word.
   std::unique_ptr<const coding::FileEncoder> source_;
-  /// Who this endpoint feeds: link -> child, served in key order.
-  std::map<LinkId, Address> links_;
+  /// Who this endpoint feeds: link -> child and its haves, served in key
+  /// order.
+  std::map<LinkId, OutLink> links_;
   /// Recycled packet for emit_wire() and for the key check's dense
   /// expansion; each use overwrites every field and ends before the call
   /// returns, so the two never overlap.

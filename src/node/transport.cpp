@@ -56,7 +56,7 @@ void Transport::send(Message m) {
     // sim time, so these interleave with overlay control events.
     obs::trace().emit(obs::TraceKind::kPacketSend, m.from, m.to, 0, {},
                       m.span);
-  } else if (m.type == MessageType::kKeepalive) {
+  } else if (is_data_plane(m)) {  // a keepalive or a have
     ++keepalive_;
     reg.keepalive.inc();
   } else {

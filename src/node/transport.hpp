@@ -42,10 +42,12 @@ enum class DropReason : std::uint8_t {
 
 const char* to_string(DropReason reason);
 
-/// True for the data plane (kData + kKeepalive), which has its own loss
-/// process and stays out of the control-plane drop accounting.
+/// True for the data plane (kData, kKeepalive and the children's kHave
+/// answers), which has its own loss process and stays out of the
+/// control-plane drop accounting.
 inline bool is_data_plane(const Message& m) {
-  return m.type == MessageType::kData || m.type == MessageType::kKeepalive;
+  return m.type == MessageType::kData || m.type == MessageType::kKeepalive ||
+         m.type == MessageType::kHave;
 }
 
 /// Declarative description of what the fabric does to messages. The control
@@ -53,8 +55,8 @@ inline bool is_data_plane(const Message& m) {
 /// lossy too), but share one latency distribution and one partition window.
 struct TransportSpec {
   sim::LatencySpec latency = sim::LatencySpec::fixed_delay(1.0);
-  sim::LossSpec control_loss = sim::LossSpec::none();  ///< everything but data/keepalive
-  sim::LossSpec data_loss = sim::LossSpec::none();     ///< kData + kKeepalive
+  sim::LossSpec control_loss = sim::LossSpec::none();  ///< everything off the data plane
+  sim::LossSpec data_loss = sim::LossSpec::none();     ///< kData, kKeepalive, kHave
   sim::PartitionSpec partition;  ///< crossing deliveries dropped in the window
 };
 
@@ -79,6 +81,7 @@ class Transport {
   std::uint64_t messages_dropped() const { return dropped_; }
   std::uint64_t control_messages() const { return control_; }
   std::uint64_t data_messages() const { return data_; }
+  /// Keepalives and haves: the data plane's payload-free messages.
   std::uint64_t keepalive_messages() const { return keepalive_; }
   /// Dropped messages that belonged to the control plane (the quantity the
   /// paper's robustness story silently assumed was zero).

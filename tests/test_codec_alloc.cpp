@@ -1,8 +1,9 @@
 // Proof that the codec hot path is allocation-free in steady state: global
 // operator new/new[] are replaced with counting versions, and the count must
 // not move across Decoder::absorb, Decoder::emit_into,
-// StructuredDecoder::absorb/emit_into, BandDecoder::absorb and
-// SourceEncoder::emit_into loops once construction and first-use metric
+// StructuredDecoder::absorb/emit_into, BandDecoder::absorb,
+// SourceEncoder::emit_into and the masked FileEncoder/FileDecoder::emit_into
+// loops once construction and first-use metric
 // registration are behind us. This is the enforcement half of the contract
 // documented in coding/decoder.hpp and linalg/reduced_basis.hpp.
 //
@@ -21,6 +22,7 @@
 #include "coding/band_decoder.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
+#include "coding/file_codec.hpp"
 #include "coding/structure.hpp"
 #include "coding/structured_decoder.hpp"
 #include "gf/gf256.hpp"
@@ -313,6 +315,38 @@ TEST(CodecAllocFree, EmptyDecoderEmitIntoIsFreeAndSilent) {
   const bool emitted = rec.emit_into(out, rng);
   const std::uint64_t delta = g_news.load() - before;
   EXPECT_FALSE(emitted);
+  EXPECT_EQ(delta, 0u);
+}
+
+// An upload draw that skips a child's finished generations is allocation-free
+// too, and so is a draw with every generation masked (the parent then sends
+// a keepalive).
+TEST(CodecAllocFree, MaskedFileEmitIntoSteadyState) {
+  Rng rng(36);
+  std::vector<std::uint8_t> content(4 * 8 * 64);
+  for (auto& b : content) b = static_cast<std::uint8_t>(rng.below(256));
+  const coding::FileEncoder enc(content, 8, 64);  // 4 generations
+  coding::FileDecoder relay(enc.plan());
+  for (std::size_t g = 0; g < enc.generations(); ++g) {
+    for (int i = 0; i < 3; ++i) relay.absorb(enc.emit(g, rng));
+  }
+  coding::GenerationMask some, all;
+  some.insert(1);
+  some.insert(2);
+  for (std::size_t g = 0; g < enc.generations(); ++g) all.insert(g);
+
+  coding::FileEncoder::Packet out;
+  bool ok = enc.emit_into(out, rng, some) && relay.emit_into(out, rng, some);
+
+  const std::uint64_t before = g_news.load();
+  for (int i = 0; i < 200; ++i) {
+    ok = enc.emit_into(out, rng, some) && ok;
+    ok = relay.emit_into(out, rng, some) && ok;
+    ok = !enc.emit_into(out, rng, all) && ok;
+    ok = !relay.emit_into(out, rng, all) && ok;
+  }
+  const std::uint64_t delta = g_news.load() - before;
+  EXPECT_TRUE(ok);
   EXPECT_EQ(delta, 0u);
 }
 

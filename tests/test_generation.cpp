@@ -150,5 +150,111 @@ TEST(FileCodec, IgnoresOutOfRangeGenerations) {
   EXPECT_FALSE(dec.absorb(p));
 }
 
+using Packet = coding::CodedPacket<gf::Gf256>;
+
+void expect_same_packet(const Packet& a, const Packet& b) {
+  EXPECT_EQ(a.generation, b.generation);
+  EXPECT_EQ(a.band_offset, b.band_offset);
+  EXPECT_EQ(a.class_id, b.class_id);
+  EXPECT_EQ(a.coeffs, b.coeffs);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
+/// A relay buffer holding data in generations 0, 2 and 3 of an encoder's 5
+/// (generation 0 complete), so a draw has a real choice to make.
+coding::FileDecoder partial_relay(const coding::FileEncoder& enc, Rng& rng) {
+  coding::FileDecoder dec(enc.plan());
+  while (!dec.decoder(0).complete()) dec.absorb(enc.emit(0, rng));
+  dec.absorb(enc.emit(2, rng));
+  dec.absorb(enc.emit(3, rng));
+  return dec;
+}
+
+TEST(FileCodec, EmptyMaskDrawsAsTheUnmaskedUpload) {
+  // With nothing masked, both uploads make the unmasked draw call for call:
+  // the origin one rng.below(generations), the relay one rng.below(the
+  // generations with data), then the generation's own emit.
+  Rng rng(7);
+  const coding::FileEncoder enc(random_bytes(5 * 4 * 8, rng), 4, 8);
+  ASSERT_EQ(enc.generations(), 5u);
+  const coding::FileDecoder dec = partial_relay(enc, rng);
+  const coding::GenerationMask none;
+  Rng a(8), b(8);
+  for (int i = 0; i < 50; ++i) {
+    Packet masked, plain;
+    ASSERT_TRUE(enc.emit_into(masked, a, none));
+    plain = enc.emit(b.below(enc.generations()), b);
+    expect_same_packet(masked, plain);
+
+    ASSERT_TRUE(dec.emit_into(masked, a, none));
+    const std::size_t pick = b.below(3);
+    ASSERT_TRUE(dec.decoder(pick == 0 ? 0 : pick + 1).emit_into(plain, b));
+    expect_same_packet(masked, plain);
+  }
+  EXPECT_EQ(a(), b());
+}
+
+TEST(FileCodec, MaskedDrawsSkipMaskedGenerations) {
+  Rng rng(9);
+  const coding::FileEncoder enc(random_bytes(5 * 4 * 8, rng), 4, 8);
+  const coding::FileDecoder dec = partial_relay(enc, rng);
+  coding::GenerationMask skip;
+  skip.insert(0);
+  skip.insert(3);
+  Packet p;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(enc.emit_into(p, rng, skip));
+    EXPECT_NE(p.generation, 0u);
+    EXPECT_NE(p.generation, 3u);
+    ASSERT_TRUE(dec.emit_into(p, rng, skip));
+    EXPECT_EQ(p.generation, 2u);  // the one open generation with data
+  }
+}
+
+TEST(FileCodec, FullyMaskedDrawsNothing) {
+  // Every generation masked: neither upload emits, and neither draws.
+  Rng rng(10);
+  const coding::FileEncoder enc(random_bytes(5 * 4 * 8, rng), 4, 8);
+  const coding::FileDecoder dec = partial_relay(enc, rng);
+  coding::GenerationMask all;
+  for (std::size_t g = 0; g < enc.generations(); ++g) all.insert(g);
+  Rng a(11), b(11);
+  Packet p;
+  EXPECT_FALSE(enc.emit_into(p, a, all));
+  EXPECT_FALSE(dec.emit_into(p, a, all));
+  // Masking the generations with data is enough at a relay.
+  coding::GenerationMask with_data;
+  for (const std::size_t g : {0, 2, 3}) with_data.insert(g);
+  EXPECT_FALSE(dec.emit_into(p, a, with_data));
+  EXPECT_EQ(a(), b());
+}
+
+TEST(FileCodec, MaskCoversPlansPastSixtyFourGenerations) {
+  // 70 generations: the mask is not one 64-bit word, so its last generation
+  // can be masked like any other.
+  Rng rng(12);
+  const coding::FileEncoder enc(random_bytes(70 * 2 * 4, rng), 2, 4);
+  ASSERT_EQ(enc.generations(), 70u);
+  coding::FileDecoder dec(enc.plan());
+  for (std::size_t g = 0; g < enc.generations(); ++g) {
+    dec.absorb(enc.emit(g, rng));
+  }
+  coding::GenerationMask skip;
+  for (std::size_t g = 0; g + 1 < enc.generations(); ++g) skip.insert(g);
+  EXPECT_FALSE(skip.contains(69));
+  Packet p;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enc.emit_into(p, rng, skip));
+    EXPECT_EQ(p.generation, 69u);
+    ASSERT_TRUE(dec.emit_into(p, rng, skip));
+    EXPECT_EQ(p.generation, 69u);
+  }
+  skip.insert(69);
+  EXPECT_TRUE(skip.contains(69));
+  EXPECT_FALSE(skip.contains(70));
+  EXPECT_FALSE(enc.emit_into(p, rng, skip));
+  EXPECT_FALSE(dec.emit_into(p, rng, skip));
+}
+
 }  // namespace
 }  // namespace ncast

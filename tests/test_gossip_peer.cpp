@@ -187,6 +187,29 @@ TEST(GossipPeer, DepartedPeerStopsTicking) {
   EXPECT_EQ(mesh.engine.pending(), 0u);
 }
 
+TEST(GossipPeer, ParentMasksOnASlotLink) {
+  // A slot link is keyed by its child's address, and the child's haves name
+  // that key: once the lone peer has decoded, the source stops sending it
+  // data and keeps the link alive with keepalives.
+  Mesh mesh;
+  GossipPeerConfig cfg;
+  cfg.silence_timeout = 6;
+  GossipPeer source(1, cfg, random_bytes(8 * 8 * 3, 4), 8, 8);
+  GossipPeer peer(2, cfg, /*introducer=*/1);
+  mesh.add(source);
+  mesh.add(peer);
+  ASSERT_TRUE(mesh.run_until_decoded(200));
+  ASSERT_EQ(source.child_count(), 1u);
+  mesh.run(5);  // the last haves land
+  const std::uint64_t data = mesh.net.data_messages();
+  const std::uint64_t keepalives = mesh.net.keepalive_messages();
+  mesh.run(30);
+  EXPECT_EQ(mesh.net.data_messages(), data);
+  EXPECT_EQ(mesh.net.keepalive_messages(), keepalives + 30);
+  EXPECT_EQ(peer.parent_count(), 1u);  // the keepalives kept the feed alive
+  EXPECT_EQ(peer.data(), source.data());
+}
+
 TEST(GossipPeer, LateJoinerFindsTheSwarmViaGossip) {
   Swarm s(15);
   ASSERT_TRUE(s.run_until_decoded(600));

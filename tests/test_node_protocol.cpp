@@ -212,7 +212,10 @@ TEST(NodeProtocol, ControlTrafficIsTiny) {
   // the message-level version of the server-scalability claim.
   f.run(100);
   EXPECT_EQ(f.net.control_messages(), control_after_joins);
-  EXPECT_GT(f.net.data_messages(), f.net.control_messages() * 5);
+  // A finished swarm's parents send keepalives in place of redundant data,
+  // so the data plane counts all three of its message kinds.
+  EXPECT_GT(f.net.data_messages() + f.net.keepalive_messages(),
+            f.net.control_messages() * 5);
 }
 
 TEST(NodeProtocol, MultiGenerationFileStreams) {
@@ -668,6 +671,152 @@ TEST(NodeProtocol, KeepaliveOnAnUnclippedColumnArmsNothing) {
   c.keepalive(5);
   c.run(1);
   EXPECT_EQ(c.engine.pending(), pending);
+}
+
+/// A fabric decorator in front of the ShardedTransport: it logs what every
+/// endpoint sends, and loses the first `drop_haves` haves the way a lossy
+/// data plane might.
+class Tap final : public AttachableTransport {
+ public:
+  struct Sent {
+    double at;
+    MessageType type;
+    Address from, to;
+    overlay::ColumnId column;
+    Address subject;
+  };
+
+  Tap(sim::ShardedEngine& engine, ShardedTransport& inner)
+      : engine_(engine), inner_(inner) {}
+
+  void attach(Address addr, Endpoint* endpoint) override {
+    inner_.attach(addr, endpoint);
+  }
+  void detach(Address addr) override { inner_.detach(addr); }
+  void crash(Address addr) override { inner_.crash(addr); }
+  void revive(Address addr) override { inner_.revive(addr); }
+  bool crashed(Address addr) const override { return inner_.crashed(addr); }
+
+  std::size_t drop_haves = 0;
+  std::vector<Sent> log;  ///< everything sent, dropped haves included
+  std::vector<Sent> dropped;
+
+ protected:
+  void route(Message m) override {
+    const Sent s{engine_.now(), m.type, m.from, m.to, m.column, m.subject};
+    log.push_back(s);
+    if (m.type == MessageType::kHave && drop_haves > 0) {
+      --drop_haves;
+      dropped.push_back(s);
+      note_dropped(m, DropReason::kLoss);
+      return;
+    }
+    inner_.send(std::move(m));
+  }
+
+ private:
+  sim::ShardedEngine& engine_;
+  ShardedTransport& inner_;
+};
+
+/// Harness on the tapped fabric: a server and `n` clients joined at t = 0.
+struct Tapped {
+  sim::ShardedEngine engine{1, 0, 1.0};
+  ShardedTransport fabric{engine, TransportSpec{}, 7, kAddresses};
+  Tap net{engine, fabric};
+  ServerNode server;
+  std::vector<std::unique_ptr<ClientNode>> clients;
+  double now = 0.0;
+
+  Tapped(const ServerConfig& scfg, std::size_t n, std::uint32_t degree = 0)
+      : server(scfg, random_bytes(scfg.generation_size * 8 * 2, 98)) {
+    server.start(engine.lane(kServerAddress), net);
+    ClientConfig ccfg;
+    ccfg.silence_timeout = 6;
+    for (Address a = 1; a <= n; ++a) {
+      clients.push_back(std::make_unique<ClientNode>(a, ccfg));
+      clients.back()->start(engine.lane(a), net, degree);
+    }
+  }
+
+  void run(double span) {
+    now += span;
+    engine.run_until(now);
+  }
+
+  bool all_decoded() const {
+    for (const auto& c : clients) {
+      if (!c->decoded()) return false;
+    }
+    return true;
+  }
+
+  std::uint64_t complaints() const {
+    std::uint64_t n = 0;
+    for (const auto& c : clients) n += c->complaints_sent();
+    return n;
+  }
+
+  /// The messages of `type` sent after `since`.
+  std::size_t sent_since(double since, MessageType type) const {
+    std::size_t n = 0;
+    for (const Tap::Sent& s : net.log) n += s.at > since && s.type == type;
+    return n;
+  }
+};
+
+TEST(NodeProtocol, LostHaveRepairsItself) {
+  // A lone client clips two columns, both fed by the server. Its first have
+  // is lost; the next frame of that generation on that column is answered
+  // again, so the server still ends up sending only keepalives to it.
+  Tapped t(server_config(4, 2, 8), 1);
+  t.net.drop_haves = 1;
+  for (int tick = 0; tick < 100 && !t.all_decoded(); ++tick) t.run(1);
+  ASSERT_TRUE(t.all_decoded());
+  t.run(10);
+  ASSERT_EQ(t.net.dropped.size(), 1u);
+  const Tap::Sent lost = t.net.dropped.front();
+  EXPECT_EQ(lost.from, 1u);
+  EXPECT_EQ(lost.to, kServerAddress);
+  std::size_t resent = 0;
+  for (const Tap::Sent& s : t.net.log) {
+    resent += s.type == MessageType::kHave && s.at > lost.at &&
+              s.column == lost.column && s.subject == lost.subject;
+  }
+  EXPECT_GE(resent, 1u);
+  const double quiet_from = t.now;
+  t.run(20);
+  EXPECT_EQ(t.sent_since(quiet_from, MessageType::kData), 0u);
+  EXPECT_EQ(t.sent_since(quiet_from, MessageType::kKeepalive), 2u * 20u);
+  EXPECT_EQ(t.sent_since(quiet_from, MessageType::kHave), 0u);
+  EXPECT_EQ(t.clients[0]->data(), t.server.data());
+}
+
+TEST(NodeProtocol, MaskedClientsGetKeepalivesAndNeverComplain) {
+  // Once every client has decoded, every parent — the server and relaying
+  // clients alike — masks every generation on every out-link. The swarm
+  // then carries keepalives only, and no silence timer fires a complaint
+  // for ten silence timeouts.
+  Tapped t(server_config(8, 3, 8), 12);
+  for (int tick = 0; tick < 300 && !t.all_decoded(); ++tick) t.run(1);
+  ASSERT_TRUE(t.all_decoded());
+  t.run(5);  // the last haves land
+  const std::uint64_t complaints = t.complaints();
+  const double quiet_from = t.now;
+  t.run(10.0 * 6);
+  EXPECT_EQ(t.complaints(), complaints);
+  EXPECT_EQ(t.sent_since(quiet_from, MessageType::kData), 0u);
+  EXPECT_EQ(t.sent_since(quiet_from, MessageType::kHave), 0u);
+  std::vector<std::size_t> keepalives(t.clients.size() + 1, 0);
+  for (const Tap::Sent& s : t.net.log) {
+    if (s.at > quiet_from && s.type == MessageType::kKeepalive) {
+      ++keepalives[s.to];
+    }
+  }
+  for (const auto& c : t.clients) {
+    // One keepalive per in-thread per tick.
+    EXPECT_EQ(keepalives[c->address()], 60u * c->degree()) << c->address();
+  }
 }
 
 TEST(NodeProtocol, ClientValidation) {

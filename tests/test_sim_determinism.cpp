@@ -294,11 +294,11 @@ TEST(Determinism, ProtocolScenarioReproducesWithIdenticalEventCounts) {
   // Golden pins: control loss takes the transport's Bernoulli path, data
   // loss its Gilbert-Elliott path. A column given up at a re-admission takes
   // its silence timer with it, so no no-op firing counts among the events.
-  EXPECT_EQ(a.events_executed, 3297u);
-  EXPECT_EQ(a.messages_sent, 2241u);
-  EXPECT_EQ(a.messages_dropped, 242u);
-  EXPECT_EQ(a.control_bytes, 1210u);
-  EXPECT_EQ(hash_outcomes(a.outcomes), 0xb2c24997c850858cULL);
+  EXPECT_EQ(a.events_executed, 3411u);
+  EXPECT_EQ(a.messages_sent, 2363u);
+  EXPECT_EQ(a.messages_dropped, 245u);
+  EXPECT_EQ(a.control_bytes, 1257u);
+  EXPECT_EQ(hash_outcomes(a.outcomes), 0x166379850e17eb56ULL);
 }
 
 // The protocol run on structured streams, where relays recode: band strips
@@ -312,12 +312,12 @@ TEST(Determinism, StructuredProtocolScenariosMatchGoldenPins) {
     coding::StructureSpec structure;
     std::uint64_t events, messages, data_bytes, hash;
   } pins[] = {
-      {"banded wrap", coding::StructureSpec::banded(4, true), 4600, 3107,
-       105360, 0xea73e14c00d32bc1ULL},
-      {"banded", coding::StructureSpec::banded(4), 4600, 3107, 105360,
-       0x5ae7927ed79d2326ULL},
-      {"overlapped", coding::StructureSpec::overlapping(6, 2), 4600, 3107,
-       102872, 0x7de33bd3760417c2ULL},
+      {"banded wrap", coding::StructureSpec::banded(4, true), 4661, 3185,
+       12196, 0x1afe6d4302510719ULL},
+      {"banded", coding::StructureSpec::banded(4), 4659, 3184, 11968,
+       0xa0c5154110652f91ULL},
+      {"overlapped", coding::StructureSpec::overlapping(6, 2), 4662, 3173,
+       17584, 0xca60c8e3926ce3fdULL},
   };
   for (const auto& pin : pins) {
     node::ProtocolScenarioSpec spec;

@@ -1,12 +1,13 @@
 // Unit tests for the shared endpoint stream state (origin setup, the stream
 // announcement, plan bootstrap, wire absorb/emit, verification hooks,
-// reassembly).
+// reassembly, and the out-link masks the children's haves set).
 
 #include "node/stream_state.hpp"
 
 #include <gtest/gtest.h>
 
 #include "coding/file_codec.hpp"
+#include "coding/wire.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -369,6 +370,158 @@ TEST(StreamState, MalformedKeyBundlesOnlyTurnVerificationOff) {
     receiver.announce(grant);
     EXPECT_TRUE(grant.key_bundles.empty());
   }
+}
+
+/// A transport that keeps what it is handed instead of delivering it.
+struct Outbox final : node::Transport {
+  void crash(node::Address) override {}
+  void revive(node::Address) override {}
+  bool crashed(node::Address) const override { return false; }
+  std::vector<Message> sent;
+
+ protected:
+  void route(Message m) override { sent.push_back(std::move(m)); }
+};
+
+/// What `origin` serves in one tick, one message per out-link.
+std::vector<Message> serve_once(StreamState& origin, Rng& rng) {
+  Outbox out;
+  origin.serve(node::kServerAddress, out, rng);
+  return out.sent;
+}
+
+std::vector<MessageType> types(const std::vector<Message>& sent) {
+  std::vector<MessageType> out;
+  for (const Message& m : sent) out.push_back(m.type);
+  return out;
+}
+
+Message have(node::Address from, node::LinkId link, std::uint32_t gen) {
+  Message m;
+  m.type = MessageType::kHave;
+  m.from = from;
+  m.to = node::kServerAddress;
+  m.column = link;
+  m.subject = gen;
+  return m;
+}
+
+constexpr MessageType kData = MessageType::kData;
+constexpr MessageType kKeepalive = MessageType::kKeepalive;
+
+TEST(StreamState, HavesMaskTheirLinkOnly) {
+  // The origin feeds node 7 on link 3 and node 8 on link 4. Link 3's haves
+  // for generations 0-3 leave generation 4 as its only draw; once all five
+  // are in, link 3 carries keepalives while link 4 still gets data.
+  Announced a(coding::StructureSpec::dense());
+  ASSERT_EQ(a.origin.plan().generations, 5u);
+  a.origin.feed(3, 7);
+  a.origin.feed(4, 8);
+  Rng rng(14);
+  for (std::uint32_t g = 0; g < 4; ++g) a.origin.apply_have(have(7, 3, g));
+  for (int tick = 0; tick < 30; ++tick) {
+    const auto sent = serve_once(a.origin, rng);
+    ASSERT_EQ(types(sent), (std::vector<MessageType>{kData, kData}));
+    const auto p = coding::deserialize<gf::Gf256>(sent[0].wire);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->generation, 4u);
+  }
+  a.origin.apply_have(have(7, 3, 4));
+  EXPECT_EQ(types(serve_once(a.origin, rng)),
+            (std::vector<MessageType>{kKeepalive, kData}));
+  // The link key still belongs to each upload.
+  const auto sent = serve_once(a.origin, rng);
+  EXPECT_EQ(sent[0].column, 3u);
+  EXPECT_EQ(sent[0].to, 7u);
+}
+
+TEST(StreamState, HavesFromStrangersOrPastThePlanAreIgnored) {
+  // A have is untrusted wire input: from a node the link does not feed, on
+  // a link the state does not serve, or naming a generation past the
+  // plan's, it masks nothing.
+  Announced a(coding::StructureSpec::dense());
+  a.origin.feed(3, 7);
+  a.origin.feed(4, 8);
+  for (std::uint32_t g = 0; g < 5; ++g) {
+    a.origin.apply_have(have(8, 3, g));  // node 8 is link 4's child
+    a.origin.apply_have(have(7, 4, g));  // link 4 does not feed node 7
+    a.origin.apply_have(have(7, 9, g));  // no link 9
+  }
+  a.origin.apply_have(have(7, 3, 5));  // the plan has generations 0-4
+  a.origin.apply_have(have(7, 3, 0xffffffffu));
+  Rng rng(15);
+  for (int tick = 0; tick < 20; ++tick) {
+    EXPECT_EQ(types(serve_once(a.origin, rng)),
+              (std::vector<MessageType>{kData, kData}));
+  }
+  // An uninitialized state has no plan to check a have against.
+  StreamState blank;
+  blank.feed(3, 7);
+  blank.apply_have(have(7, 3, 0));
+  EXPECT_EQ(types(serve_once(blank, rng)),
+            (std::vector<MessageType>{kKeepalive}));
+}
+
+TEST(StreamState, FeedingAChildStartsAnEmptyMask) {
+  // Attach, repair, offload/restore and re-admission all point a link at a
+  // child through feed(), and each starts the link with every generation
+  // open — even for the child it fed before — so none needs a handshake.
+  Announced a(coding::StructureSpec::dense());
+  a.origin.feed(3, 7);
+  for (std::uint32_t g = 0; g < 5; ++g) a.origin.apply_have(have(7, 3, g));
+  Rng rng(16);
+  ASSERT_EQ(types(serve_once(a.origin, rng)),
+            (std::vector<MessageType>{kKeepalive}));
+  a.origin.feed(3, 9);
+  EXPECT_EQ(types(serve_once(a.origin, rng)), (std::vector<MessageType>{kData}));
+  a.origin.apply_have(have(7, 3, 0));  // node 7's late have: not link 3's now
+  for (std::uint32_t g = 0; g < 5; ++g) a.origin.apply_have(have(9, 3, g));
+  ASSERT_EQ(types(serve_once(a.origin, rng)),
+            (std::vector<MessageType>{kKeepalive}));
+  a.origin.feed(3, 9);
+  EXPECT_EQ(types(serve_once(a.origin, rng)), (std::vector<MessageType>{kData}));
+}
+
+TEST(StreamState, ReceiveAnswersEveryFrameOfAFinishedGeneration) {
+  // The child keeps no state: each accepted frame of a generation it holds
+  // in full is answered with a have to the frame's sender on the frame's
+  // link; frames of unfinished generations and dropped frames get none.
+  Announced a(coding::StructureSpec::dense());
+  StreamState relay;
+  ASSERT_TRUE(relay.initialize(a.accept));
+  const coding::FileEncoder encoder(a.origin.data(), 8, 8);
+  Rng rng(17);
+  const auto frame = [&](std::uint32_t gen) {
+    Message m;
+    m.type = MessageType::kData;
+    m.from = 4;
+    m.to = 6;
+    m.column = 2;
+    m.wire = coding::serialize(encoder.emit(gen, rng));
+    return m;
+  };
+  Outbox net;
+  std::size_t after_full = 0;
+  for (int fed = 0; after_full < 5; ++fed) {
+    ASSERT_LT(fed, 100);
+    const std::size_t before = net.sent.size();
+    ASSERT_TRUE(relay.receive(6, frame(1), net));
+    const bool full = relay.rank() == 8;  // only generation 1 has data
+    ASSERT_EQ(net.sent.size(), before + (full ? 1 : 0)) << fed;
+    after_full += full ? 1 : 0;
+  }
+  for (const Message& h : net.sent) {
+    EXPECT_EQ(h.type, MessageType::kHave);
+    EXPECT_EQ(h.from, 6u);
+    EXPECT_EQ(h.to, 4u);
+    EXPECT_EQ(h.column, 2u);
+    EXPECT_EQ(h.subject, 1u);
+  }
+  ASSERT_TRUE(relay.receive(6, frame(0), net));  // generation 0 is unfinished
+  Message garbage = frame(1);
+  garbage.wire = {1, 2, 3};
+  EXPECT_FALSE(relay.receive(6, garbage, net));
+  EXPECT_EQ(net.sent.size(), 5u);
 }
 
 }  // namespace

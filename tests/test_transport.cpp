@@ -334,6 +334,33 @@ TEST(TransportBase, CountsThroughSharedBase) {
   EXPECT_EQ(sink.arrivals.size(), 2u);
 }
 
+TEST(TransportBase, HavesTravelTheDataPlaneWithTheKeepalives) {
+  // A have takes the data plane's loss process, is counted with the
+  // keepalives, and adds nothing to the control counts or bytes.
+  sim::ShardedEngine engine(1, 0, 1.0);
+  TransportSpec spec;
+  spec.data_loss = sim::LossSpec::bernoulli(1.0);
+  ShardedTransport net(engine, spec, 1, kAddresses);
+  Sink sink(engine);
+  net.attach(1, &sink);
+  Message have;
+  have.type = MessageType::kHave;
+  have.from = 2;
+  have.to = 1;
+  have.column = 3;
+  have.subject = 1;
+  EXPECT_TRUE(is_data_plane(have));
+  net.send(std::move(have));
+  engine.run_until(5.0);
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(net.keepalive_messages(), 1u);
+  EXPECT_EQ(net.data_messages(), 0u);
+  EXPECT_EQ(net.control_messages(), 0u);
+  EXPECT_EQ(net.control_bytes(), 0u);
+  EXPECT_EQ(net.messages_dropped(), 1u);
+  EXPECT_EQ(net.control_dropped(), 0u);
+}
+
 TEST(TransportBase, ControlBytesUseControlSize) {
   sim::ShardedEngine engine(1, 0, 1.0);
   ShardedTransport net(engine, TransportSpec{}, 1, kAddresses);
