@@ -123,46 +123,43 @@ int main() {
       churn[c].crash = churn_rng.chance(0.5);
     }
   }
+  // The churn handlers run on the server lane. Each scheduled event
+  // captures one handler by reference plus its operand, which keeps every
+  // closure inside the engine's inline callback buffer.
+  auto repair_node = [&](overlay::NodeId node) {
+    server.repair(node);
+    ++repairs;
+    last_repair_time = engine.now();
+  };
+  auto fail_node = [&](overlay::NodeId node) {
+    server.report_failure(node);
+    engine.schedule_on(0, engine.now() + repair_delay,
+                       [&repair_node, node] { repair_node(node); });
+  };
+  auto apply_churn = [&](const ChurnOp& op) {
+    if (gone[op.client] != 0) {
+      ++skipped;  // victim already left or crashed
+      return;
+    }
+    gone[op.client] = 1;
+    const overlay::NodeId node = node_of[op.client];
+    if (op.crash) {
+      ++crashes;
+      // Children complain one silence period later; the server tags the
+      // row, then splices it out after the repair delay.
+      engine.schedule_on(0, engine.now() + 1.0,
+                         [&fail_node, node] { fail_node(node); });
+    } else {
+      ++leaves;
+      server.leave(node);
+    }
+  };
   for (const ChurnOp& op : churn) {
     engine.schedule_on(
         static_cast<sim::LaneId>(op.client + 1), op.at,
-        [&engine, &server, &node_of, &gone, &leaves, &crashes, &repairs,
-         &skipped, &last_repair_time, op, latency, repair_delay] {
-          engine.schedule_on(0, engine.now() + latency, [&server, &node_of,
-                                                         &gone, &leaves,
-                                                         &crashes, &repairs,
-                                                         &skipped,
-                                                         &last_repair_time,
-                                                         &engine, op,
-                                                         repair_delay] {
-            if (gone[op.client] != 0) {
-              ++skipped;  // victim already left or crashed
-              return;
-            }
-            gone[op.client] = 1;
-            const overlay::NodeId node = node_of[op.client];
-            if (op.crash) {
-              ++crashes;
-              // Children complain one silence period later; the server tags
-              // the row, then splices it out after the repair delay.
-              engine.schedule_on(0, engine.now() + 1.0, [&server, &repairs,
-                                                         &last_repair_time,
-                                                         &engine, node,
-                                                         repair_delay] {
-                server.report_failure(node);
-                engine.schedule_on(
-                    0, engine.now() + repair_delay,
-                    [&server, &repairs, &last_repair_time, &engine, node] {
-                      server.repair(node);
-                      ++repairs;
-                      last_repair_time = engine.now();
-                    });
-              });
-            } else {
-              ++leaves;
-              server.leave(node);
-            }
-          });
+        [&engine, &apply_churn, op, latency] {
+          engine.schedule_on(0, engine.now() + latency,
+                             [&apply_churn, op] { apply_churn(op); });
         });
   }
 

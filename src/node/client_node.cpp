@@ -211,8 +211,13 @@ void ClientNode::handle_accept(const Message& m) {
     // (evicted by a false-positive repair) by answering its complaint with
     // a fresh accept. Give the old columns up, adopt the new ones and keep
     // the decode progress; a true duplicate accept (same columns) just
-    // restarts every feed's silence clock.
-    adopt(m.columns);
+    // restarts every feed's silence clock. An accept with no body assigns
+    // no columns.
+    if (const MessageBody* b = m.body()) {
+      adopt(b->columns);
+    } else {
+      adopt({});
+    }
     return;
   }
   // The stream announcement is untrusted wire data: a nonsense plan or
@@ -224,7 +229,7 @@ void ClientNode::handle_accept(const Message& m) {
   // The accept closes the join episode the first hello opened.
   obs::trace().emit(obs::TraceKind::kSpanEnd, address_, 0, 0, "join",
                     join_span_);
-  adopt(m.columns);
+  adopt(m.body()->columns);  // initialize() refused an accept with no body
 }
 
 void ClientNode::handle_data(const Message& m) {

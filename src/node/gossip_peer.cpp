@@ -4,22 +4,36 @@
 
 namespace ncast::node {
 
+namespace {
+
+/// The seed of everything peer `address` draws in a swarm seeded `seed`.
+std::uint64_t peer_seed(std::uint64_t seed, Address address) {
+  return seed ^ (static_cast<std::uint64_t>(address) << 18);
+}
+
+}  // namespace
+
 GossipPeer::GossipPeer(Address address, GossipPeerConfig config,
                        Address introducer)
     : address_(address),
       config_(config),
-      rng_(config.seed ^ (static_cast<std::uint64_t>(address) << 18)) {
+      rng_(peer_seed(config.seed, address)),
+      data_rng_(sim::RngStreams(peer_seed(config.seed, address))
+                    .stream("node.gossip.data")) {
   learn(introducer);
 }
 
 GossipPeer::GossipPeer(Address address, GossipPeerConfig config,
                        std::vector<std::uint8_t> content,
                        std::size_t generation_size, std::size_t symbols)
-    : address_(address),
-      config_(config),
-      rng_(config.seed ^ (static_cast<std::uint64_t>(address) << 18)) {
+    : GossipPeer(address, config, /*introducer=*/address) {
+  // learn() skips the peer's own address, so the source starts with an
+  // empty view. Key generation draws from its own stream too, so turning
+  // verification on shifts neither membership nor the uploads.
+  Rng key_rng = sim::RngStreams(peer_seed(config.seed, address))
+                    .stream("node.gossip.keys");
   stream_.initialize_source(std::move(content), generation_size, symbols,
-                            config_.structure, config_.null_keys, rng_);
+                            config_.structure, config_.null_keys, key_rng);
 }
 
 void GossipPeer::crash() {
@@ -51,6 +65,12 @@ void GossipPeer::learn(Address peer) {
     return;
   }
   view_.push_back(peer);
+}
+
+void GossipPeer::learn_sample(const Message& m) {
+  if (const MessageBody* b = m.body()) {
+    for (Address a : b->peers) learn(a);
+  }
 }
 
 std::vector<Address> GossipPeer::sample_view(std::size_t count,
@@ -107,7 +127,7 @@ void GossipPeer::handle_slot_request(const Message& m) {
     deny.type = MessageType::kSlotDeny;
     deny.from = address_;
     deny.to = m.from;
-    deny.peers = sample_view(kSampleSize, m.from);
+    deny.mutable_body().peers = sample_view(kSampleSize, m.from);
     net_->send(std::move(deny));
   }
 }
@@ -142,7 +162,7 @@ void GossipPeer::on_message(const Message& m) {
       break;
     case MessageType::kSlotDeny:
       pending_.erase(m.from);
-      for (Address a : m.peers) learn(a);
+      learn_sample(m);
       break;
     case MessageType::kSlotRelease:
       stream_.unfeed(m.from);
@@ -174,12 +194,12 @@ void GossipPeer::on_message(const Message& m) {
       reply.type = MessageType::kPeerSampleReply;
       reply.from = address_;
       reply.to = m.from;
-      reply.peers = sample_view(kSampleSize, m.from);
+      reply.mutable_body().peers = sample_view(kSampleSize, m.from);
       net_->send(std::move(reply));
       break;
     }
     case MessageType::kPeerSampleReply:
-      for (Address a : m.peers) learn(a);
+      learn_sample(m);
       break;
     default:
       break;  // centralized-protocol messages are not ours
@@ -220,7 +240,7 @@ void GossipPeer::acquire_parents() {
 }
 
 void GossipPeer::tick_body() {
-  stream_.serve(address_, *net_, rng_);
+  stream_.serve(address_, *net_, data_rng_);
 
   if (!is_source()) {
     // Decentralized repair: drop silent feeds, look for replacements.

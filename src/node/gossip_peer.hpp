@@ -99,6 +99,8 @@ class GossipPeer : public Endpoint {
  private:
   bool active() const { return !crashed_ && !departed_; }
   void learn(Address peer);
+  /// Learns every address of a denial's or sample reply's view sample.
+  void learn_sample(const Message& m);
   std::vector<Address> sample_view(std::size_t count, Address exclude);
   void handle_slot_request(const Message& m);
   void handle_slot_grant(const Message& m);
@@ -109,7 +111,12 @@ class GossipPeer : public Endpoint {
 
   Address address_;
   GossipPeerConfig config_;
+  /// Membership draws: view eviction, view samples, the parent search.
   Rng rng_;
+  /// Data-plane draws: each upload's generation and coefficients. Kept
+  /// apart from rng_, as ServerNode keeps its emissions apart from
+  /// membership, so how much the uploads draw never moves the topology.
+  Rng data_rng_;
   bool crashed_ = false;
   bool departed_ = false;
 

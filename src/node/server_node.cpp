@@ -51,7 +51,7 @@ void ServerNode::send_accept(Address addr, overlay::ThreadSpan columns,
   accept.from = kServerAddress;
   accept.to = addr;
   accept.span = span;
-  accept.columns.assign(columns.begin(), columns.end());
+  accept.mutable_body().columns.assign(columns.begin(), columns.end());
   stream_.announce(accept);
   net_->send(std::move(accept));
 }

@@ -1,5 +1,6 @@
 #include "node/sharded_transport.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -116,9 +117,17 @@ void ShardedTransport::route(Message m) {
   in_flight_hwm_->set_max(static_cast<double>(now_in_flight));
   delivery_delay_->observe(delay);
   const sim::LaneId dest = static_cast<sim::LaneId>(m.to);
-  engine_.schedule_on(
-      dest, at, [this, msg = std::move(m)]() mutable { arrive(std::move(msg)); },
-      sim::TimerClass::kDelivery);
+  auto delivery = [this, msg = std::move(m)]() mutable {
+    arrive(std::move(msg));
+  };
+  // Every message hop is one of these closures in an engine slot; one that
+  // stops fitting the slot's inline buffer would box each hop on the heap.
+  static_assert(sizeof(delivery) <= sim::kCallbackInlineBytes,
+                "the delivery closure must fit the engine's inline buffer");
+  static_assert(std::is_nothrow_move_constructible_v<decltype(delivery)>,
+                "a throwing-move delivery closure is boxed on the heap");
+  engine_.schedule_on(dest, at, std::move(delivery),
+                      sim::TimerClass::kDelivery);
 }
 
 void ShardedTransport::arrive(Message m) {

@@ -90,32 +90,37 @@ class StreamState {
   bool verification_enabled() const { return !key_bundles_.empty(); }
 
   /// Writes the stream announcement — plan, structure descriptor and null-key
-  /// bundles — into a join accept or slot grant. Requires initialized().
+  /// bundles — into the body of a join accept or slot grant. Requires
+  /// initialized().
   void announce(Message& m) const {
-    m.data_size = plan().data_size;
-    m.gen_count = static_cast<std::uint32_t>(plan().generations);
-    m.gen_size = static_cast<std::uint16_t>(plan().generation_size);
-    m.symbols = static_cast<std::uint16_t>(plan().symbols);
-    m.structure_kind = static_cast<std::uint8_t>(structure().kind);
-    m.band_width = static_cast<std::uint16_t>(structure().band_width);
-    m.structure_wrap = structure().wrap ? 1 : 0;
-    m.class_overlap = static_cast<std::uint16_t>(structure().overlap);
-    m.key_bundles = key_bundles_;
+    MessageBody& b = m.mutable_body();
+    b.data_size = plan().data_size;
+    b.gen_count = static_cast<std::uint32_t>(plan().generations);
+    b.gen_size = static_cast<std::uint16_t>(plan().generation_size);
+    b.symbols = static_cast<std::uint16_t>(plan().symbols);
+    b.structure_kind = static_cast<std::uint8_t>(structure().kind);
+    b.band_width = static_cast<std::uint16_t>(structure().band_width);
+    b.structure_wrap = structure().wrap ? 1 : 0;
+    b.class_overlap = static_cast<std::uint16_t>(structure().overlap);
+    b.key_bundles = key_bundles_;
   }
 
   /// Reads an announcement: rebuilds the structure from the untrusted
   /// descriptor, sets up the buffers, then installs the key bundles. Returns
-  /// false, leaving the state as it was, on a nonsense structure or plan;
-  /// malformed key bundles only leave verification off.
+  /// false, leaving the state as it was, on a message with no body or a
+  /// nonsense structure or plan; malformed key bundles only leave
+  /// verification off.
   bool initialize(const Message& m) {
+    const MessageBody* b = m.body();
+    if (b == nullptr) return false;
     const auto structure =
-        coding::make_structure(m.structure_kind, m.gen_size, m.band_width,
-                               m.structure_wrap != 0, m.class_overlap);
-    if (!structure || !initialize(m.data_size, m.gen_count, m.gen_size,
-                                  m.symbols, *structure)) {
+        coding::make_structure(b->structure_kind, b->gen_size, b->band_width,
+                               b->structure_wrap != 0, b->class_overlap);
+    if (!structure || !initialize(b->data_size, b->gen_count, b->gen_size,
+                                  b->symbols, *structure)) {
       return false;
     }
-    install_keys(m.key_bundles);
+    install_keys(b->key_bundles);
     return true;
   }
 

@@ -99,11 +99,17 @@ class RngStreams {
   std::uint64_t run_seed_;
 };
 
-/// Inline capacity for scheduled callbacks: sized so the transport's
-/// delivery closure (this + a Message by value, ~150 bytes) stays on the
-/// slab instead of the heap. Fatter captures still work via a single heap
-/// fallback allocation inside InlineFunction.
-inline constexpr std::size_t kCallbackInlineBytes = 184;
+/// Inline capacity for scheduled callbacks. The engine keeps every pending
+/// event in a slab slot that is exactly one Callback (72 + an 8-byte ops
+/// pointer = 80 B), so this constant sets the memory of every scheduled
+/// event: the 1M-client join wave holds about a million at once. It is sized
+/// to the largest hot closure, the transport's delivery closure (`this` plus
+/// a 64-byte node::Message by value; sharded_transport.cpp pins the fit).
+/// The packet-level runner's in-flight packet closure (a context reference,
+/// the link and a 56-byte packet) fits exactly too. Any larger or
+/// throwing-move capture still works through InlineFunction's heap fallback,
+/// one allocation per event, and is counted in engine.callback_heap_boxes.
+inline constexpr std::size_t kCallbackInlineBytes = 72;
 
 /// Abstract scheduling surface endpoints program against, implemented by
 /// the sharded kernel's per-lane adapters; protocol code holds a Scheduler*

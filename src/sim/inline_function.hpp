@@ -3,8 +3,10 @@
 // std::function, a capture that fits the inline buffer never touches the
 // heap — the engine stores one of these per scheduled event in a slab slot,
 // so the steady-state schedule/fire cycle performs zero allocations (see
-// tests/test_engine_alloc.cpp). Oversized captures fall back to a single
-// heap allocation, preserving correctness for rare fat closures.
+// tests/test_engine_alloc.cpp). A capture larger than the buffer, or one
+// whose move constructor may throw, falls back to a single heap allocation:
+// still correct, but silent, so on_heap() reports it and the engine counts
+// every such slot (engine.callback_heap_boxes).
 
 #include <cstddef>
 #include <cstring>
@@ -42,6 +44,9 @@ class InlineFunction {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
+  /// True if the held callable took the heap fallback.
+  bool on_heap() const { return ops_ != nullptr && ops_->on_heap; }
+
   /// Destroys the held callable (no-op when empty).
   void reset() {
     if (ops_ != nullptr) {
@@ -59,6 +64,7 @@ class InlineFunction {
     /// lifetime. For heap-held callables this just relocates the pointer.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
+    bool on_heap;
   };
 
   template <typename F>
@@ -70,7 +76,7 @@ class InlineFunction {
       src->~F();
     }
     static void destroy(void* b) { std::launder(reinterpret_cast<F*>(b))->~F(); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
+    static constexpr Ops ops{&invoke, &relocate, &destroy, false};
   };
 
   template <typename F>
@@ -83,7 +89,7 @@ class InlineFunction {
     static void invoke(void* b) { (*ptr(b))(); }
     static void relocate(void* d, void* s) { std::memcpy(d, s, sizeof(F*)); }
     static void destroy(void* b) { delete ptr(b); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
+    static constexpr Ops ops{&invoke, &relocate, &destroy, true};
   };
 
   template <typename F>

@@ -235,6 +235,15 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
     if (state[to].complete() && decode_time[to] < 0.0) decode_time[to] = now;
   };
 
+  // A packet in flight lands, then returns its buffers to the pool. Its
+  // delivery event captures this one reference beside the link and the
+  // packet, which keeps the closure inside the engine's inline callback
+  // buffer (kCallbackInlineBytes).
+  auto land = [&](std::size_t li, Packet& packet) {
+    deliver(li, packet);
+    pool.release(std::move(packet));
+  };
+
   // One recurring send event per link; payload content is drawn at send time
   // from the sender's then-current buffer (or the encoder). A scheduled send
   // is a two-word thunk into `send`, which outlives the event loop; a copy of
@@ -289,9 +298,8 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
       ++report.packets_sent;
       sent_ctr.inc();
       lane.schedule_in(model.latency(li),
-                       [&, li, p = std::move(packet)]() mutable {
-                         deliver(li, p);
-                         pool.release(std::move(p));
+                       [&land, li, p = std::move(packet)]() mutable {
+                         land(li, p);
                        });
     } else {
       pool.release(std::move(packet));
@@ -301,49 +309,50 @@ ScenarioReport run_core(const graph::Digraph& g, graph::Vertex source,
 
   // Faults are scheduled before the first sends, so an equal-time fault fires
   // first (FIFO by scheduling order) — a behavior switch at t matters for
-  // packets sent at t.
-  for (const ResolvedFault& f : faults) {
-    lane.schedule_at(f.at, [&, f]() {
-      sync_trace();
-      const graph::Vertex v = f.v;
-      switch (f.kind) {
-        case FaultKind::kJoin:
-          break;  // membership-only; a packet scenario's vertex set is fixed
-        case FaultKind::kCrash:
-        case FaultKind::kLeave:
-          if (cur[v] != NodeBehavior::kOffline) {
-            cur[v] = NodeBehavior::kOffline;
-            // A dead node's send timers are useless wakeups; revoke them.
-            for (const std::size_t li : out_links[v]) {
-              lane.cancel(next_send[li]);
-              next_send[li] = TimerHandle{};
-            }
-          }
-          if (f.kind == FaultKind::kLeave) departed[v] = 1;
-          break;
-        case FaultKind::kRepair: {
-          if (departed[v] || cur[v] != NodeBehavior::kOffline) break;
-          cur[v] = restore[v];
-          const double now = lane.now();
+  // packets sent at t. Each event is a thunk into `apply_fault`.
+  auto apply_fault = [&](const ResolvedFault& f) {
+    sync_trace();
+    const graph::Vertex v = f.v;
+    switch (f.kind) {
+      case FaultKind::kJoin:
+        break;  // membership-only; a packet scenario's vertex set is fixed
+      case FaultKind::kCrash:
+      case FaultKind::kLeave:
+        if (cur[v] != NodeBehavior::kOffline) {
+          cur[v] = NodeBehavior::kOffline;
+          // A dead node's send timers are useless wakeups; revoke them.
           for (const std::size_t li : out_links[v]) {
-            // Resume on the link's own send grid: first phase + k*period
-            // strictly after the repair.
-            const double ph = round_mode ? 0.0 : model.phase(li);
-            double steps = std::ceil((now - ph) / period);
-            if (steps < 0.0) steps = 0.0;
-            double at = ph + steps * period;
-            if (at <= now) at += period;
-            schedule_next(li, at);
+            lane.cancel(next_send[li]);
+            next_send[li] = TimerHandle{};
           }
-          break;
         }
-        case FaultKind::kBehavior:
-          restore[v] = f.behavior;
-          if (f.behavior == NodeBehavior::kJammer) jam_seen = true;
-          if (cur[v] != NodeBehavior::kOffline) cur[v] = f.behavior;
-          break;
+        if (f.kind == FaultKind::kLeave) departed[v] = 1;
+        break;
+      case FaultKind::kRepair: {
+        if (departed[v] || cur[v] != NodeBehavior::kOffline) break;
+        cur[v] = restore[v];
+        const double now = lane.now();
+        for (const std::size_t li : out_links[v]) {
+          // Resume on the link's own send grid: first phase + k*period
+          // strictly after the repair.
+          const double ph = round_mode ? 0.0 : model.phase(li);
+          double steps = std::ceil((now - ph) / period);
+          if (steps < 0.0) steps = 0.0;
+          double at = ph + steps * period;
+          if (at <= now) at += period;
+          schedule_next(li, at);
+        }
+        break;
       }
-    });
+      case FaultKind::kBehavior:
+        restore[v] = f.behavior;
+        if (f.behavior == NodeBehavior::kJammer) jam_seen = true;
+        if (cur[v] != NodeBehavior::kOffline) cur[v] = f.behavior;
+        break;
+    }
+  };
+  for (const ResolvedFault& f : faults) {
+    lane.schedule_at(f.at, [&apply_fault, f] { apply_fault(f); });
   }
 
   for (std::size_t li = 0; li < links.size(); ++li) {

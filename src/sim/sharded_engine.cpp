@@ -90,25 +90,25 @@ void ShardedEngine::ensure_lane(LaneId lane) {
 }
 
 std::uint32_t ShardedEngine::acquire_slot(Shard& sh, Callback fn) {
-  std::uint32_t slot;
+  if (fn.on_heap()) ++sh.heap_boxes;
   if (!sh.free_slots.empty()) {
-    slot = sh.free_slots.back();
+    const std::uint32_t slot = sh.free_slots.back();
     sh.free_slots.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(sh.slots.size());
-    sh.slots.emplace_back();
+    sh.slot(slot) = std::move(fn);
+    return slot;
   }
-  Slot& s = sh.slots[slot];
-  s.fn = std::move(fn);
-  s.cancelled = false;
+  const auto slot = static_cast<std::uint32_t>(sh.gens.size());
+  if ((slot >> kChunkBits) == sh.chunks.size()) {
+    sh.chunks.emplace_back().reserve(std::size_t{1} << kChunkBits);
+  }
+  sh.chunks.back().push_back(std::move(fn));
+  sh.gens.push_back(0);
   return slot;
 }
 
 void ShardedEngine::release_slot(Shard& sh, std::uint32_t slot) {
-  Slot& s = sh.slots[slot];
-  s.fn.reset();
-  s.cancelled = false;
-  ++s.gen;
+  sh.slot(slot).reset();
+  ++sh.gens[slot];
   sh.free_slots.push_back(slot);
 }
 
@@ -119,11 +119,14 @@ TimerHandle ShardedEngine::enqueue(Shard& sh, LaneId lane, SimTime at,
   sh.queue.push(Item{at, lane, seq, slot, klass});
   ++sh.pending;
   if (sh.queue.size() > sh.depth_hwm) sh.depth_hwm = sh.queue.size();
-  return TimerHandle{seq, slot, sh.slots[slot].gen, lane};
+  return TimerHandle{seq, slot, sh.gens[slot], lane};
 }
 
 TimerHandle ShardedEngine::schedule_on(LaneId lane, SimTime at, Callback fn,
                                        TimerClass klass) {
+  // An empty slot means a cancelled event, so an empty callback could never
+  // run and would leave `pending` counting it.
+  if (!fn) throw std::invalid_argument("ShardedEngine: empty callback");
   Shard* cur = tl_current_shard_;
   if (cur == nullptr) {
     // Setup phase / between runs: direct enqueue from the driving thread.
@@ -152,11 +155,10 @@ TimerHandle ShardedEngine::schedule_on(LaneId lane, SimTime at, Callback fn,
 bool ShardedEngine::cancel(TimerHandle handle) {
   if (!handle.valid()) return false;
   Shard& sh = shards_v_[shard_of(handle.lane)];
-  if (handle.slot >= sh.slots.size()) return false;
-  Slot& s = sh.slots[handle.slot];
-  if (s.gen != handle.gen || s.cancelled || !s.fn) return false;
-  s.cancelled = true;
-  s.fn.reset();
+  if (handle.slot >= sh.gens.size()) return false;
+  Slot& s = sh.slot(handle.slot);
+  if (sh.gens[handle.slot] != handle.gen || !s) return false;
+  s.reset();  // the queue item stays; exec_shard releases the empty slot
   --sh.pending;
   return true;
 }
@@ -164,6 +166,12 @@ bool ShardedEngine::cancel(TimerHandle handle) {
 std::size_t ShardedEngine::pending() const {
   std::size_t total = 0;
   for (const Shard& sh : shards_v_) total += sh.pending;
+  return total;
+}
+
+std::uint64_t ShardedEngine::callback_heap_boxes() const {
+  std::uint64_t total = 0;
+  for (const Shard& sh : shards_v_) total += sh.heap_boxes;
   return total;
 }
 
@@ -179,14 +187,14 @@ void ShardedEngine::exec_shard(Shard& sh, SimTime limit, bool final_window) {
     const Item item = sh.queue.top();
     if (final_window ? item.at > limit : item.at >= limit) break;
     sh.queue.pop();
-    Slot& s = sh.slots[item.slot];
-    if (s.cancelled) {
+    Slot& s = sh.slot(item.slot);
+    if (!s) {  // cancelled
       release_slot(sh, item.slot);
       continue;
     }
     // Move the callback out before invoking: the handler may schedule onto
     // its own lane, recycling this slot or growing the slab.
-    Callback fn = std::move(s.fn);
+    Callback fn = std::move(s);
     release_slot(sh, item.slot);
     --sh.pending;
     sh.now = item.at;
@@ -332,9 +340,12 @@ std::size_t ShardedEngine::run_until(SimTime horizon) {
   handoffs_ctr_->inc(handoffs_ - handoffs_reported_);
   clamped_ctr_->inc(clamped_ - clamped_reported_);
   epochs_ctr_->inc(epochs_ - epochs_reported_);
+  const std::uint64_t heap_boxes = callback_heap_boxes();
+  heap_boxes_ctr_->inc(heap_boxes - heap_boxes_reported_);
   handoffs_reported_ = handoffs_;
   clamped_reported_ = clamped_;
   epochs_reported_ = epochs_;
+  heap_boxes_reported_ = heap_boxes;
   depth_hwm_->set_max(static_cast<double>(depth_hwm));
   outbox_hwm_->set_max(static_cast<double>(outbox_hwm));
   return executed;

@@ -41,6 +41,14 @@
 // is lane-local: only the lane that scheduled an event may cancel it, and
 // cross-lane posts return an invalid handle.
 //
+// Memory: a pending event costs one 80-byte slab slot (its Callback; an
+// empty Callback marks a cancelled slot), a 4-byte generation in a parallel
+// array and a queue Item. The slab grows by fixed chunks and never moves a
+// slot, so a million pending events hold about a million slots: no doubling
+// copy, and no freed old buffer left behind in the allocator. A callback too
+// large for the slot's inline buffer is boxed on the heap and counted in
+// engine.callback_heap_boxes.
+//
 // Profiling: one in 64 events each shard executes is wall-timed into the
 // engine.handler_<class>_ns histogram of its TimerClass. Sampling is purely
 // observational; it never feeds scheduling.
@@ -120,7 +128,8 @@ class ShardedEngine {
   /// Schedules onto a lane. From the lane's own handler this is immediate
   /// and cancellable; from another lane's handler it is a buffered
   /// cross-lane post (invalid handle, sequenced at the barrier); from
-  /// outside a run it enqueues directly (setup phase).
+  /// outside a run it enqueues directly (setup phase). Throws
+  /// std::invalid_argument on an empty callback.
   TimerHandle schedule_on(LaneId lane, SimTime at, Callback fn,
                           TimerClass klass = TimerClass::kGeneric);
 
@@ -139,6 +148,9 @@ class ShardedEngine {
   std::uint64_t cross_shard_handoffs() const { return handoffs_; }
   std::uint64_t clamped_posts() const { return clamped_; }
   std::uint64_t epochs_run() const { return epochs_; }
+  /// Events scheduled so far whose callback took InlineFunction's heap
+  /// fallback. Idle use only.
+  std::uint64_t callback_heap_boxes() const;
 
  private:
   /// POD queue entry; keys sort by (at, lane, seq) — see rule 1 above.
@@ -155,14 +167,13 @@ class ShardedEngine {
     }
   };
 
-  /// Slab entry owning a scheduled callback. `gen` increments on every
-  /// release, so a TimerHandle that outlives its event can never cancel the
-  /// slot's next tenant.
-  struct Slot {
-    Callback fn;
-    std::uint32_t gen = 0;
-    bool cancelled = false;
-  };
+  /// Slab entry: the scheduled callback alone, empty once cancelled (so
+  /// schedule_on refuses empty callbacks). Its generation lives in the
+  /// shard's parallel `gens` array.
+  using Slot = Callback;
+  static_assert(sizeof(Slot) <= 80, "a pending event's slab slot");
+  /// Slots per slab chunk (1 << kChunkBits, 320 KiB of slots).
+  static constexpr std::uint32_t kChunkBits = 12;
 
   /// Buffered cross-lane post, merged at the epoch barrier in
   /// (at, src_lane, src_emit_seq) order.
@@ -177,7 +188,13 @@ class ShardedEngine {
 
   struct Shard {
     std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-    std::vector<Slot> slots;
+    /// The slab: slots [0, gens.size()), in chunks of 1 << kChunkBits. Each
+    /// chunk reserves its full size up front and never reallocates, so a
+    /// slot never moves and untouched capacity costs no memory.
+    std::vector<std::vector<Slot>> chunks;
+    /// Per slot, incremented on every release, so a TimerHandle that
+    /// outlives its event can never cancel the slot's next tenant.
+    std::vector<std::uint32_t> gens;
     std::vector<std::uint32_t> free_slots;
     std::vector<Outpost> outbox;
     SimTime now = 0.0;
@@ -186,7 +203,12 @@ class ShardedEngine {
     std::size_t pending = 0;
     std::size_t depth_hwm = 0;
     std::size_t outbox_hwm = 0;
+    std::uint64_t heap_boxes = 0;     ///< lifetime, this shard
     obs::SpanId span = obs::kNoSpan;  ///< open run-span for attribution
+
+    Slot& slot(std::uint32_t i) {
+      return chunks[i >> kChunkBits][i & ((1u << kChunkBits) - 1)];
+    }
   };
 
   static std::uint32_t acquire_slot(Shard& sh, Callback fn);
@@ -219,6 +241,7 @@ class ShardedEngine {
   std::uint64_t handoffs_reported_ = 0;
   std::uint64_t clamped_reported_ = 0;
   std::uint64_t epochs_reported_ = 0;
+  std::uint64_t heap_boxes_reported_ = 0;
 
   /// The shard the calling thread is currently executing, or nullptr
   /// outside a window. How schedule_on distinguishes same-lane, cross-lane,
@@ -246,6 +269,8 @@ class ShardedEngine {
       &obs::metrics().counter("engine.shard_handoffs");
   obs::Counter* clamped_ctr_ = &obs::metrics().counter("engine.shard_clamped");
   obs::Counter* epochs_ctr_ = &obs::metrics().counter("engine.shard_epochs");
+  obs::Counter* heap_boxes_ctr_ =
+      &obs::metrics().counter("engine.callback_heap_boxes");
   obs::Gauge* depth_hwm_ = &obs::metrics().gauge("engine.shard_queue_depth_hwm");
   obs::Gauge* outbox_hwm_ = &obs::metrics().gauge("engine.shard_outbox_hwm");
   obs::Gauge* workers_gauge_ = &obs::metrics().gauge("engine.worker_threads");

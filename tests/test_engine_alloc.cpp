@@ -3,11 +3,13 @@
 // new/new[] are replaced with counting versions; once the callback slab,
 // queue storage, and free lists reach their high-water marks, a
 // schedule -> fire -> reschedule -> cancel cycle must not touch the heap.
-// This enforces three contracts: InlineFunction (sim/inline_function.hpp)
+// This enforces four contracts: InlineFunction (sim/inline_function.hpp)
 // keeps small callbacks out of the heap entirely, the kernel
 // (sim/sharded_engine.hpp) recycles slab slots instead of allocating per
-// event, and the packet-level scenario runner schedules its sends without
-// allocating, so its allocation count does not grow with the horizon.
+// event, a message hop on the fabric (node/sharded_transport.hpp) fits its
+// delivery closure in a slot, and the packet-level scenario runner
+// schedules its sends without allocating, so its allocation count does not
+// grow with the horizon.
 //
 // gtest assertions allocate, so the measured regions contain no
 // EXPECT/ASSERT; deltas are checked after.
@@ -20,6 +22,8 @@
 #include <new>
 #include <vector>
 
+#include "node/message.hpp"
+#include "node/sharded_transport.hpp"
 #include "overlay/curtain_server.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/scenario.hpp"
@@ -145,6 +149,52 @@ TEST(EngineAllocFree, ShardedEngineWindowLoopSteadyState) {
   const std::uint64_t delta = g_news.load() - before;
   EXPECT_EQ(delta, 0u);
   EXPECT_EQ(fired, 3u * 256u + 20u * 128u);
+}
+
+// One message hop: Transport::send, ShardedTransport::route, a cross-lane
+// delivery post through the outbox and the barrier merge, arrive and
+// on_message. Both endpoints sit on their own shard. Once warm, keepalives,
+// haves and a control message without a body cross in both directions
+// without touching the heap: the delivery closure (the transport and a
+// Message by value) stays in the engine slot.
+TEST(EngineAllocFree, TransportHopSteadyState) {
+  sim::ShardedEngine engine(2, 0, 0.5);
+  node::ShardedTransport net(engine, node::TransportSpec{}, 1, 2);
+  struct Sink final : node::Endpoint {
+    void on_message(const node::Message&) override { ++received; }
+    std::uint64_t received = 0;
+  };
+  Sink sinks[2];
+  net.attach(0, &sinks[0]);
+  net.attach(1, &sinks[1]);
+  auto exchange = [&] {
+    for (const node::Address from : {node::Address{0}, node::Address{1}}) {
+      engine.schedule_on(from, engine.now() + 0.1, [&net, from] {
+        for (const node::MessageType type :
+             {node::MessageType::kKeepalive, node::MessageType::kHave,
+              node::MessageType::kComplaint}) {
+          node::Message m;
+          m.type = type;
+          m.from = from;
+          m.to = 1 - from;
+          m.column = 3;
+          m.subject = 1;
+          net.send(std::move(m));
+        }
+      });
+    }
+    engine.run_until(engine.now() + 5.0);
+  };
+  for (int round = 0; round < 5; ++round) exchange();  // warm-up
+  const std::uint64_t warm = sinks[0].received + sinks[1].received;
+  ASSERT_EQ(warm, 5u * 6u);
+
+  const std::uint64_t before = g_news.load();
+  for (int round = 0; round < 20; ++round) exchange();
+  const std::uint64_t delta = g_news.load() - before;
+  EXPECT_EQ(delta, 0u);
+  EXPECT_EQ(sinks[0].received + sinks[1].received, warm + 20u * 6u);
+  EXPECT_EQ(engine.callback_heap_boxes(), 0u);
 }
 
 // The packet-level runner fires one send per link per period. Once a first

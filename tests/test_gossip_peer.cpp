@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "node/gossip_peer.hpp"
 #include "node/sharded_transport.hpp"
@@ -280,6 +282,83 @@ TEST(GossipPeer, SustainedChurnSelfHeals) {
     if (p->crashed() || p->departed()) continue;
     EXPECT_TRUE(p->decoded());
     EXPECT_EQ(p->data(), s.source->data());
+  }
+}
+
+/// A fabric decorator that logs every membership message (everything off
+/// the data plane): when it was sent, its type, its ends and the view
+/// sample it carries.
+class MembershipLog final : public AttachableTransport {
+ public:
+  using Entry = std::tuple<double, MessageType, Address, Address,
+                           std::vector<Address>>;
+
+  MembershipLog(sim::ShardedEngine& engine, ShardedTransport& inner)
+      : engine_(engine), inner_(inner) {}
+
+  void attach(Address addr, Endpoint* endpoint) override {
+    inner_.attach(addr, endpoint);
+  }
+  void detach(Address addr) override { inner_.detach(addr); }
+  void crash(Address addr) override { inner_.crash(addr); }
+  void revive(Address addr) override { inner_.revive(addr); }
+  bool crashed(Address addr) const override { return inner_.crashed(addr); }
+
+  std::vector<Entry> log;
+
+ protected:
+  void route(Message m) override {
+    if (!is_data_plane(m)) {
+      log.emplace_back(engine_.now(), m.type, m.from, m.to,
+                       m.body() ? m.body()->peers : std::vector<Address>{});
+    }
+    inner_.send(std::move(m));
+  }
+
+ private:
+  sim::ShardedEngine& engine_;
+  ShardedTransport& inner_;
+};
+
+TEST(GossipPeer, UploadDrawsNeverMoveMembership) {
+  // Two swarms that differ only in generation size, so each upload draws 8
+  // or 4 coefficients, from 2 or 4 generations. Membership (view eviction,
+  // samples, the parent search) draws from its own stream, so both swarms
+  // send the same membership messages to the same peers at the same times,
+  // through a crash and a leave.
+  const auto membership = [](std::size_t generation_size) {
+    sim::ShardedEngine engine(1, 0, 1.0);
+    ShardedTransport fabric(engine, TransportSpec{}, 1, kAddresses);
+    MembershipLog net(engine, fabric);
+    GossipPeerConfig cfg;
+    cfg.silence_timeout = 6;
+    cfg.seed = 3;
+    GossipPeer source(1, cfg, random_bytes(8 * 8 * 2, 5), generation_size, 8);
+    source.start(engine.lane(1), net);
+    std::vector<std::unique_ptr<GossipPeer>> peers;
+    for (Address a = 2; a < 16; ++a) {
+      peers.push_back(std::make_unique<GossipPeer>(a, cfg, a - 1));
+      peers.back()->start(engine.lane(a), net);
+    }
+    engine.run_until(40.0);
+    peers[3]->crash();
+    net.crash(peers[3]->address());
+    engine.run_until(60.0);
+    peers[5]->leave(net);
+    engine.run_until(200.0);
+    for (const auto& p : peers) {
+      if (p->crashed() || p->departed()) continue;
+      EXPECT_TRUE(p->decoded()) << "g " << generation_size << ", peer "
+                                << p->address();
+    }
+    return net.log;
+  };
+  const auto eight = membership(8);
+  const auto four = membership(4);
+  ASSERT_GT(eight.size(), 100u);
+  ASSERT_EQ(eight.size(), four.size());
+  for (std::size_t i = 0; i < eight.size(); ++i) {
+    ASSERT_EQ(eight[i], four[i]) << "membership message " << i;
   }
 }
 

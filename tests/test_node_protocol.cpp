@@ -461,7 +461,8 @@ TEST(NodeProtocol, StaleColumnComplaintConvictsNobody) {
     // hello: it repairs a client whose view of its columns went stale.
     ASSERT_EQ(lower.accepts(), accepts_before + 1) << "column " << column;
     EXPECT_EQ(lower.got.back().type, MessageType::kJoinAccept);
-    EXPECT_EQ(lower.got.back().columns, lower_cols);
+    ASSERT_NE(lower.got.back().body(), nullptr);
+    EXPECT_EQ(lower.got.back().body()->columns, lower_cols);
   }
   h.run(static_cast<double>(scfg.repair_delay) + 2.0);
   EXPECT_EQ(h.server.repairs_done(), 0u);
@@ -586,7 +587,7 @@ struct OneClient {
     m.type = MessageType::kJoinAccept;
     m.from = kServerAddress;
     m.to = 1;
-    m.columns = std::move(columns);
+    m.mutable_body().columns = std::move(columns);
     origin.announce(m);
     net.send(std::move(m));
   }

@@ -115,6 +115,69 @@ TEST(ShardedEngine, CrossLanePostsAreNotCancellable) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(ShardedEngine, EmptyCallbacksAreRefused) {
+  // An empty slab slot marks a cancelled event, so an empty callback could
+  // never run and `pending` would count it forever.
+  ShardedEngine e(2, 0, 0.5);
+  EXPECT_THROW(e.schedule_on(0, 1.0, ShardedEngine::Callback{}),
+               std::invalid_argument);
+  int refused = 0;
+  e.schedule_on(0, 1.0, [&] {
+    for (const LaneId lane : {LaneId{0}, LaneId{1}}) {  // same- and cross-lane
+      try {
+        e.schedule_on(lane, 2.0, ShardedEngine::Callback{});
+      } catch (const std::invalid_argument&) {
+        ++refused;
+      }
+    }
+  });
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run_until(5.0), 1u);
+  EXPECT_EQ(refused, 2);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(ShardedEngine, CountsCallbacksBoxedOnTheHeap) {
+  // A capture past the inline buffer, or one whose move may throw, still
+  // runs, but through a heap box; the engine counts each such event where
+  // it takes a slot (a cross-lane post at the barrier).
+  struct Fat {
+    unsigned char pad[sim::kCallbackInlineBytes + 8] = {};
+  };
+  struct ThrowingMove {
+    ThrowingMove() = default;
+    ThrowingMove(const ThrowingMove&) = default;
+    ThrowingMove(ThrowingMove&&) {}  // NOLINT: deliberately not noexcept
+  };
+  const Fat fat;
+  ThrowingMove throwing;  // a const capture would move by (nothrow) copy
+  EXPECT_FALSE(ShardedEngine::Callback([] {}).on_heap());
+  EXPECT_TRUE(ShardedEngine::Callback([fat] { (void)fat; }).on_heap());
+  EXPECT_TRUE(
+      ShardedEngine::Callback([throwing] { (void)throwing; }).on_heap());
+
+  auto& ctr = obs::metrics().counter("engine.callback_heap_boxes");
+  const auto before = ctr.value();
+  ShardedEngine e(2, 0, 0.5);
+  int fired = 0;
+  e.schedule_on(0, 1.0, [&fired] { ++fired; });
+  e.schedule_on(0, 1.0, [&fired, fat] { fired += 1 + fat.pad[0]; });
+  e.schedule_on(0, 1.0, [&e, &fired, &fat, throwing] {
+    (void)throwing;
+    ++fired;
+    e.schedule_on(1, 2.0, [&fired, fat] { fired += 1 + fat.pad[0]; });
+  });
+  EXPECT_EQ(e.callback_heap_boxes(), 2u);
+  e.run_until(5.0);
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(e.callback_heap_boxes(), 3u);
+#if NCAST_OBS_ENABLED
+  EXPECT_EQ(ctr.value(), before + 3);
+#else
+  EXPECT_EQ(ctr.value(), before);
+#endif
+}
+
 TEST(ShardedEngine, LaneSchedulerAdaptsTheSchedulerInterface) {
   ShardedEngine e(4, 0, 0.5);
   sim::Scheduler& lane = e.lane(7);

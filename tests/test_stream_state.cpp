@@ -304,9 +304,10 @@ TEST(StreamState, AnnouncementRoundTrip) {
     // A relay forwards exactly the announcement it verified.
     Message grant;
     receiver.announce(grant);
-    EXPECT_EQ(grant.key_bundles, a.accept.key_bundles);
-    EXPECT_EQ(grant.structure_kind, a.accept.structure_kind);
-    EXPECT_EQ(grant.band_width, a.accept.band_width);
+    ASSERT_NE(grant.body(), nullptr);
+    EXPECT_EQ(grant.body()->key_bundles, a.accept.body()->key_bundles);
+    EXPECT_EQ(grant.body()->structure_kind, a.accept.body()->structure_kind);
+    EXPECT_EQ(grant.body()->band_width, a.accept.body()->band_width);
 
     Rng rng(12);
     std::size_t sent = 0;
@@ -344,14 +345,22 @@ TEST(StreamState, AnnouncementRefusesNonsenseDescriptors) {
     EXPECT_FALSE(receiver.initialize(a.accept)) << what;
     EXPECT_FALSE(receiver.initialized()) << what;
   };
-  refused("kind byte 3", [](Message& m) { m.structure_kind = 3; });
-  refused("band width > g", [](Message& m) { m.band_width = 9; });
-  refused("overlap >= width", [](Message& m) { m.class_overlap = 4; });
+  refused("kind byte 3",
+          [](Message& m) { m.mutable_body().structure_kind = 3; });
+  refused("band width > g",
+          [](Message& m) { m.mutable_body().band_width = 9; });
+  refused("overlap >= width",
+          [](Message& m) { m.mutable_body().class_overlap = 4; });
   refused("wrap on a non-banded kind", [](Message& m) {
-    m.structure_wrap = 1;
+    m.mutable_body().structure_wrap = 1;
   });
   refused("gen_count disagrees with the plan", [](Message& m) {
-    m.gen_count += 1;
+    m.mutable_body().gen_count += 1;
+  });
+  refused("an accept with no body", [](Message& m) {
+    const MessageType type = m.type;
+    m = Message{};
+    m.type = type;
   });
 }
 
@@ -361,14 +370,15 @@ TEST(StreamState, MalformedKeyBundlesOnlyTurnVerificationOff) {
        {std::vector<std::vector<std::uint8_t>>{{1, 2, 3}},
         std::vector<std::vector<std::uint8_t>>(5, {1, 2, 3})}) {
     Message m = a.accept;
-    m.key_bundles = bundles;
+    m.mutable_body().key_bundles = bundles;
     StreamState receiver;
     ASSERT_TRUE(receiver.initialize(m));
     EXPECT_TRUE(receiver.initialized());
     EXPECT_FALSE(receiver.verification_enabled());
     Message grant;
     receiver.announce(grant);
-    EXPECT_TRUE(grant.key_bundles.empty());
+    ASSERT_NE(grant.body(), nullptr);
+    EXPECT_TRUE(grant.body()->key_bundles.empty());
   }
 }
 

@@ -372,9 +372,9 @@ TEST(TransportBase, ControlBytesUseControlSize) {
   // Accepts carry plan + key bundles + columns.
   Message accept;
   accept.type = MessageType::kJoinAccept;
-  accept.columns = {1, 2, 3};
-  accept.key_bundles = {std::vector<std::uint8_t>(40), std::vector<std::uint8_t>(40)};
-  accept.peers = {};
+  accept.mutable_body().columns = {1, 2, 3};
+  accept.mutable_body().key_bundles = {std::vector<std::uint8_t>(40),
+                                       std::vector<std::uint8_t>(40)};
   const std::size_t accept_bytes = accept.control_size();
   EXPECT_GT(accept_bytes, 17u + 3 * sizeof(overlay::ColumnId) + 16u + 80u);
   net.send(std::move(accept));
