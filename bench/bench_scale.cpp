@@ -1,4 +1,4 @@
-// BENCH_scale — the million-node run: the scale claim of the SoA/CSR
+// BENCH_scale — the million-node run: the scale claim of the row-record
 // overlay state and the sharded event kernel, measured together. A
 // 1,000,000-client join wave arrives over simulated time, sustained Poisson
 // churn (graceful leaves and crashes) follows, and every crash must be
@@ -6,14 +6,14 @@
 // Each client owns a kernel lane; joins and churn initiations are
 // cross-lane posts into the server's lane, so the run exercises the blocked
 // curtain under insert-at-random-position (each join lands mid-curtain and
-// scans block signatures for its d links), the CSR column arena under heavy
+// scans block signatures for its d links), the row records under heavy
 // splice traffic, per-shard event queues, outbox merges, and the
 // conservative epoch barrier.
 //
 // Reported: wall clock, events per second, peak RSS (the telemetry fields
-// tools/bench_validate now requires), and convergence — the final matrix
-// must hold exactly joins - leaves - repairs working rows and zero failed
-// rows. Smoke mode (NCAST_BENCH_SMOKE=1) runs 100k nodes so CI's perf gate
+// tools/bench_validate now requires), convergence — the final matrix must
+// hold exactly joins - leaves - repairs working rows and zero failed rows —
+// and a hash of that matrix, which pins every draw and the curtain order. Smoke mode (NCAST_BENCH_SMOKE=1) runs 100k nodes so CI's perf gate
 // can hold the committed baseline on every run; the full 1M configuration
 // is the locally-run scale proof.
 
@@ -36,6 +36,24 @@ struct ChurnOp {
   std::uint32_t client = 0;  // index into the join wave
   bool crash = false;        // false = graceful leave
 };
+
+/// 32-bit FNV-1a, one word at a time, over the matrix in curtain order:
+/// each row's id, failed tag and columns. 32 bits print exactly in the
+/// bench JSON, so the perf gate can hold the value itself.
+std::uint32_t matrix_hash(const overlay::ThreadMatrix& m) {
+  std::uint32_t h = 2166136261u;
+  const auto mix = [&h](std::uint32_t v) {
+    h ^= v;
+    h *= 16777619u;
+  };
+  for (const overlay::NodeId n : m.order()) {
+    const overlay::Row row = m.row(n);
+    mix(n);
+    mix(row.failed ? 1u : 0u);
+    for (const overlay::ColumnId c : row.threads) mix(c);
+  }
+  return h;
+}
 
 std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
   const char* s = std::getenv(name);
@@ -73,7 +91,7 @@ int main() {
   bench::banner(
       "SCALE: million-node join wave + Poisson churn on the sharded kernel",
       "Every client owns a lane; joins and churn are cross-lane posts into\n"
-      "the server lane, where the SoA/CSR curtain absorbs them (uniform\n"
+      "the server lane, where the row-record curtain absorbs them (uniform\n"
       "random insert positions: every join lands mid-curtain and scans for\n"
       "its d links). Crashes must repair before the horizon; the final\n"
       "matrix must balance.");
@@ -182,6 +200,7 @@ int main() {
   // The invariant audit is O(n * d); priced in at smoke scale, sampled out
   // of the 1M run (the balance checks above already catch structural rot).
   const bool invariants_ok = n > 200000 || m.check_invariants();
+  const std::uint32_t hash = matrix_hash(m);
 
   const std::uint64_t rss = bench::peak_rss_bytes();
   Table table({"metric", "value"});
@@ -191,6 +210,7 @@ int main() {
                  std::to_string(crashes) + " / " + std::to_string(repairs)});
   table.add_row({"churn double-kills skipped", std::to_string(skipped)});
   table.add_row({"final working rows", std::to_string(m.working_count())});
+  table.add_row({"matrix hash", std::to_string(hash)});
   table.add_row({"events executed", std::to_string(executed)});
   table.add_row({"cross-shard handoffs",
                  std::to_string(engine.cross_shard_handoffs())});
@@ -215,6 +235,7 @@ int main() {
   session.note("clamped_posts", engine.clamped_posts());
   session.note("converged", converged);
   session.note("invariants_ok", invariants_ok);
+  session.note("matrix_hash", hash);
 
   std::printf(
       "\nReading: the server's curtain absorbed %" PRIu32

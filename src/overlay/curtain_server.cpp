@@ -48,8 +48,7 @@ NodeId CurtainServer::random_anchor() {
 }
 
 std::vector<ColumnId> CurtainServer::pick_threads(std::uint32_t degree) {
-  const auto sample = rng_.sample_without_replacement(matrix_.k(), degree);
-  return {sample.begin(), sample.end()};
+  return rng_.sample_without_replacement(matrix_.k(), degree);
 }
 
 JoinTicket CurtainServer::join(std::optional<std::uint32_t> degree) {

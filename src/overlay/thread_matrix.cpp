@@ -1,6 +1,7 @@
 #include "overlay/thread_matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace ncast::overlay {
 
@@ -50,35 +51,69 @@ void ThreadMatrix::free_span(std::uint32_t off, std::uint8_t cap_log2) {
   free_[cap_log2].push_back(off);
 }
 
-std::uint32_t ThreadMatrix::slot_of(NodeId node, ColumnId column) const {
-  const RowMeta& m = meta_[node];
-  const ColumnId* first = cols_.data() + m.off;
-  const ColumnId* it = std::lower_bound(first, first + m.len, column);
-  return m.off + static_cast<std::uint32_t>(it - first);
+void ThreadMatrix::resize_row(RowRecord& r, std::uint32_t len) {
+  const bool was_inline = r.len <= kInlineCols;
+  const bool now_inline = len <= kInlineCols;
+  if (was_inline && now_inline) {
+    r.len = len;
+    return;
+  }
+  const std::uint8_t old_class = cap_log2_for(r.len);
+  const std::uint8_t new_class = cap_log2_for(len);
+  if (!was_inline && !now_inline && old_class == new_class) {
+    r.len = len;
+    return;
+  }
+  const std::uint32_t keep = std::min<std::uint32_t>(r.len, len);
+  if (now_inline) {  // arena -> record
+    std::copy_n(cols_.begin() + r.span, keep, r.cols);
+    std::copy_n(up_.begin() + r.span, keep, r.up);
+    std::copy_n(down_.begin() + r.span, keep, r.down);
+    free_span(r.span, old_class);
+  } else {
+    const std::uint32_t span = alloc_span(new_class);  // may move the arena
+    if (was_inline) {  // record -> arena
+      std::copy_n(r.cols, keep, cols_.begin() + span);
+      std::copy_n(r.up, keep, up_.begin() + span);
+      std::copy_n(r.down, keep, down_.begin() + span);
+    } else {  // one size class -> another
+      std::copy_n(cols_.begin() + r.span, keep, cols_.begin() + span);
+      std::copy_n(up_.begin() + r.span, keep, up_.begin() + span);
+      std::copy_n(down_.begin() + r.span, keep, down_.begin() + span);
+      free_span(r.span, old_class);
+    }
+    r.span = span;
+  }
+  r.len = len;
+}
+
+std::uint32_t ThreadMatrix::index_of(const RowRecord& r, ColumnId column) const {
+  const ColumnId* first = cols_of(r);
+  return static_cast<std::uint32_t>(std::lower_bound(first, first + r.len, column) -
+                                    first);
 }
 
 bool ThreadMatrix::clips(NodeId node, ColumnId column) const {
-  const std::uint32_t slot = slot_of(node, column);
-  const RowMeta& m = meta_[node];
-  return slot < m.off + m.len && cols_[slot] == column;
+  const RowRecord& r = record(node);
+  const std::uint32_t i = index_of(r, column);
+  return i < r.len && cols_of(r)[i] == column;
 }
 
 std::uint64_t ThreadMatrix::signature(NodeId node) const {
-  const RowMeta& m = meta_[node];
+  const RowRecord& r = record(node);
+  const ColumnId* cols = cols_of(r);
   std::uint64_t sig = 0;
-  for (std::uint32_t i = 0; i < m.len; ++i) {
-    sig |= std::uint64_t{1} << (cols_[m.off + i] % 64);
-  }
+  for (std::uint32_t i = 0; i < r.len; ++i) sig |= std::uint64_t{1} << (cols[i] % 64);
   return sig;
 }
 
 std::uint32_t ThreadMatrix::index_in_block(NodeId node) const {
-  const Block& b = block(meta_[node].block);
+  const Block& b = block(record(node).block);
   return static_cast<std::uint32_t>(std::find(b.ids, b.ids + b.count, node) - b.ids);
 }
 
 // ncast:hot-begin — join path: block shift, signature scan and link splice.
-// No allocation beyond amortized chunk and scratch growth, no throw.
+// No allocation beyond amortized chunk growth, no throw.
 
 std::uint32_t ThreadMatrix::alloc_block() {
   std::uint32_t b = free_block_;
@@ -128,7 +163,7 @@ void ThreadMatrix::place(std::uint32_t b, std::uint32_t i, NodeId node) {
     std::copy(full.sig + keep, full.sig + kBlockRows, fresh.sig);
     fresh.count = kBlockRows - keep;
     full.count = keep;
-    for (std::uint32_t j = 0; j < fresh.count; ++j) meta_[fresh.ids[j]].block = nb;
+    for (std::uint32_t j = 0; j < fresh.count; ++j) record(fresh.ids[j]).block = nb;
     if (i >= keep) {
       b = nb;
       i -= keep;
@@ -140,11 +175,11 @@ void ThreadMatrix::place(std::uint32_t b, std::uint32_t i, NodeId node) {
   blk.ids[i] = node;
   blk.sig[i] = signature(node);
   ++blk.count;
-  meta_[node].block = b;
+  record(node).block = b;
 }
 
 void ThreadMatrix::unplace(NodeId node) {
-  const std::uint32_t b = meta_[node].block;
+  const std::uint32_t b = record(node).block;
   Block& blk = block(b);
   const std::uint32_t i = index_in_block(node);
   std::copy(blk.ids + i + 1, blk.ids + blk.count, blk.ids + i);
@@ -168,7 +203,7 @@ void ThreadMatrix::merge_blocks(std::uint32_t into, std::uint32_t from) {
   const Block& src = block(from);
   std::copy(src.ids, src.ids + src.count, dst.ids + dst.count);
   std::copy(src.sig, src.sig + src.count, dst.sig + dst.count);
-  for (std::uint32_t j = 0; j < src.count; ++j) meta_[src.ids[j]].block = into;
+  for (std::uint32_t j = 0; j < src.count; ++j) record(src.ids[j]).block = into;
   dst.count += src.count;
   free_block(from);
 }
@@ -176,14 +211,14 @@ void ThreadMatrix::merge_blocks(std::uint32_t into, std::uint32_t from) {
 template <class Hit>
 void ThreadMatrix::scan(NodeId from, bool down, const std::uint64_t& mask,
                         Hit&& hit) const {
-  std::uint32_t b = meta_[from].block;
+  std::uint32_t b = record(from).block;
   std::uint32_t i = index_in_block(from);
   if (down) {
     for (++i; b != kNoBlock; b = block(b).next, i = 0) {
       const Block& blk = block(b);
       for (; i < blk.count; ++i) {
         if ((blk.sig[i] & mask) == 0) continue;
-        hit(blk.ids[i]);
+        hit(blk.ids[i], blk.sig[i]);
         if (mask == 0) return;
       }
     }
@@ -193,7 +228,7 @@ void ThreadMatrix::scan(NodeId from, bool down, const std::uint64_t& mask,
     const Block& blk = block(b);
     while (i-- > 0) {
       if ((blk.sig[i] & mask) == 0) continue;
-      hit(blk.ids[i]);
+      hit(blk.ids[i], blk.sig[i]);
       if (mask == 0) return;
     }
     b = blk.prev;
@@ -206,7 +241,7 @@ NodeId ThreadMatrix::nearest_on_column(NodeId node, ColumnId column,
                                        bool down) const {
   std::uint64_t mask = std::uint64_t{1} << (column % 64);
   NodeId found = kNoNode;
-  scan(node, down, mask, [&](NodeId r) {
+  scan(node, down, mask, [&](NodeId r, std::uint64_t) {
     if (clips(r, column)) {  // exact even when k > 64 columns share a bit
       found = r;
       mask = 0;
@@ -216,76 +251,73 @@ NodeId ThreadMatrix::nearest_on_column(NodeId node, ColumnId column,
 }
 
 void ThreadMatrix::splice_links(NodeId node) {
-  const RowMeta& m = meta_[node];
-  const std::uint32_t off = m.off;
-  const std::uint32_t len = m.len;
+  RowRecord& r = record(node);
+  const ColumnId* cols = cols_of(r);
 
-  // Resolve each column's child with one downward scan. A row's span is
-  // read only when its signature meets the still-unresolved columns, and
-  // then intersected with them (both sorted — one two-pointer pass), so
-  // the scan costs about (k/d) ln d signature reads and d span reads for d
-  // random columns. Columns that reach the bottom unresolved are hanging
-  // ends and read the per-column tail array instead.
-  if (resolved_scratch_.size() < len) {
-    resolved_scratch_.resize(len);  // ncast:allow(hot_path.alloc): grows once, to the widest row seen
-  }
-  std::fill(resolved_scratch_.begin(), resolved_scratch_.begin() + len, 0);
-  std::uint32_t remaining = len;
-  std::uint64_t mask = signature(node);
-
-  scan(node, true, mask, [&](NodeId below) {
-    const RowMeta& bm = meta_[below];
-    bool resolved_any = false;
-    std::uint32_t i = 0, j = 0;
-    while (i < len && j < bm.len) {
-      const ColumnId mine = cols_[off + i];
-      const ColumnId theirs = cols_[bm.off + j];
-      if (mine < theirs) {
-        ++i;
-      } else if (theirs < mine) {
-        ++j;
-      } else {
-        if (resolved_scratch_[i] == 0) {
-          resolved_scratch_[i] = 1;
-          resolved_any = true;
-          --remaining;
-          const std::uint32_t child_slot = bm.off + j;
-          const NodeId parent = up_[child_slot];
-          up_[off + i] = parent;
-          down_[off + i] = below;
-          up_[child_slot] = node;
-          if (parent != kServerNode) down_[slot_of(parent, mine)] = node;
-        }
-        ++i;
-        ++j;
-      }
+  // Pass 1 reads signatures only: for each of the row's signature bits, the
+  // nearest row below carrying it (about (k/d) ln d signatures for d random
+  // columns). Bits that reach the bottom unfound are hanging ends.
+  const std::uint64_t sig = signature(node);
+  std::uint64_t want = sig;
+  NodeId carrier[64] = {};
+  scan(node, true, want, [&](NodeId below, std::uint64_t s) {
+    for (std::uint64_t hits = s & want; hits != 0; hits &= hits - 1) {
+      carrier[std::countr_zero(hits)] = below;
     }
-    if (!resolved_any) return;  // a k > 64 signature collision
-    mask = 0;
-    for (std::uint32_t c = 0; c < len; ++c) {
-      if (resolved_scratch_[c] == 0) mask |= std::uint64_t{1} << (cols_[off + c] % 64);
-    }
+    want &= ~s;
   });
+  const std::uint64_t found = sig & ~want;
 
-  for (std::uint32_t i = 0; remaining > 0 && i < len; ++i) {
-    if (resolved_scratch_[i] != 0) continue;
-    --remaining;
-    const ColumnId c = cols_[off + i];
-    const NodeId parent = tail_[c];
-    up_[off + i] = parent;
-    down_[off + i] = kNoNode;
-    if (parent != kServerNode) down_[slot_of(parent, c)] = node;
-    tail_[c] = node;
+  // Pass 2: each column's child is its bit's carrier, exactly so when
+  // k <= 64. When k > 64, columns c and c + 64 share a bit, and a carrier
+  // that does not clip the column hands over to an exact scan from the
+  // carrier down. Then the children's records give the parents (each
+  // child's old up-link), and the parents' records take their new
+  // down-links: two rounds of independent loads. Columns go kInlineCols at
+  // a time, so a row of any width needs no buffer beyond the stack.
+  for (std::uint32_t base = 0; base < r.len; base += kInlineCols) {
+    const std::uint32_t n = std::min(r.len - base, kInlineCols);
+    NodeId child[kInlineCols] = {};
+    NodeId parent[kInlineCols] = {};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const ColumnId c = cols[base + i];
+      NodeId ch = (found >> (c % 64) & 1) != 0 ? carrier[c % 64] : kNoNode;
+      if (k_ > 64 && ch != kNoNode && !clips(ch, c)) ch = nearest_on_column(ch, c, true);
+      child[i] = ch;
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const ColumnId c = cols[base + i];
+      if (child[i] == kNoNode) {
+        parent[i] = tail_[c];
+        tail_[c] = node;
+      } else {
+        RowRecord& cr = record(child[i]);
+        NodeId& up = up_at(cr, index_of(cr, c));
+        parent[i] = up;
+        up = node;
+      }
+      up_at(r, base + i) = parent[i];
+      down_at(r, base + i) = child[i];
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (parent[i] == kServerNode) continue;
+      RowRecord& pr = record(parent[i]);
+      down_at(pr, index_of(pr, cols[base + i])) = node;
+    }
   }
 }
 
-void ThreadMatrix::unlink_slot(std::uint32_t slot) {
-  const ColumnId c = cols_[slot];
-  const NodeId u = up_[slot];
-  const NodeId d = down_[slot];
-  if (u != kServerNode) down_[slot_of(u, c)] = d;
+void ThreadMatrix::unlink(const RowRecord& r, std::uint32_t i) {
+  const ColumnId c = cols_of(r)[i];
+  const NodeId u = up_at(r, i);
+  const NodeId d = down_at(r, i);
+  if (u != kServerNode) {
+    RowRecord& ur = record(u);
+    down_at(ur, index_of(ur, c)) = d;
+  }
   if (d != kNoNode) {
-    up_[slot_of(d, c)] = u;
+    RowRecord& dr = record(d);
+    up_at(dr, index_of(dr, c)) = u;
   } else {
     tail_[c] = u;
   }
@@ -311,64 +343,65 @@ void ThreadMatrix::insert_row_below(NodeId anchor, NodeId node,
   std::sort(threads.begin(), threads.end());
   verify_threads(threads.data(), threads.size());
   if (contains(node)) throw std::invalid_argument("ThreadMatrix: node already present");
-  if (node >= meta_.size()) meta_.resize(node + 1);
+  while (node >= record_capacity()) {
+    if (records_.empty() || records_.back().size() == kRecordChunk) records_.emplace_back();
+    std::vector<RowRecord>& chunk = records_.back();
+    const std::size_t first = (records_.size() - 1) << kRecordChunkBits;
+    chunk.reserve(kRecordChunk);
+    chunk.resize(std::min<std::size_t>(node - first + 1, kRecordChunk));
+  }
 
-  RowMeta& m = meta_[node];
-  m.cap_log2 = cap_log2_for(threads.size());
-  m.off = alloc_span(m.cap_log2);
-  m.len = static_cast<std::uint32_t>(threads.size());
-  m.member = static_cast<std::uint32_t>(members_.size());
-  m.present = true;
-  m.failed = false;
-  std::copy(threads.begin(), threads.end(), cols_.begin() + m.off);
+  RowRecord& r = record(node);
+  resize_row(r, static_cast<std::uint32_t>(threads.size()));
+  r.member = static_cast<std::uint32_t>(members_.size());
+  r.failed = false;
+  std::copy(threads.begin(), threads.end(), cols_of(r));
   members_.push_back(node);
 
   if (anchor == kServerNode) {
     place(head_, 0, node);
   } else {
-    place(meta_[anchor].block, index_in_block(anchor) + 1, node);
+    place(record(anchor).block, index_in_block(anchor) + 1, node);
   }
   splice_links(node);
 }
 
 void ThreadMatrix::erase_row(NodeId node) {
   check_known(node);
-  RowMeta& m = meta_[node];
-  if (m.failed) --failed_count_;
-  for (std::uint32_t i = 0; i < m.len; ++i) unlink_slot(m.off + i);
-  free_span(m.off, m.cap_log2);
+  RowRecord& r = record(node);
+  if (r.failed) --failed_count_;
+  for (std::uint32_t i = 0; i < r.len; ++i) unlink(r, i);
   unplace(node);
   const NodeId last = members_.back();  // swap-remove from the roster
-  members_[m.member] = last;
-  meta_[last].member = m.member;
+  members_[r.member] = last;
+  record(last).member = r.member;
   members_.pop_back();
-  m.present = false;
-  m.failed = false;
-  m.len = 0;
+  resize_row(r, 0);
+  r.failed = false;
 }
 
 void ThreadMatrix::mark_failed(NodeId node) {
   check_known(node);
-  RowMeta& m = meta_[node];
-  if (!m.failed) {
-    m.failed = true;
+  RowRecord& r = record(node);
+  if (!r.failed) {
+    r.failed = true;
     ++failed_count_;
   }
 }
 
 void ThreadMatrix::mark_working(NodeId node) {
   check_known(node);
-  RowMeta& m = meta_[node];
-  if (m.failed) {
-    m.failed = false;
+  RowRecord& r = record(node);
+  if (r.failed) {
+    r.failed = false;
     --failed_count_;
   }
 }
 
 Row ThreadMatrix::row(NodeId node) const {
   check_known(node);
-  const RowMeta& m = meta_[node];
-  return Row{node, ThreadSpan(cols_.data() + m.off, m.len), m.failed};
+  const RowRecord& r = record(node);
+  return Row{node, ThreadSpan(cols_of(r), r.len), r.failed != 0};
 }
 
 std::vector<NodeId> ThreadMatrix::nodes_in_order() const {
@@ -382,9 +415,10 @@ std::vector<ThreadEdge> ThreadMatrix::edges() const {
   std::vector<ThreadEdge> out;
   out.reserve(row_count() * 2);
   for (NodeId node : order()) {
-    const RowMeta& m = meta_[node];
-    for (std::uint32_t i = 0; i < m.len; ++i) {
-      out.push_back(ThreadEdge{up_[m.off + i], node, cols_[m.off + i]});
+    const RowRecord& r = record(node);
+    const ColumnId* cols = cols_of(r);
+    for (std::uint32_t i = 0; i < r.len; ++i) {
+      out.push_back(ThreadEdge{up_at(r, i), node, cols[i]});
     }
   }
   return out;
@@ -396,17 +430,17 @@ std::vector<HangingEnd> ThreadMatrix::hanging_ends() const {
     ends[c].column = c;
     const NodeId owner = tail_[c];
     ends[c].owner = owner;
-    ends[c].owner_failed = owner != kServerNode && meta_[owner].failed;
+    ends[c].owner_failed = owner != kServerNode && record(owner).failed != 0;
   }
   return ends;
 }
 
 std::vector<NodeId> ThreadMatrix::parents(NodeId node) const {
   check_known(node);
-  const RowMeta& m = meta_[node];
+  const RowRecord& r = record(node);
   std::vector<NodeId> result;
-  for (std::uint32_t i = 0; i < m.len; ++i) {
-    const NodeId parent = up_[m.off + i];
+  for (std::uint32_t i = 0; i < r.len; ++i) {
+    const NodeId parent = up_at(r, i);
     if (std::find(result.begin(), result.end(), parent) == result.end()) {
       result.push_back(parent);
     }
@@ -416,10 +450,10 @@ std::vector<NodeId> ThreadMatrix::parents(NodeId node) const {
 
 std::vector<NodeId> ThreadMatrix::children(NodeId node) const {
   check_known(node);
-  const RowMeta& m = meta_[node];
+  const RowRecord& r = record(node);
   std::vector<NodeId> result;
-  for (std::uint32_t i = 0; i < m.len; ++i) {
-    const NodeId child = down_[m.off + i];
+  for (std::uint32_t i = 0; i < r.len; ++i) {
+    const NodeId child = down_at(r, i);
     if (child == kNoNode) continue;
     if (std::find(result.begin(), result.end(), child) == result.end()) {
       result.push_back(child);
@@ -431,9 +465,9 @@ std::vector<NodeId> ThreadMatrix::children(NodeId node) const {
 NodeId ThreadMatrix::parent_on_column(NodeId node, ColumnId column) const {
   check_known(node);
   if (column >= k_) throw std::invalid_argument("ThreadMatrix::parent_on_column: column");
-  const std::uint32_t slot = slot_of(node, column);
-  const RowMeta& m = meta_[node];
-  if (slot < m.off + m.len && cols_[slot] == column) return up_[slot];
+  const RowRecord& r = record(node);
+  const std::uint32_t i = index_of(r, column);
+  if (i < r.len && cols_of(r)[i] == column) return up_at(r, i);
   // Not clipped by this row (e.g. a complaint racing an offload): fall back
   // to scanning the curtain upward for the nearest clipper.
   return nearest_on_column(node, column, false);
@@ -442,9 +476,9 @@ NodeId ThreadMatrix::parent_on_column(NodeId node, ColumnId column) const {
 NodeId ThreadMatrix::child_on_column(NodeId node, ColumnId column) const {
   check_known(node);
   if (column >= k_) throw std::invalid_argument("ThreadMatrix::child_on_column: column");
-  const std::uint32_t slot = slot_of(node, column);
-  const RowMeta& m = meta_[node];
-  if (slot < m.off + m.len && cols_[slot] == column) return down_[slot];
+  const RowRecord& r = record(node);
+  const std::uint32_t i = index_of(r, column);
+  if (i < r.len && cols_of(r)[i] == column) return down_at(r, i);
   return nearest_on_column(node, column, true);
 }
 
@@ -459,78 +493,70 @@ void ThreadMatrix::add_thread(NodeId node, ColumnId column) {
   if (clips(node, column)) {
     throw std::invalid_argument("ThreadMatrix::add_thread: already clipped");
   }
-  RowMeta& m = meta_[node];
-  // Grow the span if at capacity (new slot from the next size class; links
-  // reference rows by id, not arena offsets, so neighbors are unaffected).
-  if (m.len == (std::uint32_t{1} << m.cap_log2)) {
-    const std::uint8_t new_cap = static_cast<std::uint8_t>(m.cap_log2 + 1);
-    const std::uint32_t new_off = alloc_span(new_cap);
-    std::copy(cols_.begin() + m.off, cols_.begin() + m.off + m.len,
-              cols_.begin() + new_off);
-    std::copy(up_.begin() + m.off, up_.begin() + m.off + m.len,
-              up_.begin() + new_off);
-    std::copy(down_.begin() + m.off, down_.begin() + m.off + m.len,
-              down_.begin() + new_off);
-    free_span(m.off, m.cap_log2);
-    m.off = new_off;
-    m.cap_log2 = new_cap;
+  // Open the insertion point: one more lane entry (a row growing past
+  // kInlineCols moves to the arena, a span at capacity to the next size
+  // class; links name rows by id, so neighbours are unaffected), then shift
+  // the entries after it right.
+  RowRecord& r = record(node);
+  const std::uint32_t ins = index_of(r, column);
+  resize_row(r, r.len + 1);
+  ColumnId* cols = cols_of(r);
+  for (std::uint32_t j = r.len - 1; j > ins; --j) {
+    cols[j] = cols[j - 1];
+    up_at(r, j) = up_at(r, j - 1);
+    down_at(r, j) = down_at(r, j - 1);
   }
-  // Shift the tail of the span right to open the insertion point.
-  const std::uint32_t ins = slot_of(node, column);
-  for (std::uint32_t j = m.off + m.len; j > ins; --j) {
-    cols_[j] = cols_[j - 1];
-    up_[j] = up_[j - 1];
-    down_[j] = down_[j - 1];
-  }
-  cols_[ins] = column;
-  ++m.len;
+  cols[ins] = column;
 
-  block(m.block).sig[index_in_block(node)] |= std::uint64_t{1} << (column % 64);
+  block(r.block).sig[index_in_block(node)] |= std::uint64_t{1} << (column % 64);
 
   // Find this column's child by scanning downward; the parent is the
   // child's previous upward link (or the column tail when the new slot
   // hangs).
   const NodeId child = nearest_on_column(node, column, true);
+  NodeId parent = kServerNode;
   if (child != kNoNode) {
-    const std::uint32_t child_slot = slot_of(child, column);
-    const NodeId parent = up_[child_slot];
-    up_[ins] = parent;
-    down_[ins] = child;
-    up_[child_slot] = node;
-    if (parent != kServerNode) down_[slot_of(parent, column)] = node;
+    RowRecord& cr = record(child);
+    NodeId& up = up_at(cr, index_of(cr, column));
+    parent = up;
+    up = node;
   } else {
-    const NodeId parent = tail_[column];
-    up_[ins] = parent;
-    down_[ins] = kNoNode;
-    if (parent != kServerNode) down_[slot_of(parent, column)] = node;
+    parent = tail_[column];
     tail_[column] = node;
+  }
+  up_at(r, ins) = parent;
+  down_at(r, ins) = child;
+  if (parent != kServerNode) {
+    RowRecord& pr = record(parent);
+    down_at(pr, index_of(pr, column)) = node;
   }
 }
 
 void ThreadMatrix::drop_thread(NodeId node, ColumnId column) {
   check_known(node);
-  RowMeta& m = meta_[node];
   if (!clips(node, column)) {
     throw std::invalid_argument("ThreadMatrix::drop_thread: column not clipped");
   }
-  const std::uint32_t slot = slot_of(node, column);
-  if (m.len <= 1) {
+  RowRecord& r = record(node);
+  if (r.len <= 1) {
     throw std::logic_error("ThreadMatrix::drop_thread: row would become empty");
   }
-  unlink_slot(slot);
-  for (std::uint32_t j = slot; j + 1 < m.off + m.len; ++j) {
-    cols_[j] = cols_[j + 1];
-    up_[j] = up_[j + 1];
-    down_[j] = down_[j + 1];
+  const std::uint32_t slot = index_of(r, column);
+  unlink(r, slot);
+  ColumnId* cols = cols_of(r);
+  for (std::uint32_t j = slot; j + 1 < r.len; ++j) {
+    cols[j] = cols[j + 1];
+    up_at(r, j) = up_at(r, j + 1);
+    down_at(r, j) = down_at(r, j + 1);
   }
-  --m.len;
-  block(m.block).sig[index_in_block(node)] = signature(node);
+  resize_row(r, r.len - 1);
+  block(r.block).sig[index_in_block(node)] = signature(node);
 }
 
 bool ThreadMatrix::check_invariants() const {
-  // One pass down the curtain: block links and fill, span hygiene, row
-  // signatures, the roster, the failed census, and the link planes against
-  // a from-scratch top-to-bottom rebuild (`last[c]`).
+  // One pass down the curtain: block links and fill, row hygiene, row
+  // signatures, the roster, the failed census, and the up/down links
+  // against a from-scratch top-to-bottom rebuild (`last[c]`).
   std::vector<NodeId> last(k_, kServerNode);
   std::size_t failed = 0;
   std::size_t seen = 0;
@@ -544,19 +570,25 @@ bool ThreadMatrix::check_invariants() const {
     for (std::uint32_t j = 0; j < blk.count; ++j) {
       const NodeId node = blk.ids[j];
       if (!contains(node)) return false;
-      const RowMeta& m = meta_[node];
-      if (m.block != b || m.len == 0 || m.len > (std::uint32_t{1} << m.cap_log2)) {
+      const RowRecord& r = record(node);
+      if (r.block != b) return false;
+      if (r.len > kInlineCols &&
+          r.span + (std::size_t{1} << cap_log2_for(r.len)) > cols_.size()) {
         return false;
       }
-      if (m.member >= members_.size() || members_[m.member] != node) return false;
+      if (r.member >= members_.size() || members_[r.member] != node) return false;
       if (blk.sig[j] != signature(node)) return false;
-      if (m.failed) ++failed;
+      if (r.failed) ++failed;
       ++seen;
-      for (std::uint32_t i = 0; i < m.len; ++i) {
-        const ColumnId c = cols_[m.off + i];
-        if (c >= k_ || (i > 0 && c <= cols_[m.off + i - 1])) return false;
-        if (up_[m.off + i] != last[c]) return false;
-        if (last[c] != kServerNode && down_[slot_of(last[c], c)] != node) return false;
+      const ColumnId* cols = cols_of(r);
+      for (std::uint32_t i = 0; i < r.len; ++i) {
+        const ColumnId c = cols[i];
+        if (c >= k_ || (i > 0 && c <= cols[i - 1])) return false;
+        if (up_at(r, i) != last[c]) return false;
+        if (last[c] != kServerNode) {
+          const RowRecord& pr = record(last[c]);
+          if (down_at(pr, index_of(pr, c)) != node) return false;
+        }
         last[c] = node;
       }
     }
@@ -566,13 +598,18 @@ bool ThreadMatrix::check_invariants() const {
   }
   // Every present row must be in the curtain.
   std::size_t present = 0;
-  for (const RowMeta& m : meta_) {
-    if (m.present) ++present;
+  for (const auto& chunk : records_) {
+    for (const RowRecord& r : chunk) {
+      if (r.len != 0) ++present;
+    }
   }
   if (present != seen) return false;
   for (ColumnId c = 0; c < k_; ++c) {
     if (tail_[c] != last[c]) return false;
-    if (last[c] != kServerNode && down_[slot_of(last[c], c)] != kNoNode) return false;
+    if (last[c] != kServerNode) {
+      const RowRecord& tr = record(last[c]);
+      if (down_at(tr, index_of(tr, c)) != kNoNode) return false;
+    }
   }
   return true;
 }

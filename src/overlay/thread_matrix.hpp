@@ -7,22 +7,27 @@
 // The matrix is the single source of truth for topology. Everything else —
 // the flow graph, parent/child relations, hanging-thread ends — is derived.
 //
-// Representation (docs/architecture.md, "SoA/CSR thread matrix"): flat
-// structure-of-arrays instead of row-objects-with-vectors. Row column sets
-// live as packed spans inside one CSR-style bump arena (`cols_`), with two
-// parallel link planes (`up_`, `down_`) storing, for every (row, column)
-// slot, the nearest rows above and below clipping the same column — so
-// `parents()` / `children()` / `edges()` read compact spans instead of
-// rescanning the curtain, and `hanging_ends()` reads the per-column tail
-// array. Curtain order is an unrolled list of fixed-size blocks, each
-// holding its rows' ids and a 64-bit column signature per row (bit c % 64
-// for each clipped column c), found through a row -> block map. Placing a
-// row is an O(kBlockRows) shift inside one block; resolving its d links is
-// a block-cursor scan that reads a row's span only when its signature hits,
-// about (k/d) ln d signatures for d random columns. An unordered roster of
-// the rows (`member()`) gives callers a uniform row without a rank. The
-// public surface keeps `row()` returning a value whose `threads` is a
-// borrowed span (invalidated by the next mutation), not an owned vector.
+// Representation (docs/architecture.md, "Row records and the blocked
+// curtain"): one 64-byte, cache-line-aligned record per row, indexed by
+// node id. Its 16-byte header holds the row's curtain block, roster index,
+// length and failure tag; then come the row's sorted columns and, for every
+// column, the nearest rows above and below clipping it (`up`, `down`), so a
+// row of degree <= 4 — the paper's regime — is one cache line. A wider row
+// keeps the same three lanes in a CSR-style overflow arena with size-class
+// free lists, at the span its header names. `parents()` / `children()` /
+// `edges()` read the lanes instead of rescanning the curtain, and
+// `hanging_ends()` reads the per-column tail array. Curtain order is an
+// unrolled list of fixed-size blocks, each holding its rows' ids and a
+// 64-bit column signature per row (bit c % 64 for each clipped column c).
+// Placing a row is an O(kBlockRows) shift inside one block. Resolving its d
+// links takes two rounds of independent loads: a scan of the signatures
+// below the row finds, per signature bit, the nearest row carrying it
+// (about (k/d) ln d signatures for d random columns, no record read), then
+// the d children's records and after them the d parents' records. An
+// unordered roster of the rows (`member()`) gives callers a uniform row
+// without a rank. The public surface keeps `row()` returning a value whose
+// `threads` is a borrowed span (invalidated by the next mutation), not an
+// owned vector.
 
 #include <cstddef>
 #include <cstdint>
@@ -42,7 +47,7 @@ inline constexpr NodeId kServerNode = static_cast<NodeId>(-1);
 inline constexpr NodeId kNoNode = kServerNode;
 
 /// Borrowed view of one row's sorted, distinct column set. Points into the
-/// matrix's column arena: valid until the next mutating call on the matrix.
+/// matrix's row storage: valid until the next mutating call on the matrix.
 /// Callers that hold columns across mutations must copy (`to_vector()`).
 class ThreadSpan {
  public:
@@ -126,7 +131,7 @@ class ThreadMatrix {
   std::size_t failed_count() const { return failed_count_; }
 
   bool contains(NodeId node) const {
-    return node < meta_.size() && meta_[node].present;
+    return node < record_capacity() && record(node).len != 0;
   }
 
   /// Inserts a row directly below `anchor` (kServerNode = at the top).
@@ -150,8 +155,8 @@ class ThreadMatrix {
   /// Clears the failure tag (used by ergodic-failure recovery experiments).
   void mark_working(NodeId node);
 
-  /// Row view; `row(n).threads` borrows from the arena (valid until the next
-  /// mutating call).
+  /// Row view; `row(n).threads` borrows from the matrix (valid until the
+  /// next mutating call).
   Row row(NodeId node) const;
 
   /// Row `u` (< row_count()) of an unordered roster of the rows that
@@ -245,7 +250,7 @@ class ThreadMatrix {
   void drop_thread(NodeId node, ColumnId column);
 
   /// Internal-consistency check (sorted distinct threads, valid columns,
-  /// coherent blocks, signatures and roster, link planes matching a
+  /// coherent blocks, signatures and roster, up/down links matching a
   /// from-scratch rebuild); used by tests and debug assertions. One O(n * d)
   /// pass down the curtain.
   bool check_invariants() const;
@@ -253,19 +258,32 @@ class ThreadMatrix {
  private:
   static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
   // Blocks per chunk allocation (6.4 KB). Small chunks fill the heap holes
-  // the arena's doubling vectors leave behind; with glibc malloc, 100 KB
-  // chunks raised the 1M-row wave's peak RSS by 10-20 MiB.
+  // the growing vectors leave behind; with glibc malloc, 100 KB chunks
+  // raised the 1M-row wave's peak RSS by 10-20 MiB.
   static constexpr std::uint32_t kChunkBlocks = 16;
+  /// Columns a row keeps in its own record; wider rows overflow to the arena.
+  static constexpr std::uint32_t kInlineCols = 4;
+  /// Records per record chunk: 2^19 of 64 bytes, 32 MiB.
+  static constexpr std::uint32_t kRecordChunkBits = 19;
+  static constexpr std::uint32_t kRecordChunk = std::uint32_t{1} << kRecordChunkBits;
 
-  struct RowMeta {
-    std::uint32_t off = 0;       // span offset into the arena
-    std::uint32_t len = 0;       // columns clipped
-    std::uint32_t block = 0;     // curtain block holding the row
-    std::uint32_t member = 0;    // index in members_
-    std::uint8_t cap_log2 = 0;   // span capacity = 1 << cap_log2
-    bool present = false;
-    bool failed = false;
+  /// One row, in one cache line. The 16-byte header comes first; then the
+  /// row's sorted columns and, per column, the nearest rows above (`up`,
+  /// kServerNode = fed by the server) and below (`down`, kNoNode = hanging
+  /// end) clipping it. A row wider than kInlineCols keeps these three lanes
+  /// at `span` in the overflow arena, in a span of the power-of-two size
+  /// class of its length, and leaves its inline lanes unused.
+  struct alignas(64) RowRecord {
+    std::uint32_t block = 0;       // curtain block holding the row
+    std::uint32_t member = 0;      // index in members_
+    std::uint32_t span = 0;        // arena offset, when len > kInlineCols
+    std::uint32_t len : 31 = 0;    // columns clipped; 0 = not a row
+    std::uint32_t failed : 1 = 0;  // failure tag (Section 4)
+    ColumnId cols[kInlineCols] = {};
+    NodeId up[kInlineCols] = {};
+    NodeId down[kInlineCols] = {};
   };
+  static_assert(sizeof(RowRecord) == 64, "a row record is one cache line");
 
   /// A run of consecutive curtain rows. sig[i] has bit c % 64 set for each
   /// column c that ids[i] clips.
@@ -277,6 +295,19 @@ class ThreadMatrix {
     NodeId ids[kBlockRows] = {};
   };
 
+  RowRecord& record(NodeId node) {
+    return records_[node >> kRecordChunkBits][node & (kRecordChunk - 1)];
+  }
+  const RowRecord& record(NodeId node) const {
+    return records_[node >> kRecordChunkBits][node & (kRecordChunk - 1)];
+  }
+  /// Ids below this have a record (of length 0 when not a row).
+  std::size_t record_capacity() const {
+    return records_.empty() ? 0
+                            : ((records_.size() - 1) << kRecordChunkBits) +
+                                  records_.back().size();
+  }
+
   Block& block(std::uint32_t b) {
     return chunks_[b / kChunkBlocks][b % kChunkBlocks];
   }
@@ -284,46 +315,80 @@ class ThreadMatrix {
     return chunks_[b / kChunkBlocks][b % kChunkBlocks];
   }
 
+  // A row's lanes: inline in its record, or at its span in the arena.
+  ColumnId* cols_of(RowRecord& r) {
+    return r.len <= kInlineCols ? r.cols : cols_.data() + r.span;
+  }
+  const ColumnId* cols_of(const RowRecord& r) const {
+    return r.len <= kInlineCols ? r.cols : cols_.data() + r.span;
+  }
+  NodeId& up_at(RowRecord& r, std::uint32_t i) {
+    return r.len <= kInlineCols ? r.up[i] : up_[r.span + i];
+  }
+  NodeId up_at(const RowRecord& r, std::uint32_t i) const {
+    return r.len <= kInlineCols ? r.up[i] : up_[r.span + i];
+  }
+  NodeId& down_at(RowRecord& r, std::uint32_t i) {
+    return r.len <= kInlineCols ? r.down[i] : down_[r.span + i];
+  }
+  NodeId down_at(const RowRecord& r, std::uint32_t i) const {
+    return r.len <= kInlineCols ? r.down[i] : down_[r.span + i];
+  }
+
   void check_known(NodeId node) const;
   void verify_threads(const ColumnId* threads, std::size_t count) const;
   std::uint32_t alloc_span(std::uint8_t cap_log2);
   void free_span(std::uint32_t off, std::uint8_t cap_log2);
   static std::uint8_t cap_log2_for(std::size_t len);
-  /// Arena index of `column` within `node`'s span (binary search).
-  std::uint32_t slot_of(NodeId node, ColumnId column) const;
+  /// Sets the row's length to `len`, moving its first min(old, new) lane
+  /// entries between the record and the arena, or between size classes,
+  /// when the two lengths keep their lanes in different places. `len` = 0
+  /// frees the row's span.
+  void resize_row(RowRecord& r, std::uint32_t len);
+  /// Position of `column` within the row's sorted columns (binary search).
+  std::uint32_t index_of(const RowRecord& r, ColumnId column) const;
   bool clips(NodeId node, ColumnId column) const;
   std::uint64_t signature(NodeId node) const;
   /// Index of `node` within its block.
   std::uint32_t index_in_block(NodeId node) const;
   std::uint32_t alloc_block();
   void free_block(std::uint32_t b);
-  /// Places `node` (already in meta_) in the curtain at index `i` of block
-  /// `b`, splitting a full block.
+  /// Places `node` (already recorded) in the curtain at index `i` of
+  /// block `b`, splitting a full block.
   void place(std::uint32_t b, std::uint32_t i, NodeId node);
   /// Takes `node` out of its block, merging under-full neighbours.
   void unplace(NodeId node);
   /// Appends block `from`'s rows to block `into` and frees `from`.
   void merge_blocks(std::uint32_t into, std::uint32_t from);
-  /// Block-cursor scan: calls `hit(row)` for each row strictly below `from`
-  /// (above, when `down` is false), nearest first, whose signature meets
-  /// `mask`, until `mask` is zero or the curtain ends. `hit` narrows `mask`.
+  /// Block-cursor scan: calls `hit(row, sig)` for each row strictly below
+  /// `from` (above, when `down` is false), nearest first, whose signature
+  /// meets `mask`, until `mask` is zero or the curtain ends. `hit` narrows
+  /// `mask`.
   template <class Hit>
   void scan(NodeId from, bool down, const std::uint64_t& mask, Hit&& hit) const;
   /// Nearest row strictly below (above) `node` clipping `column`, or kNoNode.
   NodeId nearest_on_column(NodeId node, ColumnId column, bool down) const;
-  /// Splices `node` into the per-column link lists for every column of its
-  /// freshly written span.
+  /// Splices `node`, already placed in the curtain, into the link list of
+  /// every column it clips.
   void splice_links(NodeId node);
-  /// Removes the occupant from the link list of the column at arena slot.
-  void unlink_slot(std::uint32_t slot);
+  /// Removes the row from the link list of its i-th column.
+  void unlink(const RowRecord& r, std::uint32_t i);
 
   std::uint32_t k_;
-  std::vector<RowMeta> meta_;     // indexed by NodeId
-  std::vector<NodeId> members_;   // unordered roster of the rows
-  // The CSR-style arena: three parallel planes sharing slot indexing. For a
-  // row with meta (off, len): cols_[off..off+len) are its sorted columns,
-  // up_[off+i] / down_[off+i] the nearest rows above/below clipping
-  // cols_[off+i] (kServerNode = fed by the server, kNoNode = hanging end).
+  /// Row records by node id, in chunks of kRecordChunk. A chunk reserves
+  /// its whole 32 MiB before it first grows. The kernel backs only the
+  /// pages written so far (records up to the highest id), so a small
+  /// matrix's resident memory pays for its rows alone. Measured with glibc
+  /// on ncbench `wave`, whose repetitions reuse one heap: when no free heap
+  /// region of 32 MiB or more is left at reserve time, glibc maps the
+  /// chunk outside its heap, and the peak RSS then reads the same after
+  /// every repetition (docs/performance.md).
+  std::vector<std::vector<RowRecord>> records_;
+  std::vector<NodeId> members_;     // unordered roster of the rows
+  // The overflow arena for rows wider than kInlineCols: three parallel lanes
+  // sharing slot indexing, laid out like a record's. For a row with (span,
+  // len): cols_[span..span+len) are its sorted columns, up_[span+i] /
+  // down_[span+i] the links of cols_[span+i].
   std::vector<ColumnId> cols_;
   std::vector<NodeId> up_;
   std::vector<NodeId> down_;
@@ -338,9 +403,6 @@ class ThreadMatrix {
   std::uint32_t free_block_ = kNoBlock;  // head of the freed-block list
   std::uint32_t head_ = kNoBlock;      // top block of the curtain
   std::uint32_t tail_block_ = kNoBlock;  // bottom block
-  /// Scratch for insert-time link resolution (reused; no steady-state
-  /// allocation once high-water capacity is reached).
-  std::vector<std::uint8_t> resolved_scratch_;
 };
 
 }  // namespace ncast::overlay

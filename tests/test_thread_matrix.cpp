@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -160,6 +161,61 @@ TEST(ThreadMatrix, AddAndDropThread) {
   EXPECT_EQ(m.row(1).threads, (std::vector<ColumnId>{2}));
   EXPECT_THROW(m.drop_thread(1, 0), std::invalid_argument);
   EXPECT_THROW(m.drop_thread(1, 2), std::logic_error);  // last thread
+
+  // Across the boundary between a row's own record (up to four columns)
+  // and the overflow arena: row 2 grows from 4 to 5 columns and back,
+  // under a 6-wide row and above two narrow ones that clip its columns.
+  ThreadMatrix w(6);
+  w.append_row(1, {0, 1, 2, 3, 4, 5});
+  w.append_row(2, {0, 1, 2, 3});
+  w.append_row(3, {0, 1, 4});
+  w.append_row(4, {2, 3, 4, 5});
+  const auto four_wide = [&w] {
+    EXPECT_EQ(w.row(2).threads, (std::vector<ColumnId>{0, 1, 2, 3}));
+    EXPECT_EQ(w.parents(2), (std::vector<NodeId>{1}));
+    EXPECT_EQ(w.children(2), (std::vector<NodeId>{3, 4}));
+    EXPECT_EQ(w.children(1), (std::vector<NodeId>{2, 3, 4}));
+    EXPECT_EQ(w.parents(3), (std::vector<NodeId>{2, 1}));
+    EXPECT_EQ(w.parents(4), (std::vector<NodeId>{2, 3, 1}));
+    EXPECT_EQ(w.edges().size(), 17u);
+    EXPECT_TRUE(w.check_invariants());
+  };
+  const auto has_edge = [&w](NodeId from, NodeId to, ColumnId c) {
+    const auto edges = w.edges();
+    return std::any_of(edges.begin(), edges.end(), [&](const ThreadEdge& e) {
+      return e.from == from && e.to == to && e.column == c;
+    });
+  };
+  four_wide();
+
+  w.add_thread(2, 4);  // 5 columns: the row moves to the arena
+  EXPECT_EQ(w.row(2).threads, (std::vector<ColumnId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(w.parents(2), (std::vector<NodeId>{1}));
+  EXPECT_EQ(w.children(2), (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(w.children(1), (std::vector<NodeId>{2, 4}));
+  EXPECT_EQ(w.parents(3), (std::vector<NodeId>{2}));
+  EXPECT_EQ(w.parents(4), (std::vector<NodeId>{2, 3, 1}));
+  EXPECT_TRUE(has_edge(1, 2, 4));
+  EXPECT_TRUE(has_edge(2, 3, 4));
+  EXPECT_FALSE(has_edge(1, 3, 4));
+  EXPECT_EQ(w.edges().size(), 18u);
+  EXPECT_TRUE(w.check_invariants());
+
+  w.drop_thread(2, 0);  // back to 4 columns, and into its record
+  EXPECT_EQ(w.row(2).threads, (std::vector<ColumnId>{1, 2, 3, 4}));
+  EXPECT_EQ(w.parents(2), (std::vector<NodeId>{1}));
+  EXPECT_EQ(w.children(2), (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(w.children(1), (std::vector<NodeId>{3, 2, 4}));
+  EXPECT_EQ(w.parents(3), (std::vector<NodeId>{1, 2}));
+  EXPECT_TRUE(has_edge(1, 3, 0));
+  EXPECT_EQ(w.edges().size(), 17u);
+  EXPECT_TRUE(w.check_invariants());
+
+  w.add_thread(2, 0);
+  EXPECT_EQ(w.edges().size(), 18u);
+  EXPECT_TRUE(w.check_invariants());
+  w.drop_thread(2, 4);  // the starting row again
+  four_wide();
 }
 
 TEST(ThreadMatrix, DropThreadReconnectsChain) {
@@ -195,15 +251,74 @@ TEST(ThreadMatrix, EdgeDerivationSkipsNothing) {
   EXPECT_EQ(m.edges().size(), 7u);
 }
 
-// Randomized parity against a naive reference model: the SoA/CSR matrix
-// (arena + blocked curtain with column signatures + link planes) must agree,
-// after every operation, with the obvious list-of-rows implementation the
-// original ThreadMatrix amounted to. This is the property-test half of the
-// SoA migration: the unit tests above pin behaviors, this pins *equivalence*
-// across long random edit histories including span reallocation, freelist
-// reuse, block splits and merges, and link-plane splicing. At k = 7 every
-// column has its own signature bit; at k = 130 columns c and c + 64 share
-// one, so the scan's exact span check decides every hit.
+TEST(ThreadMatrix, RowsAcrossRecordChunks) {
+  // Row records are stored in chunks of 2^19 node ids. Rows on both sides
+  // of the first chunk boundary share columns, so their links cross it;
+  // row 1 sits where a wrong chunk index would put row kEdge + 1.
+  constexpr NodeId kEdge = NodeId{1} << 19;
+  ThreadMatrix m(3);
+  m.append_row(1, {0});
+  m.append_row(kEdge - 2, {0, 1});
+  m.append_row(kEdge + 1, {0, 2});
+  m.append_row(kEdge - 1, {1, 2});
+  m.append_row(kEdge + 3, {0, 1, 2});
+  EXPECT_FALSE(m.contains(7));
+  EXPECT_FALSE(m.contains(kEdge));  // a gap in the second chunk
+  EXPECT_FALSE(m.contains(kEdge + 2));
+  EXPECT_FALSE(m.contains(kEdge + 4));  // past the highest id
+  EXPECT_EQ(m.row(kEdge + 1).threads, (std::vector<ColumnId>{0, 2}));
+  EXPECT_EQ(m.row(kEdge - 1).threads, (std::vector<ColumnId>{1, 2}));
+  EXPECT_EQ(m.row(1).threads, (std::vector<ColumnId>{0}));
+  EXPECT_EQ(m.parents(kEdge - 2), (std::vector<NodeId>{1, kServerNode}));
+  EXPECT_EQ(m.children(1), (std::vector<NodeId>{kEdge - 2}));
+  EXPECT_EQ(m.parents(kEdge + 1), (std::vector<NodeId>{kEdge - 2, kServerNode}));
+  EXPECT_EQ(m.parents(kEdge - 1), (std::vector<NodeId>{kEdge - 2, kEdge + 1}));
+  EXPECT_EQ(m.parents(kEdge + 3), (std::vector<NodeId>{kEdge + 1, kEdge - 1}));
+  EXPECT_EQ(m.children(kEdge - 2), (std::vector<NodeId>{kEdge + 1, kEdge - 1}));
+  EXPECT_EQ(m.children(kEdge + 1), (std::vector<NodeId>{kEdge + 3, kEdge - 1}));
+  EXPECT_EQ(m.edges().size(), 10u);
+  EXPECT_TRUE(m.check_invariants());
+
+  m.insert_row_below(kEdge - 2, kEdge, {2});  // fills a gap
+  EXPECT_TRUE(m.contains(kEdge));
+  EXPECT_EQ(m.parents(kEdge + 1), (std::vector<NodeId>{kEdge - 2, kEdge}));
+  EXPECT_EQ(m.children(kEdge), (std::vector<NodeId>{kEdge + 1}));
+  EXPECT_TRUE(m.check_invariants());
+
+  ThreadMatrix copy = m;
+  m.erase_row(kEdge - 1);
+  EXPECT_FALSE(m.contains(kEdge - 1));
+  EXPECT_EQ(m.parents(kEdge + 3), (std::vector<NodeId>{kEdge + 1, kEdge - 2}));
+  EXPECT_EQ(m.children(kEdge - 2), (std::vector<NodeId>{kEdge + 1, kEdge + 3}));
+  EXPECT_EQ(m.edges().size(), 9u);
+  EXPECT_TRUE(m.check_invariants());
+
+  // The copy keeps the erased row and grows on its own.
+  EXPECT_TRUE(copy.contains(kEdge - 1));
+  EXPECT_EQ(copy.parents(kEdge + 3), (std::vector<NodeId>{kEdge + 1, kEdge - 1}));
+  EXPECT_EQ(copy.nodes_in_order(),
+            (std::vector<NodeId>{1, kEdge - 2, kEdge, kEdge + 1, kEdge - 1, kEdge + 3}));
+  copy.append_row(kEdge + 6, {1});
+  EXPECT_EQ(copy.parents(kEdge + 6), (std::vector<NodeId>{kEdge + 3}));
+  EXPECT_FALSE(copy.contains(kEdge + 5));
+  EXPECT_FALSE(m.contains(kEdge + 6));
+  EXPECT_EQ(copy.edges().size(), 12u);
+  EXPECT_TRUE(copy.check_invariants());
+}
+
+// Randomized parity against a naive reference model: the matrix (row
+// records with an overflow arena, a blocked curtain with column signatures,
+// up/down links) must agree, after every operation, with the obvious
+// list-of-rows implementation the original ThreadMatrix amounted to. The
+// unit tests above pin behaviors; this pins *equivalence* across long
+// random edit histories including moves between a record and the arena,
+// span size-class changes, freelist reuse, block splits and merges, and
+// link splicing. At k = 7 every column has its own signature bit. At
+// k = 130 columns c and c + 64 share one, so the exact column check decides
+// every hit: with ~52 columns per row every row sits in the arena, and with
+// 1-6 columns per row most rows fit their record and a join's bit carrier
+// often clips the other column of its bit, which the fallback scan from
+// the carrier resolves.
 struct NaiveMatrix {
   struct NaiveRow {
     NodeId node;
@@ -233,10 +348,25 @@ struct NaiveMatrix {
   }
 };
 
-class ThreadMatrixModel : public ::testing::TestWithParam<std::uint32_t> {};
+/// k, and how inserted rows draw their columns: each column with
+/// probability 0.4 (`max_cols` = 0), or 1..max_cols distinct columns.
+struct ModelCase {
+  std::uint32_t k;
+  std::uint32_t max_cols;
+};
+
+/// The parameter as gtest prints it, which ctest's discovery turns into
+/// the test names: /7, /130 and /130_narrow.
+void PrintTo(const ModelCase& c, std::ostream* os) {
+  *os << c.k;
+  if (c.max_cols != 0) *os << "_narrow";
+}
+
+class ThreadMatrixModel : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(ThreadMatrixModel, RandomEditHistoryMatchesNaiveModel) {
-  const std::uint32_t kCols = GetParam();
+  const std::uint32_t kCols = GetParam().k;
+  const std::uint32_t max_cols = GetParam().max_cols;
   constexpr int kOps = 3000;
   Rng rng(4242);
   ThreadMatrix m(kCols);
@@ -281,10 +411,15 @@ TEST_P(ThreadMatrixModel, RandomEditHistoryMatchesNaiveModel) {
     // Insert at a random position with a random distinct column set.
     const NodeId n = next_node++;
     std::vector<ColumnId> cols;
-    for (ColumnId c = 0; c < kCols; ++c) {
-      if (rng.chance(0.4)) cols.push_back(c);
+    if (max_cols == 0) {
+      for (ColumnId c = 0; c < kCols; ++c) {
+        if (rng.chance(0.4)) cols.push_back(c);
+      }
+      if (cols.empty()) cols.push_back(static_cast<ColumnId>(rng.below(kCols)));
+    } else {
+      const auto count = static_cast<std::uint32_t>(1 + rng.below(max_cols));
+      cols = rng.sample_without_replacement(kCols, count);
     }
-    if (cols.empty()) cols.push_back(static_cast<ColumnId>(rng.below(kCols)));
     const std::size_t pos = rng.below(ref.rows.size() + 1);
     const NodeId anchor = pos == 0 ? kServerNode : ref.rows[pos - 1].node;
     ref.insert(pos, n, cols);
@@ -352,8 +487,9 @@ TEST_P(ThreadMatrixModel, RandomEditHistoryMatchesNaiveModel) {
   check_equal();
 }
 
-INSTANTIATE_TEST_SUITE_P(Columns, ThreadMatrixModel, ::testing::Values(7u, 130u),
-                         ::testing::PrintToStringParamName());
+INSTANTIATE_TEST_SUITE_P(Columns, ThreadMatrixModel,
+                         ::testing::Values(ModelCase{7, 0}, ModelCase{130, 0},
+                                           ModelCase{130, 6}));
 
 }  // namespace
 }  // namespace ncast
