@@ -29,11 +29,13 @@ int main() {
   for (int i = 0; i < 25; ++i) {
     const auto ticket = server.join();
     if (i < 3) {
+      const auto threads = server.matrix().row(ticket.node).threads;
       std::printf("  peer %u clipped threads [", ticket.node);
-      for (std::size_t t = 0; t < ticket.threads.size(); ++t) {
-        std::printf("%s%u", t ? " " : "", ticket.threads[t]);
+      for (std::size_t t = 0; t < threads.size(); ++t) {
+        std::printf("%s%u", t ? " " : "", threads[t]);
       }
-      std::printf("], %zu parent(s)\n", ticket.parents.size());
+      std::printf("], %zu parent(s)\n",
+                  server.matrix().parents(ticket.node).size());
     }
   }
 

@@ -1,6 +1,7 @@
 #include "node/server_node.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace ncast::node {
 
@@ -31,19 +32,6 @@ void ServerNode::event_tick() {
                                      sim::TimerClass::kEmit);
 }
 
-Address ServerNode::parent_on_column(Address addr,
-                                     overlay::ColumnId column) const {
-  const overlay::NodeId p = matrix().parent_on_column(addr, column);
-  return p == overlay::kServerNode ? kServerAddress : p;
-}
-
-std::optional<Address> ServerNode::child_on_column(
-    Address addr, overlay::ColumnId column) const {
-  const overlay::NodeId c = matrix().child_on_column(addr, column);
-  if (c == overlay::kNoNode) return std::nullopt;
-  return c;
-}
-
 void ServerNode::send_accept(Address addr, overlay::ThreadSpan columns,
                              obs::SpanId span) {
   Message accept;
@@ -56,22 +44,23 @@ void ServerNode::send_accept(Address addr, overlay::ThreadSpan columns,
   net_->send(std::move(accept));
 }
 
-void ServerNode::rewire(Address parent, overlay::ColumnId column,
-                        std::optional<Address> child, obs::SpanId span) {
-  if (parent == kServerAddress) {
-    if (child) {
-      stream_.feed(column, *child);
+void ServerNode::rewire(overlay::NodeId parent, overlay::ColumnId column,
+                        overlay::NodeId child, obs::SpanId span) {
+  const bool feed = child != overlay::kNoNode;
+  if (parent == overlay::kServerNode) {
+    if (feed) {
+      stream_.feed(column, child);
     } else {
       stream_.unfeed(column);
     }
     return;
   }
   Message msg;
-  msg.type = child ? MessageType::kAttachChild : MessageType::kDetachChild;
+  msg.type = feed ? MessageType::kAttachChild : MessageType::kDetachChild;
   msg.from = kServerAddress;
   msg.to = parent;
   msg.column = column;
-  if (child) msg.subject = *child;
+  if (feed) msg.subject = child;
   msg.span = span;
   net_->send(std::move(msg));
 }
@@ -96,21 +85,20 @@ void ServerNode::handle_join(const Message& m) {
   curtain_.join_as(addr, degree, m.span);
 
   // The row was appended, so each column's parent is the clipper that held
-  // its hanging end. Materialize: the row's columns are a borrowed span.
-  const auto columns = matrix().row(addr).threads.to_vector();
-  for (overlay::ColumnId c : columns) {
-    // The rewiring belongs to the join episode.
-    rewire(parent_on_column(addr, c), c, addr, m.span);
+  // its hanging end. Neither the rewiring (which belongs to the join
+  // episode) nor the accept touches the matrix, so the row stays valid.
+  const overlay::Row row = matrix().row(addr);
+  for (std::size_t i = 0; i < row.threads.size(); ++i) {
+    rewire(row.up[i], row.threads[i], addr, m.span);
   }
-  send_accept(addr, columns, m.span);
+  send_accept(addr, row.threads, m.span);
 }
 
 void ServerNode::splice_out(Address addr, obs::SpanId span, bool repair) {
-  // Materialize: `threads` is a borrowed span and the row deletion below
-  // frees it.
-  const auto columns = matrix().row(addr).threads.to_vector();
-  for (overlay::ColumnId c : columns) {
-    rewire(parent_on_column(addr, c), c, child_on_column(addr, c), span);
+  // The links are read before the row deletion below frees them.
+  const overlay::Row row = matrix().row(addr);
+  for (std::size_t i = 0; i < row.threads.size(); ++i) {
+    rewire(row.up[i], row.threads[i], row.down[i], span);
   }
   if (repair) {
     curtain_.repair(addr, span);
@@ -159,8 +147,10 @@ void ServerNode::handle_complaint(const Message& m) {
     handle_join(rejoin);
     return;
   }
-  const auto threads = matrix().row(m.from).threads;
-  if (!std::binary_search(threads.begin(), threads.end(), m.column)) {
+  const overlay::Row row = matrix().row(m.from);
+  const auto slot =
+      std::lower_bound(row.threads.begin(), row.threads.end(), m.column);
+  if (slot == row.threads.end() || *slot != m.column) {
     // A complaint about a column the complainer does not clip: an offload
     // took it, or a re-admission handed out fresh columns before the client
     // learned of them (or the column is not even < k). Walking up from its
@@ -168,11 +158,11 @@ void ServerNode::handle_complaint(const Message& m) {
     // bystander. Instead resend its current accept, as for a duplicate
     // hello: if the client missed its re-admission accept, this is the only
     // message that repairs its view of its own columns.
-    send_accept(m.from, threads, m.span);
+    send_accept(m.from, row.threads, m.span);
     return;
   }
-  const Address parent = parent_on_column(m.from, m.column);
-  if (parent == kServerAddress) return;  // the server does not crash
+  const Address parent = row.up[slot - row.threads.begin()];
+  if (parent == overlay::kServerNode) return;  // the server does not crash
   if (matrix().row(parent).failed) return;  // repair already scheduled
   // The repair episode: a child span of the triggering complaint, open from
   // here until the splice completes.
@@ -190,42 +180,39 @@ void ServerNode::handle_complaint(const Message& m) {
 void ServerNode::handle_offload(const Message& m) {
   const Address addr = m.from;
   if (!matrix().contains(addr)) return;
-  const auto column = curtain_.congestion_offload(addr);
-  if (!column) return;  // cannot shed the last thread
+  const auto shed = curtain_.congestion_offload(addr);
+  if (!shed) return;  // cannot shed the last thread
 
   // The shedding node stops receiving and stops serving this column.
   Message dropped;
   dropped.type = MessageType::kColumnDropped;
   dropped.from = kServerAddress;
   dropped.to = addr;
-  dropped.column = *column;
+  dropped.column = shed->column;
   net_->send(std::move(dropped));
 
-  // Join the column's parent and child directly across the shedding node:
-  // the nearest clippers above and below its row are the same after the
-  // drop as before it.
-  rewire(parent_on_column(addr, *column), *column,
-         child_on_column(addr, *column), obs::kNoSpan);
+  // Join the column's parent and child directly across the shedding node.
+  rewire(shed->up, shed->column, shed->down, obs::kNoSpan);
 }
 
 void ServerNode::handle_restore(const Message& m) {
   const Address addr = m.from;
   if (!matrix().contains(addr)) return;
-  const auto column = curtain_.congestion_restore(addr);
-  if (!column) return;  // already clipping everything
+  const auto gained = curtain_.congestion_restore(addr);
+  if (!gained) return;  // already clipping everything
 
   // Splice the node into the column at its curtain position: its parent now
   // feeds it, and it now feeds the next clipper below (if any).
-  const auto next = child_on_column(addr, *column);
   Message added;
   added.type = MessageType::kColumnAdded;
   added.from = kServerAddress;
   added.to = addr;
-  added.column = *column;
-  added.subject = next ? *next : kServerAddress;  // whom to feed (server = none)
+  added.column = gained->column;
+  // Whom to feed (the server's address = nobody).
+  added.subject = gained->down == overlay::kNoNode ? kServerAddress : gained->down;
   net_->send(std::move(added));
 
-  rewire(parent_on_column(addr, *column), *column, addr, obs::kNoSpan);
+  rewire(gained->up, gained->column, addr, obs::kNoSpan);
 }
 
 void ServerNode::on_message(const Message& m) {

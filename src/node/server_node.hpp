@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "coding/structure.hpp"
@@ -84,18 +83,18 @@ class ServerNode : public Endpoint {
   /// `span` is the causal span the accept rides (the hello's span, so the
   /// join episode's request and response share one id).
   void send_accept(Address addr, overlay::ThreadSpan columns, obs::SpanId span);
-  /// Points `parent`'s out-link on `column` at `child` (nullopt: stop
-  /// feeding). The server's own out-links change in place; a client's by an
-  /// attach or detach order tagged with `span`.
-  void rewire(Address parent, overlay::ColumnId column,
-              std::optional<Address> child, obs::SpanId span);
+  /// Points `parent`'s out-link on `column` at `child` (kNoNode: stop
+  /// feeding). The server's own out-links (`parent` kServerNode) change in
+  /// place; a client's by an attach or detach order tagged with `span`.
+  void rewire(overlay::NodeId parent, overlay::ColumnId column,
+              overlay::NodeId child, obs::SpanId span);
 
   /// The good-bye steps for `addr` (a graceful leave, or a repair on its
-  /// behalf): for each of its columns, rewires the previous clipper to the
-  /// next one, then deletes the row through CurtainServer::leave or
-  /// CurtainServer::repair. `span` tags the rewiring messages and the
-  /// membership event (the good-bye's span on a leave, the repair span
-  /// during a repair).
+  /// behalf): for each of its columns, rewires its row's parent there to
+  /// its row's child there, then deletes the row through
+  /// CurtainServer::leave or CurtainServer::repair. `span` tags the
+  /// rewiring messages and the membership event (the good-bye's span on a
+  /// leave, the repair span during a repair).
   void splice_out(Address addr, obs::SpanId span, bool repair);
   void finish_repair(Address addr, obs::SpanId span);
 
@@ -108,12 +107,6 @@ class ServerNode : public Endpoint {
   };
 
   void event_tick();
-
-  /// Previous clipper of `column` above the row of `addr` (server if none).
-  Address parent_on_column(Address addr, overlay::ColumnId column) const;
-  /// Next clipper of `column` below the row of `addr` (none if hanging).
-  std::optional<Address> child_on_column(Address addr,
-                                         overlay::ColumnId column) const;
 
   ServerConfig config_;
   /// The membership owner: append policy, seeded with the raw config seed

@@ -35,11 +35,20 @@ struct ServerStats {
   std::uint64_t control_messages = 0;
 };
 
-/// Result of a join: the node's identity and its attachment.
+/// Result of a join: the node's identity. Its columns and its links on
+/// each are `matrix().row(node)`.
 struct JoinTicket {
   NodeId node = 0;
-  std::vector<ColumnId> threads;
-  std::vector<NodeId> parents;  // deduplicated; may include kServerNode
+};
+
+/// One column of a row and its links there, as they stand across a
+/// congestion change: `up` feeds the row on `column` (kServerNode = the
+/// server) and the row feeds `down` (kNoNode = nobody). An offload joins
+/// `up` to `down` directly; a restore splices the row in between them.
+struct ColumnLinks {
+  ColumnId column = 0;
+  NodeId up = kServerNode;
+  NodeId down = kNoNode;
 };
 
 /// The server. All mutation goes through protocol methods so that the stats
@@ -86,17 +95,18 @@ class CurtainServer {
   void repair(NodeId node, obs::SpanId span = obs::kNoSpan);
 
   /// Congestion offload (Section 5): the node drops one random thread,
-  /// joining its parent and child on that column directly.
-  /// Returns the dropped column, or nullopt if the node is at degree 1.
-  std::optional<ColumnId> congestion_offload(NodeId node);
+  /// joining its parent and child on that column directly. Returns the
+  /// dropped column and those two links, or nullopt if the node is at
+  /// degree 1.
+  std::optional<ColumnLinks> congestion_offload(NodeId node);
 
   /// Congestion recovery (Section 5): turns a random zero of the row into a
-  /// one. Returns the added column, or nullopt if the row already has all k.
-  std::optional<ColumnId> congestion_restore(NodeId node);
+  /// one. Returns the added column and the row's new parent and child on
+  /// it, or nullopt if the row already has all k.
+  std::optional<ColumnLinks> congestion_restore(NodeId node);
 
  private:
   NodeId random_anchor();
-  std::vector<ColumnId> pick_threads(std::uint32_t degree);
 
   ThreadMatrix matrix_;
   std::uint32_t default_degree_;
@@ -104,6 +114,8 @@ class CurtainServer {
   InsertPolicy policy_;
   ServerStats stats_;
   NodeId next_id_ = 0;
+  /// The joiner's column draw, reused so a join allocates nothing.
+  std::vector<ColumnId> drawn_;
 };
 
 }  // namespace ncast::overlay

@@ -15,13 +15,12 @@ void ThreadMatrix::check_known(NodeId node) const {
   if (!contains(node)) throw std::out_of_range("ThreadMatrix: unknown node");
 }
 
-void ThreadMatrix::verify_threads(const ColumnId* threads,
-                                  std::size_t count) const {
-  if (count == 0) throw std::invalid_argument("ThreadMatrix: row needs >= 1 thread");
-  for (std::size_t i = 0; i < count; ++i) {
-    if (threads[i] >= k_) throw std::invalid_argument("ThreadMatrix: column out of range");
-    if (i > 0 && threads[i] <= threads[i - 1]) {
-      throw std::invalid_argument("ThreadMatrix: threads must be sorted and distinct");
+void ThreadMatrix::verify_threads(const std::vector<ColumnId>& threads) const {
+  if (threads.empty()) throw std::invalid_argument("ThreadMatrix: row needs >= 1 thread");
+  for (auto it = threads.begin(); it != threads.end(); ++it) {
+    if (*it >= k_) throw std::invalid_argument("ThreadMatrix: column out of range");
+    if (std::find(threads.begin(), it, *it) != it) {
+      throw std::invalid_argument("ThreadMatrix: threads must be distinct");
     }
   }
 }
@@ -325,23 +324,22 @@ void ThreadMatrix::unlink(const RowRecord& r, std::uint32_t i) {
 
 // ncast:hot-end
 
-void ThreadMatrix::append_row(NodeId node, std::vector<ColumnId> threads) {
+void ThreadMatrix::append_row(NodeId node, const std::vector<ColumnId>& threads) {
   NodeId last = kServerNode;
   if (tail_block_ != kNoBlock) {
     const Block& b = block(tail_block_);
     last = b.ids[b.count - 1];
   }
-  insert_row_below(last, node, std::move(threads));
+  insert_row_below(last, node, threads);
 }
 
 void ThreadMatrix::insert_row_below(NodeId anchor, NodeId node,
-                                    std::vector<ColumnId> threads) {
+                                    const std::vector<ColumnId>& threads) {
   if (anchor != kServerNode && !contains(anchor)) {
     throw std::out_of_range("ThreadMatrix::insert_row_below: unknown anchor");
   }
   if (node == kServerNode) throw std::invalid_argument("ThreadMatrix: reserved node id");
-  std::sort(threads.begin(), threads.end());
-  verify_threads(threads.data(), threads.size());
+  verify_threads(threads);
   if (contains(node)) throw std::invalid_argument("ThreadMatrix: node already present");
   while (node >= record_capacity()) {
     if (records_.empty() || records_.back().size() == kRecordChunk) records_.emplace_back();
@@ -355,7 +353,9 @@ void ThreadMatrix::insert_row_below(NodeId anchor, NodeId node,
   resize_row(r, static_cast<std::uint32_t>(threads.size()));
   r.member = static_cast<std::uint32_t>(members_.size());
   r.failed = false;
-  std::copy(threads.begin(), threads.end(), cols_of(r));
+  ColumnId* cols = cols_of(r);
+  std::copy(threads.begin(), threads.end(), cols);
+  std::sort(cols, cols + r.len);
   members_.push_back(node);
 
   if (anchor == kServerNode) {
@@ -401,7 +401,10 @@ void ThreadMatrix::mark_working(NodeId node) {
 Row ThreadMatrix::row(NodeId node) const {
   check_known(node);
   const RowRecord& r = record(node);
-  return Row{node, ThreadSpan(cols_of(r), r.len), r.failed != 0};
+  const bool in_record = r.len <= kInlineCols;
+  return Row{node, ThreadSpan(cols_of(r), r.len),
+             in_record ? r.up : up_.data() + r.span,
+             in_record ? r.down : down_.data() + r.span, r.failed != 0};
 }
 
 std::vector<NodeId> ThreadMatrix::nodes_in_order() const {
@@ -460,26 +463,6 @@ std::vector<NodeId> ThreadMatrix::children(NodeId node) const {
     }
   }
   return result;
-}
-
-NodeId ThreadMatrix::parent_on_column(NodeId node, ColumnId column) const {
-  check_known(node);
-  if (column >= k_) throw std::invalid_argument("ThreadMatrix::parent_on_column: column");
-  const RowRecord& r = record(node);
-  const std::uint32_t i = index_of(r, column);
-  if (i < r.len && cols_of(r)[i] == column) return up_at(r, i);
-  // Not clipped by this row (e.g. a complaint racing an offload): fall back
-  // to scanning the curtain upward for the nearest clipper.
-  return nearest_on_column(node, column, false);
-}
-
-NodeId ThreadMatrix::child_on_column(NodeId node, ColumnId column) const {
-  check_known(node);
-  if (column >= k_) throw std::invalid_argument("ThreadMatrix::child_on_column: column");
-  const RowRecord& r = record(node);
-  const std::uint32_t i = index_of(r, column);
-  if (i < r.len && cols_of(r)[i] == column) return down_at(r, i);
-  return nearest_on_column(node, column, true);
 }
 
 NodeId ThreadMatrix::tail_of_column(ColumnId column) const {

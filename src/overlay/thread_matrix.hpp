@@ -14,20 +14,21 @@
 // column, the nearest rows above and below clipping it (`up`, `down`), so a
 // row of degree <= 4 — the paper's regime — is one cache line. A wider row
 // keeps the same three lanes in a CSR-style overflow arena with size-class
-// free lists, at the span its header names. `parents()` / `children()` /
-// `edges()` read the lanes instead of rescanning the curtain, and
-// `hanging_ends()` reads the per-column tail array. Curtain order is an
-// unrolled list of fixed-size blocks, each holding its rows' ids and a
-// 64-bit column signature per row (bit c % 64 for each clipped column c).
+// free lists, at the span its header names. `row()` hands out all three
+// lanes, so a caller reads every link a splice makes or breaks from one
+// record; `parents()` / `children()` / `edges()` read the lanes instead of
+// rescanning the curtain, and `hanging_ends()` reads the per-column tail
+// array. Curtain order is an unrolled list of fixed-size blocks, each
+// holding its rows' ids and a 64-bit column signature per row (bit c % 64
+// for each clipped column c).
 // Placing a row is an O(kBlockRows) shift inside one block. Resolving its d
 // links takes two rounds of independent loads: a scan of the signatures
 // below the row finds, per signature bit, the nearest row carrying it
 // (about (k/d) ln d signatures for d random columns, no record read), then
 // the d children's records and after them the d parents' records. An
 // unordered roster of the rows (`member()`) gives callers a uniform row
-// without a rank. The public surface keeps `row()` returning a value whose
-// `threads` is a borrowed span (invalidated by the next mutation), not an
-// owned vector.
+// without a rank. `row()` returns a value whose lanes are borrowed
+// (invalidated by the next mutation), not owned vectors.
 
 #include <cstddef>
 #include <cstdint>
@@ -91,12 +92,18 @@ class ThreadSpan {
   std::size_t size_ = 0;
 };
 
-/// One row of M, as a view: a node and the columns it clipped. `threads`
-/// borrows from the matrix and is invalidated by the next mutation.
+/// One row of M, as a view: a node, the columns it clipped, and its links
+/// on each of them. `up[i]` is the nearest row above clipping `threads[i]`
+/// (kServerNode: the server feeds it) and `down[i]` the nearest below
+/// (kNoNode: the row holds the hanging end), so the lanes name every link a
+/// splice of this row makes or breaks. All three lanes borrow from the
+/// matrix and are invalidated by the next mutation.
 struct Row {
   NodeId node = 0;
-  ThreadSpan threads;   // sorted, distinct
-  bool failed = false;  // failure tag (Section 4)
+  ThreadSpan threads;            // sorted, distinct
+  const NodeId* up = nullptr;    // index-aligned with threads
+  const NodeId* down = nullptr;  // index-aligned with threads
+  bool failed = false;           // failure tag (Section 4)
 };
 
 /// A directed overlay edge derived from M: `from` feeds `to` on `column`.
@@ -135,14 +142,17 @@ class ThreadMatrix {
   }
 
   /// Inserts a row directly below `anchor` (kServerNode = at the top).
-  /// `threads` must be distinct columns in [0, k). Throws out_of_range if
-  /// `anchor` is not in the matrix, invalid_argument if the node is already
-  /// present. O(kBlockRows) placement plus the link scan.
-  void insert_row_below(NodeId anchor, NodeId node, std::vector<ColumnId> threads);
+  /// `threads` must be distinct columns in [0, k), in any order; the row
+  /// keeps them sorted. Throws out_of_range if `anchor` is not in the
+  /// matrix, invalid_argument if the node is already present. O(kBlockRows)
+  /// placement plus the link scan. The columns are checked before the
+  /// matrix changes and sorted in the row's own storage.
+  void insert_row_below(NodeId anchor, NodeId node,
+                        const std::vector<ColumnId>& threads);
 
   /// Appends a row at the bottom of the curtain: insert_row_below the last
   /// row, O(1) to find it.
-  void append_row(NodeId node, std::vector<ColumnId> threads);
+  void append_row(NodeId node, const std::vector<ColumnId>& threads);
 
   /// Removes a row entirely (graceful leave, or completion of a repair).
   /// The node's parents implicitly reconnect to its children — in M this is
@@ -155,8 +165,8 @@ class ThreadMatrix {
   /// Clears the failure tag (used by ergodic-failure recovery experiments).
   void mark_working(NodeId node);
 
-  /// Row view; `row(n).threads` borrows from the matrix (valid until the
-  /// next mutating call).
+  /// Row view: columns and links, borrowed from the matrix (valid until the
+  /// next mutating call). O(1).
   Row row(NodeId node) const;
 
   /// Row `u` (< row_count()) of an unordered roster of the rows that
@@ -226,15 +236,6 @@ class ThreadMatrix {
 
   /// Children of a node (deduplicated). O(d) link reads plus dedup.
   std::vector<NodeId> children(NodeId node) const;
-
-  /// Nearest row above `node` clipping `column` (kServerNode if the thread
-  /// comes straight from the server). O(log d) when `node` clips the column
-  /// (one link read); falls back to an upward signature scan when it does not.
-  NodeId parent_on_column(NodeId node, ColumnId column) const;
-
-  /// Nearest row below `node` clipping `column` (kNoNode if none). O(log d)
-  /// when `node` clips the column; downward signature scan otherwise.
-  NodeId child_on_column(NodeId node, ColumnId column) const;
 
   /// Last row clipping `column` (kServerNode if the column is unclipped).
   NodeId tail_of_column(ColumnId column) const;
@@ -336,7 +337,9 @@ class ThreadMatrix {
   }
 
   void check_known(NodeId node) const;
-  void verify_threads(const ColumnId* threads, std::size_t count) const;
+  /// Throws invalid_argument unless `threads` are distinct columns in
+  /// [0, k). Compares them in place, O(d^2), so no row width needs a copy.
+  void verify_threads(const std::vector<ColumnId>& threads) const;
   std::uint32_t alloc_span(std::uint8_t cap_log2);
   void free_span(std::uint32_t off, std::uint8_t cap_log2);
   static std::uint8_t cap_log2_for(std::size_t len);

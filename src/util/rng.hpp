@@ -120,11 +120,20 @@ class Rng {
   /// selection order (not sorted). Requires count <= population.
   std::vector<std::uint32_t> sample_without_replacement(std::uint32_t population,
                                                         std::uint32_t count) {
+    std::vector<std::uint32_t> chosen;
+    sample_without_replacement(population, count, chosen);
+    return chosen;
+  }
+
+  /// The same draw into `chosen`, replacing its contents: a caller that
+  /// keeps the buffer allocates only when `count` outgrows its capacity.
+  void sample_without_replacement(std::uint32_t population, std::uint32_t count,
+                                  std::vector<std::uint32_t>& chosen) {
     if (count > population) {
       throw std::invalid_argument("Rng::sample_without_replacement: count > population");
     }
     // Floyd's algorithm: O(count) expected memory and time.
-    std::vector<std::uint32_t> chosen;
+    chosen.clear();
     chosen.reserve(count);
     for (std::uint32_t j = population - count; j < population; ++j) {
       auto t = static_cast<std::uint32_t>(below(j + 1));
@@ -137,7 +146,6 @@ class Rng {
       }
       chosen.push_back(seen ? j : t);
     }
-    return chosen;
   }
 
   /// Derives an independent child generator; useful for giving each simulated

@@ -24,19 +24,19 @@ TEST(CurtainServer, ConstructionValidation) {
 TEST(CurtainServer, JoinCreatesValidRow) {
   CurtainServer server(8, 3, Rng(2));
   const auto t = server.join();
-  EXPECT_EQ(t.threads.size(), 3u);
-  std::set<ColumnId> distinct(t.threads.begin(), t.threads.end());
+  ASSERT_TRUE(server.matrix().contains(t.node));
+  const auto threads = server.matrix().row(t.node).threads;
+  EXPECT_EQ(threads.size(), 3u);
+  std::set<ColumnId> distinct(threads.begin(), threads.end());
   EXPECT_EQ(distinct.size(), 3u);
-  EXPECT_TRUE(server.matrix().contains(t.node));
-  EXPECT_EQ(server.matrix().row(t.node).threads.size(), 3u);
   // First joiner's parents: only the server.
-  EXPECT_EQ(t.parents, (std::vector<NodeId>{kServerNode}));
+  EXPECT_EQ(server.matrix().parents(t.node), (std::vector<NodeId>{kServerNode}));
 }
 
 TEST(CurtainServer, JoinWithExplicitDegree) {
   CurtainServer server(8, 3, Rng(3));
   const auto t = server.join(5u);
-  EXPECT_EQ(t.threads.size(), 5u);
+  EXPECT_EQ(server.matrix().row(t.node).threads.size(), 5u);
   EXPECT_THROW(server.join(0u), std::invalid_argument);
   EXPECT_THROW(server.join(9u), std::invalid_argument);
 }
@@ -115,7 +115,8 @@ TEST(CurtainServer, MessageAccounting) {
   CurtainServer server(8, 3, Rng(11));
   const auto t = server.join();
   // Join: request + response + one notification per parent.
-  EXPECT_EQ(server.stats().control_messages, 2 + t.parents.size());
+  EXPECT_EQ(server.stats().control_messages,
+            2 + server.matrix().parents(t.node).size());
   const auto before = server.stats().control_messages;
   server.leave(t.node);
   EXPECT_GT(server.stats().control_messages, before);
@@ -151,6 +152,48 @@ TEST(CurtainServer, CongestionOffloadAndRestore) {
   EXPECT_EQ(server.matrix().row(t.node).threads.size(), 3u);
   EXPECT_EQ(server.stats().congestion_offloads, 1u);
   EXPECT_EQ(server.stats().congestion_restores, 1u);
+}
+
+TEST(CurtainServer, CongestionLinksFollowTheSeededSequence) {
+  // The column each offload or restore draws, and the row's parent and
+  // child on it, over a seeded run. The values were recorded from the
+  // returned column and a per-column search of the matrix after each call,
+  // so a moved draw or a link read from the wrong slot changes them.
+  CurtainServer server(8, 3, Rng(23), InsertPolicy::kRandomPosition);
+  for (int i = 0; i < 24; ++i) server.join();
+  const std::vector<ColumnLinks> want = {
+      {0, 15, 22}, {5, kServerNode, 20}, {6, 2, 22}, {1, 0, 4},
+      {1, kServerNode, 0}, {3, 20, 23}, {5, 2, 5}, {1, 0, 8},
+      {4, 3, 9}, {4, 19, 2}, {3, 23, 4}, {7, 1, 14},
+      {0, 15, 22}, {5, 3, 5}, {4, 2, 9}, {1, kServerNode, 0},
+      {5, 20, 5}, {3, 15, 13}, {3, kServerNode, 21}, {5, 5, 17},
+      {1, kServerNode, 0}, {1, 1, 8}, {1, 1, 8}, {7, 14, 7},
+      {0, 15, 22}, {3, 23, 4}, {7, 14, 5}, {2, 14, 8},
+      {3, 23, 4}, {1, kServerNode, 1}, {6, kServerNode, 1}, {4, 20, 19},
+      {4, 2, 9}, {0, 15, 22}, {7, kServerNode, 1}, {6, 1, 19},
+      {1, 1, 5}, {7, kServerNode, 1}, {3, 15, 13}, {3, kServerNode, 21},
+      {4, 20, 19}};
+  Rng ops(0x5EED);
+  std::vector<ColumnLinks> got;
+  int refused = 0;
+  for (int i = 0; i < 48; ++i) {
+    const auto node = static_cast<NodeId>(ops.below(8));
+    const auto links = ops.chance(0.6) ? server.congestion_offload(node)
+                                       : server.congestion_restore(node);
+    if (links) {
+      got.push_back(*links);
+    } else {
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused, 7);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].column, want[i].column) << "call " << i;
+    EXPECT_EQ(got[i].up, want[i].up) << "call " << i;
+    EXPECT_EQ(got[i].down, want[i].down) << "call " << i;
+  }
+  EXPECT_TRUE(server.matrix().check_invariants());
 }
 
 TEST(CurtainServer, OffloadStopsAtDegreeOne) {

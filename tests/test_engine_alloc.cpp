@@ -7,9 +7,10 @@
 // keeps small callbacks out of the heap entirely, the kernel
 // (sim/sharded_engine.hpp) recycles slab slots instead of allocating per
 // event, a message hop on the fabric (node/sharded_transport.hpp) fits its
-// delivery closure in a slot, and the packet-level scenario runner
+// delivery closure in a slot, the packet-level scenario runner
 // schedules its sends without allocating, so its allocation count does not
-// grow with the horizon.
+// grow with the horizon, and the server's membership calls read their links
+// from the curtain's row records instead of building vectors.
 //
 // gtest assertions allocate, so the measured regions contain no
 // EXPECT/ASSERT; deltas are checked after.
@@ -224,6 +225,52 @@ TEST(EngineAllocFree, ScenarioAllocationsDoNotGrowWithTheHorizon) {
   }
   EXPECT_GT(sent[1], sent[0] + 1000);
   EXPECT_EQ(allocations[1], allocations[0]);
+}
+
+// A hello, a good-bye, a conviction and a repair on a warm curtain: the
+// joiner's columns are drawn into a reused buffer and every link count is
+// read from the row records, so none of the four calls allocates. The warm
+// phase grows the curtain to 30k rows and shrinks it to 20k, so the roster
+// and the block chunks have room for the measured churn, which never holds
+// more than 20k + 1 rows.
+TEST(EngineAllocFree, MembershipCallsSteadyState) {
+  overlay::CurtainServer server(64, 3, Rng(29),
+                                overlay::InsertPolicy::kRandomPosition);
+  Rng pick(31);
+  const auto any_row = [&] {
+    return server.matrix().member(pick.below(server.matrix().row_count()));
+  };
+  for (int i = 0; i < 30000; ++i) server.join();
+  for (int i = 0; i < 10000; ++i) server.leave(any_row());
+  const overlay::NodeId convicted = any_row();
+  server.report_failure(convicted);
+  server.repair(convicted);
+
+  std::uint64_t news[4] = {0, 0, 0, 0};  // join, leave, report, repair
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t before = g_news.load();
+    server.join();
+    news[0] += g_news.load() - before;
+    const overlay::NodeId leaving = any_row();
+    before = g_news.load();
+    server.leave(leaving);
+    news[1] += g_news.load() - before;
+    if (i % 2 == 0) continue;
+    const overlay::NodeId failed = any_row();
+    before = g_news.load();
+    server.report_failure(failed);
+    news[2] += g_news.load() - before;
+    before = g_news.load();
+    server.repair(failed);
+    news[3] += g_news.load() - before;
+  }
+  EXPECT_EQ(news[0], 0u) << "joins";
+  EXPECT_EQ(news[1], 0u) << "leaves";
+  EXPECT_EQ(news[2], 0u) << "failure reports";
+  EXPECT_EQ(news[3], 0u) << "repairs";
+  EXPECT_EQ(server.stats().joins, 50000u);
+  EXPECT_EQ(server.stats().repairs, 10001u);
+  EXPECT_TRUE(server.matrix().check_invariants());
 }
 
 }  // namespace

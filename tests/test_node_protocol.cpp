@@ -484,8 +484,9 @@ TEST(NodeProtocol, FalsePositiveReadmissionKeepsTheRequestedDegree) {
   ASSERT_EQ(wide.degree(), 5u);
 
   std::optional<overlay::ColumnId> framed;
-  for (const overlay::ColumnId c : h.server.matrix().row(2).threads) {
-    if (h.server.matrix().parent_on_column(2, c) == 1) framed = c;
+  const overlay::Row row = h.server.matrix().row(2);
+  for (std::size_t i = 0; i < row.threads.size(); ++i) {
+    if (row.up[i] == 1) framed = row.threads[i];
   }
   ASSERT_TRUE(framed.has_value()) << "no column where 1 feeds 2";
   h.net.send(to_server(MessageType::kComplaint, 2, *framed));
@@ -514,7 +515,7 @@ TEST(NodeProtocol, GoodbyeRacingARepairEndsItsEpisodeOnce) {
   h.net.send(to_server(MessageType::kJoinRequest, 2));
   h.run(2);
   const overlay::ColumnId framed = h.server.matrix().row(2).threads[0];
-  ASSERT_EQ(h.server.matrix().parent_on_column(2, framed), 1u);
+  ASSERT_EQ(h.server.matrix().row(2).up[0], 1u);
   h.net.send(to_server(MessageType::kComplaint, 2, framed));
   h.run(1);
   ASSERT_TRUE(h.server.matrix().row(1).failed);  // convicted, repair pending

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace ncast {
@@ -176,6 +177,25 @@ TEST(Rng, SampleFullPopulation) {
 TEST(Rng, SampleTooManyThrows) {
   Rng rng(41);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), std::invalid_argument);
+}
+
+TEST(Rng, SampleIntoABufferMatchesTheReturningForm) {
+  // Two generators on one seed: each filled buffer holds the values the
+  // returning form draws, whatever the buffer held before, and the two
+  // streams stay in step.
+  Rng returning(53);
+  Rng filling(53);
+  std::vector<std::uint32_t> buffer = {99, 98, 97, 96, 95};
+  const std::pair<std::uint32_t, std::uint32_t> cases[] = {
+      {10, 0}, {10, 3}, {1, 1}, {64, 3}, {8, 8}, {130, 52}, {5, 2}, {7, 0}};
+  for (const auto& [population, count] : cases) {
+    const auto want = returning.sample_without_replacement(population, count);
+    filling.sample_without_replacement(population, count, buffer);
+    EXPECT_EQ(buffer, want) << population << " choose " << count;
+  }
+  EXPECT_EQ(returning(), filling());
+  EXPECT_THROW(filling.sample_without_replacement(3, 4, buffer),
+               std::invalid_argument);
 }
 
 TEST(Rng, SampleUniformMarginals) {

@@ -373,9 +373,9 @@ TEST_P(ThreadMatrixModel, RandomEditHistoryMatchesNaiveModel) {
   NaiveMatrix ref;
   NodeId next_node = 1;
 
-  // Every (row, column), clipped or not, against the model's nearest
-  // clipper above (one top-down sweep) and below (one bottom-up sweep), so
-  // the link reads and both fallback scans are covered.
+  // Every row's up and down lanes against the model's nearest clipper of
+  // each of its columns above (one top-down sweep) and below (one bottom-up
+  // sweep).
   const auto check_equal = [&] {
     ASSERT_EQ(m.row_count(), ref.rows.size());
     ASSERT_EQ(m.nodes_in_order(), ref.order());
@@ -386,22 +386,23 @@ TEST_P(ThreadMatrixModel, RandomEditHistoryMatchesNaiveModel) {
       ASSERT_TRUE(got.threads == want.threads) << "node " << want.node;
       ASSERT_EQ(got.failed, want.failed);
       if (want.failed) ++failed;
-      for (ColumnId c = 0; c < kCols; ++c) {
-        ASSERT_EQ(m.parent_on_column(want.node, c), last[c])
-            << "node " << want.node << " col " << c;
+      for (std::size_t i = 0; i < want.threads.size(); ++i) {
+        const ColumnId c = want.threads[i];
+        ASSERT_EQ(got.up[i], last[c]) << "node " << want.node << " col " << c;
+        last[c] = want.node;
       }
-      for (ColumnId c : want.threads) last[c] = want.node;
     }
     for (ColumnId c = 0; c < kCols; ++c) {
       ASSERT_EQ(m.tail_of_column(c), last[c]) << "col " << c;
     }
     std::fill(last.begin(), last.end(), kNoNode);
     for (auto it = ref.rows.rbegin(); it != ref.rows.rend(); ++it) {
-      for (ColumnId c = 0; c < kCols; ++c) {
-        ASSERT_EQ(m.child_on_column(it->node, c), last[c])
-            << "node " << it->node << " col " << c;
+      const auto got = m.row(it->node);
+      for (std::size_t i = 0; i < it->threads.size(); ++i) {
+        const ColumnId c = it->threads[i];
+        ASSERT_EQ(got.down[i], last[c]) << "node " << it->node << " col " << c;
+        last[c] = it->node;
       }
-      for (ColumnId c : it->threads) last[c] = it->node;
     }
     ASSERT_EQ(m.failed_count(), failed);
     ASSERT_TRUE(m.check_invariants());
