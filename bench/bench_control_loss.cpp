@@ -51,6 +51,30 @@ node::ProtocolScenarioReport run(const node::ProtocolScenarioSpec& spec,
   return report;
 }
 
+// Every field of two reports, the final matrix row by row included.
+bool same_report(const node::ProtocolScenarioReport& a,
+                 const node::ProtocolScenarioReport& b) {
+  const auto order = a.matrix.nodes_in_order();
+  bool same = a.horizon == b.horizon &&
+              a.events_executed == b.events_executed &&
+              a.messages_sent == b.messages_sent &&
+              a.messages_dropped == b.messages_dropped &&
+              a.control_messages == b.control_messages &&
+              a.data_messages == b.data_messages &&
+              a.control_dropped == b.control_dropped &&
+              a.control_bytes == b.control_bytes &&
+              a.data_bytes == b.data_bytes &&
+              a.repairs_done == b.repairs_done &&
+              a.last_repair_time == b.last_repair_time &&
+              a.outcomes == b.outcomes && order == b.matrix.nodes_in_order();
+  for (std::size_t i = 0; same && i < order.size(); ++i) {
+    const auto row_a = a.matrix.row(order[i]);
+    const auto row_b = b.matrix.row(order[i]);
+    same = row_a.threads == row_b.threads && row_a.failed == row_b.failed;
+  }
+  return same;
+}
+
 struct SweepPoint {
   double loss = 0.0;
   RunningStats joined_pct, join_latency, join_retries;
@@ -307,8 +331,7 @@ int main() {
   session.note("structure_gate", structure_gate);
 
   // Shard/worker invariance on a structured lane: the report must be a pure
-  // function of the spec. Compared via the per-lane observables (the
-  // determinism contract excludes max_in_flight).
+  // function of the spec, every field of it.
   bool invariance_ok = true;
   {
     node::ProtocolScenarioSpec spec;
@@ -323,19 +346,7 @@ int main() {
     spec.transport.latency = sim::LatencySpec::uniform(0.5, 1.5);
     spec.transport.control_loss = sim::LossSpec::bernoulli(0.10);
     spec.faults.join_burst(1.0, smoke ? 6 : 12, 1.0);
-    const auto a = run(spec, 1, 0);
-    const auto b = run(spec);
-    invariance_ok = a.messages_sent == b.messages_sent &&
-                    a.data_bytes == b.data_bytes &&
-                    a.control_bytes == b.control_bytes &&
-                    a.events_executed == b.events_executed &&
-                    a.decoded_fraction() == b.decoded_fraction() &&
-                    a.outcomes.size() == b.outcomes.size();
-    for (std::size_t i = 0; invariance_ok && i < a.outcomes.size(); ++i) {
-      invariance_ok = a.outcomes[i].joined == b.outcomes[i].joined &&
-                      a.outcomes[i].decoded == b.outcomes[i].decoded &&
-                      a.outcomes[i].decode_time == b.outcomes[i].decode_time;
-    }
+    invariance_ok = same_report(run(spec, 1, 0), run(spec));
   }
   session.note("shard_invariance", invariance_ok);
 

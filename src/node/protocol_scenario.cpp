@@ -185,7 +185,6 @@ ProtocolScenarioReport run_scenario_sharded(const ProtocolScenarioSpec& spec,
   report.control_dropped = net.control_dropped();
   report.control_bytes = net.control_bytes();
   report.data_bytes = net.data_bytes();
-  report.max_in_flight = net.max_in_flight();
   report.repairs_done = server.repairs_done();
   report.last_repair_time = server.last_repair_time();
   report.matrix = server.matrix();

@@ -62,6 +62,8 @@ struct ProtocolOutcome {
   double decode_time = -1.0;   ///< full rank reached (-1 if not decoded)
   std::uint64_t join_retries = 0;
   std::uint64_t complaints = 0;
+
+  bool operator==(const ProtocolOutcome&) const = default;
 };
 
 struct ProtocolScenarioReport {
@@ -74,7 +76,6 @@ struct ProtocolScenarioReport {
   std::uint64_t control_dropped = 0;
   std::uint64_t control_bytes = 0;
   std::uint64_t data_bytes = 0;  ///< real serialized wire bytes (v1 or v2)
-  std::size_t max_in_flight = 0;
   std::uint64_t repairs_done = 0;
   double last_repair_time = -1.0;  ///< repair convergence measurement
   /// The server's final thread matrix (cross-plane equivalence checks).
@@ -93,13 +94,9 @@ struct ProtocolScenarioReport {
 /// (sim/sharded_engine.hpp) and collects the report: the server on lane 0,
 /// client address a on lane a, deliveries as cross-lane posts through
 /// ShardedTransport. The sequential run is `shards = 1, workers = 0`. The
-/// report is a pure function of the spec — independent of `shards` and
-/// `workers` (the sharded determinism contract) — with one exception:
-/// `max_in_flight` samples instantaneous concurrency *during* a window, and
-/// the interleaving of different lanes' equal-window events is unspecified,
-/// so the high-water mark may vary with shard/worker count even though every
-/// per-lane observable is identical. The epoch is the spec's minimum link
-/// latency, so no delivery is ever clamped.
+/// report is a pure function of the spec, field by field — independent of
+/// `shards` and `workers` (the sharded determinism contract). The epoch is
+/// the spec's minimum link latency, so no delivery is ever clamped.
 ProtocolScenarioReport run_scenario_sharded(const ProtocolScenarioSpec& spec,
                                             std::uint32_t shards,
                                             std::uint32_t workers = 0);

@@ -3,6 +3,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace ncast::node {
@@ -34,6 +35,25 @@ ShardedTransport::ShardedTransport(sim::ShardedEngine& engine,
   }
   endpoints_.assign(max_addresses, nullptr);
   crashed_flags_.assign(max_addresses, 0);
+  traffic_.resize(engine.shards());
+}
+
+ShardedTransport::~ShardedTransport() {
+  obs::Registry& reg = obs::metrics();
+  reg.counter("net.messages_sent").inc(messages_sent());
+  reg.counter("net.messages_dropped").inc(messages_dropped());
+  reg.counter("net.messages_control").inc(control_messages());
+  reg.counter("net.messages_data").inc(data_messages());
+  reg.counter("net.messages_keepalive").inc(keepalive_messages());
+  reg.counter("net.control_dropped").inc(control_dropped());
+  reg.counter("net.control_bytes").inc(control_bytes());
+  reg.counter("net.data_bytes").inc(data_bytes());
+}
+
+std::uint64_t ShardedTransport::total(std::uint64_t Traffic::*field) const {
+  std::uint64_t sum = 0;
+  for (const Traffic& t : traffic_) sum += t.*field;
+  return sum;
 }
 
 void ShardedTransport::attach(Address addr, Endpoint* endpoint) {
@@ -84,13 +104,43 @@ bool ShardedTransport::survives(LaneNet& ln, const Message& m) {
   return loss.survives(bad, ln.rng);
 }
 
+void ShardedTransport::drop(Traffic& t, const Message& m,
+                            DropReason reason) {
+  ++t.dropped;
+  if (!is_data_plane(m)) ++t.control_dropped;
+  // Reason strings are short (<= 15 chars): small-string optimized, so the
+  // drop path stays allocation-free.
+  obs::trace().emit(obs::TraceKind::kMsgDrop, m.from, m.to,
+                    static_cast<std::uint64_t>(m.type), to_string(reason),
+                    m.span);
+}
+
 void ShardedTransport::route(Message m) {
+  Traffic& t = traffic_[engine_.shard_of(m.from)];
+  if (m.type == MessageType::kData) {
+    ++t.data;
+    // Real serialized size: m.wire holds the framed packet (v1 or v2), so
+    // this is exact for every structure, unlike a header+coeffs estimate.
+    t.data_bytes += m.wire.size();
+    obs::trace().emit(obs::TraceKind::kPacketSend, m.from, m.to, 0, {},
+                      m.span);
+  } else if (is_data_plane(m)) {  // a keepalive or a have
+    ++t.keepalive;
+  } else {
+    ++t.control;
+    t.control_bytes += m.control_size();
+    // Control-plane lifecycle: send, then deliver or drop-with-reason. Each
+    // carries the message's span so an episode's wire traffic reconstructs
+    // by span id.
+    obs::trace().emit(obs::TraceKind::kMsgSend, m.from, m.to,
+                      static_cast<std::uint64_t>(m.type), {}, m.span);
+  }
   if (m.from >= lanes_.size() || m.to >= lanes_.size()) {
-    note_dropped(m, DropReason::kUnattached);
+    drop(t, m, DropReason::kUnattached);
     return;
   }
   if (crashed_flags_[m.from] != 0) {  // own-lane read; dest checked at arrival
-    note_dropped(m, DropReason::kCrashed);
+    drop(t, m, DropReason::kCrashed);
     return;
   }
   LaneNet& ln = lanes_[m.from];
@@ -98,24 +148,14 @@ void ShardedTransport::route(Message m) {
   // stream depends only on its own send sequence.
   const double delay = spec_.latency.sample(ln.rng);
   if (!survives(ln, m)) {
-    note_dropped(m, DropReason::kLoss);
+    drop(t, m, DropReason::kLoss);
     return;
   }
   const double at = engine_.now() + delay;
   if (crossing_partition(m.from, m.to, at)) {
-    note_dropped(m, DropReason::kPartition);
+    drop(t, m, DropReason::kPartition);
     return;
   }
-  const std::size_t now_in_flight =
-      in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::size_t hwm = max_in_flight_.load(std::memory_order_relaxed);
-  while (now_in_flight > hwm &&
-         !max_in_flight_.compare_exchange_weak(hwm, now_in_flight,
-                                               std::memory_order_relaxed)) {
-  }
-  in_flight_gauge_->set(static_cast<double>(now_in_flight));
-  in_flight_hwm_->set_max(static_cast<double>(now_in_flight));
-  delivery_delay_->observe(delay);
   const sim::LaneId dest = static_cast<sim::LaneId>(m.to);
   auto delivery = [this, msg = std::move(m)]() mutable {
     arrive(std::move(msg));
@@ -131,17 +171,15 @@ void ShardedTransport::route(Message m) {
 }
 
 void ShardedTransport::arrive(Message m) {
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
   if (crashed_flags_[m.to] != 0) {  // died before the message landed
-    note_dropped(m, DropReason::kBlackhole);
+    drop(traffic_[engine_.shard_of(m.to)], m, DropReason::kBlackhole);
     return;
   }
   Endpoint* endpoint = endpoints_[m.to];
   if (endpoint == nullptr) {
-    note_dropped(m, DropReason::kUnattached);
+    drop(traffic_[engine_.shard_of(m.to)], m, DropReason::kUnattached);
     return;
   }
-  delivered_.fetch_add(1, std::memory_order_relaxed);
   if (!is_data_plane(m)) {
     obs::trace().emit(obs::TraceKind::kMsgDeliver, m.to, m.from,
                       static_cast<std::uint64_t>(m.type), {}, m.span);

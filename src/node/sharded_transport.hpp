@@ -27,8 +27,14 @@
 //     is counted dropped either way.
 //   - The partition side of an address is a pure salted hash, so both
 //     lanes agree on it without shared state.
+//   - Traffic totals live in one plain record per engine shard, written
+//     only by the shard that runs the step it counts: the sender's shard
+//     counts and traces the send and any drop decided there, the
+//     receiver's shard a drop on arrival. The accessors sum the records
+//     between runs, and the destructor publishes the totals to the net.*
+//     registry counters once, so a registry snapshot taken after the
+//     fabric is gone reads each message once, decorators or not.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -45,6 +51,11 @@ class ShardedTransport final : public AttachableTransport {
   /// address a is a itself — callers lay out engine lanes accordingly.
   ShardedTransport(sim::ShardedEngine& engine, TransportSpec spec,
                    std::uint64_t seed, std::size_t max_addresses);
+  /// Adds this fabric's totals to the net.* registry counters.
+  ~ShardedTransport() override;
+  /// Pending deliveries hold `this`, and a copy would publish twice.
+  ShardedTransport(const ShardedTransport&) = delete;
+  ShardedTransport& operator=(const ShardedTransport&) = delete;
 
   void attach(Address addr, Endpoint* endpoint) override;
   void detach(Address addr) override;
@@ -55,15 +66,30 @@ class ShardedTransport final : public AttachableTransport {
   void revive(Address addr) override;
   bool crashed(Address addr) const override;
 
-  std::size_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
+  // Traffic totals over every shard's record. Read them between runs.
+  std::uint64_t messages_sent() const {
+    return control_messages() + data_messages() + keepalive_messages();
   }
-  std::size_t max_in_flight() const {
-    return max_in_flight_.load(std::memory_order_relaxed);
+  std::uint64_t messages_dropped() const { return total(&Traffic::dropped); }
+  std::uint64_t control_messages() const { return total(&Traffic::control); }
+  std::uint64_t data_messages() const { return total(&Traffic::data); }
+  /// Keepalives and haves: the data plane's payload-free messages.
+  std::uint64_t keepalive_messages() const {
+    return total(&Traffic::keepalive);
   }
-  std::uint64_t delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
+  /// Dropped messages that belonged to the control plane (the quantity the
+  /// paper's robustness story silently assumed was zero).
+  std::uint64_t control_dropped() const {
+    return total(&Traffic::control_dropped);
   }
+  /// Total control_size() bytes sent (gossip-overhead accounting).
+  std::uint64_t control_bytes() const {
+    return total(&Traffic::control_bytes);
+  }
+  /// Total serialized data-plane bytes sent — the real wire payload size
+  /// (v1 or v2 framing), so structure sweeps can compare bytes-on-the-wire,
+  /// not just packet counts.
+  std::uint64_t data_bytes() const { return total(&Traffic::data_bytes); }
 
   const TransportSpec& spec() const { return spec_; }
   sim::ShardedEngine& engine() { return engine_; }
@@ -82,6 +108,25 @@ class ShardedTransport final : public AttachableTransport {
     std::map<ChannelKey, bool> ge_bad;
   };
 
+  /// One shard's traffic totals (see the header comment for its writers).
+  /// The fields come first and the record is 128 B, so two shards' fields
+  /// are more than a cache line apart wherever the vector starts, with no
+  /// over-aligned allocation.
+  struct Traffic {
+    std::uint64_t control = 0;
+    std::uint64_t data = 0;
+    std::uint64_t keepalive = 0;  ///< keepalives and haves
+    std::uint64_t control_bytes = 0;
+    std::uint64_t data_bytes = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t control_dropped = 0;
+    std::uint64_t padding[9] = {};
+  };
+  static_assert(sizeof(Traffic) == 128, "one shard's record spans 128 B");
+
+  std::uint64_t total(std::uint64_t Traffic::*field) const;
+  /// Counts the drop in `t` and traces it with its reason.
+  static void drop(Traffic& t, const Message& m, DropReason reason);
   void arrive(Message m);
   bool survives(LaneNet& ln, const Message& m);
   bool crossing_partition(Address a, Address b, double when) const;
@@ -93,12 +138,7 @@ class ShardedTransport final : public AttachableTransport {
   std::vector<LaneNet> lanes_;
   std::vector<Endpoint*> endpoints_;
   std::vector<std::uint8_t> crashed_flags_;
-  std::atomic<std::size_t> in_flight_{0};
-  std::atomic<std::size_t> max_in_flight_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  obs::Gauge* in_flight_gauge_ = &obs::metrics().gauge("net.transport_in_flight");
-  obs::Gauge* in_flight_hwm_ = &obs::metrics().gauge("net.transport_in_flight_hwm");
-  obs::Histogram* delivery_delay_ = &obs::metrics().histogram("net.delivery_delay");
+  std::vector<Traffic> traffic_;  ///< one per engine shard
 };
 
 }  // namespace ncast::node

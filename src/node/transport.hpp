@@ -1,8 +1,8 @@
 #pragma once
 // The message-plane transport abstraction. A Transport carries node::Message
-// traffic between addresses; the base class owns the accounting, so every
-// fabric counts the same way and endpoints, benches, and tests talk to the
-// base interface alone.
+// traffic between addresses; endpoints, benches, and tests talk to this
+// interface alone, so a decorator (a tap, a timer) can stand in front of the
+// fabric without the protocol code knowing.
 //
 // The one concrete fabric is ShardedTransport (sharded_transport.hpp): every
 // send becomes a delivery event on the receiver's lane of the sharded event
@@ -10,10 +10,11 @@
 // independent Bernoulli / Gilbert-Elliott loss processes for the control and
 // data planes, and timed partitions. That exposes the hello / good-bye /
 // repair control plane of Section 3 to the same adversity the data plane
-// has always faced.
+// has always faced. The fabric is also the one place that counts and traces
+// a message, so a decorator adds no second count.
 
-#include <atomic>
 #include <cstdint>
+#include <utility>
 
 #include "node/message.hpp"
 #include "sim/link_model.hpp"
@@ -60,16 +61,14 @@ struct TransportSpec {
   sim::PartitionSpec partition;  ///< crossing deliveries dropped in the window
 };
 
-/// Abstract message fabric. Owns all traffic accounting: per-instance totals
-/// behind the accessors (always counted, independent of the NCAST_OBS
-/// switch), plus process-wide registry counters under net.* that bench
-/// telemetry snapshots — see transport.cpp.
+/// Abstract message fabric: a non-virtual send() in front of the
+/// implementation's route(), the seam decorators override.
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Counts the message, then hands it to the concrete fabric's route().
-  void send(Message m);
+  /// Hands the message to the implementation's route().
+  void send(Message m) { route(std::move(m)); }
 
   /// Marks an address as crashed: pending and future mail is dropped.
   virtual void crash(Address addr) = 0;
@@ -77,42 +76,9 @@ class Transport {
   virtual void revive(Address addr) = 0;
   virtual bool crashed(Address addr) const = 0;
 
-  std::uint64_t messages_sent() const { return sent_; }
-  std::uint64_t messages_dropped() const { return dropped_; }
-  std::uint64_t control_messages() const { return control_; }
-  std::uint64_t data_messages() const { return data_; }
-  /// Keepalives and haves: the data plane's payload-free messages.
-  std::uint64_t keepalive_messages() const { return keepalive_; }
-  /// Dropped messages that belonged to the control plane (the quantity the
-  /// paper's robustness story silently assumed was zero).
-  std::uint64_t control_dropped() const { return control_dropped_; }
-  /// Total control_size() bytes sent (gossip-overhead accounting).
-  std::uint64_t control_bytes() const { return control_bytes_; }
-  /// Total serialized data-plane bytes sent — the real wire payload size
-  /// (v1 or v2 framing), so structure sweeps can compare bytes-on-the-wire,
-  /// not just packet counts.
-  std::uint64_t data_bytes() const { return data_bytes_; }
-
  protected:
-  /// Implementation hook: deliver (or drop) an already-counted message.
+  /// Implementation hook: deliver, drop, or forward the message.
   virtual void route(Message m) = 0;
-
-  /// Counts a message that will never arrive and traces the drop with its
-  /// reason. Every implementation must call this for each
-  /// routed-but-undelivered message.
-  void note_dropped(const Message& m, DropReason reason);
-
- private:
-  // Atomics so sharded-fabric lanes can count from worker threads; the
-  // accessors above read them relaxed (totals are consumed post-run).
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> control_{0};
-  std::atomic<std::uint64_t> data_{0};
-  std::atomic<std::uint64_t> keepalive_{0};
-  std::atomic<std::uint64_t> control_dropped_{0};
-  std::atomic<std::uint64_t> control_bytes_{0};
-  std::atomic<std::uint64_t> data_bytes_{0};
 };
 
 /// A Transport endpoints can bind to by address. ClientNode/ServerNode/

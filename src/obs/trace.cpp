@@ -49,7 +49,7 @@ void TraceBuffer::emit(TraceKind kind, std::uint64_t node, std::uint64_t a,
     dropped_ctr.inc();
   }
   TraceEvent& e = ring_[next_];
-  e.t = now_.load(std::memory_order_relaxed);
+  e.t = tl_now_;
   e.kind = kind;
   e.node = node;
   e.a = a;

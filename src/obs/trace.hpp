@@ -75,11 +75,13 @@ struct TraceEvent {
 /// stamp events with the current reading. With NCAST_OBS disabled, emit()
 /// is a no-op and the buffer stays empty.
 ///
-/// Thread-safety: emit() takes a per-buffer spinlock and the clock/span
-/// sequence are atomics, so sharded-kernel workers can emit concurrently.
-/// Readers (to_jsonl, events_in_order) are meant to run after workers have
-/// joined; the clock is a single value, so concurrent set_now() from lanes
-/// at different virtual times makes stamps approximate under workers > 1.
+/// Thread-safety: emit() takes a per-buffer spinlock and the span sequence
+/// is an atomic, so sharded-kernel workers can emit concurrently. The clock
+/// is per thread (and shared by every buffer on that thread): each worker
+/// stamps its events with the time it set, so stamps are exact under any
+/// worker count, while the ring holds events in emission order, which is
+/// time order only on a one-shard, no-worker run. Readers (to_jsonl,
+/// events_in_order) are meant to run after workers have joined.
 class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity = 8192);
@@ -92,12 +94,11 @@ class TraceBuffer {
         size_(o.size_),
         total_(o.total_),
         dropped_(o.dropped_),
-        span_seq_(o.span_seq_.load(std::memory_order_relaxed)),
-        now_(o.now_.load(std::memory_order_relaxed)) {}
+        span_seq_(o.span_seq_.load(std::memory_order_relaxed)) {}
 
-  /// Sets the timestamp applied to subsequently emitted events.
-  void set_now(double t) { now_.store(t, std::memory_order_relaxed); }
-  double now() const { return now_.load(std::memory_order_relaxed); }
+  /// Sets the timestamp applied to events this thread emits from now on.
+  void set_now(double t) { tl_now_ = t; }
+  double now() const { return tl_now_; }
 
   void emit(TraceKind kind, std::uint64_t node = 0, std::uint64_t a = 0,
             std::uint64_t b = 0, std::string detail = {},
@@ -142,7 +143,7 @@ class TraceBuffer {
   std::uint64_t total_ = 0;
   std::uint64_t dropped_ = 0;
   std::atomic<SpanId> span_seq_{0};
-  std::atomic<double> now_{0.0};
+  inline static thread_local double tl_now_ = 0.0;
 };
 
 /// The process-wide trace buffer all instrumentation points use.

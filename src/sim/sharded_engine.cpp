@@ -180,9 +180,9 @@ void ShardedEngine::exec_shard(Shard& sh, SimTime limit, bool final_window) {
   // ncast:hot-begin — sharded event dispatch; PODs pop off the queue and
   // callbacks move out of slab slots, so no per-event allocation happens.
   // Every kProfileSampleEvery-th event of this shard is wall-timed into its
-  // class's handler histogram; the trace clock is synced to the event's
-  // time before its callback runs, so emitters inside handlers stamp
-  // correctly.
+  // class's handler histogram; this thread's trace clock is set to the
+  // event's time before its callback runs, so emitters inside handlers
+  // stamp exactly.
   while (!sh.queue.empty()) {
     const Item item = sh.queue.top();
     if (final_window ? item.at > limit : item.at >= limit) break;
@@ -321,6 +321,9 @@ std::size_t ShardedEngine::run_until(SimTime horizon) {
     ++epochs_;
   }
   if (horizon > cursor_) cursor_ = horizon;
+  // This thread's clock reads its last inline event, or nothing of this run
+  // when workers ran the events; close the shard spans at the run's end.
+  obs::trace().set_now(cursor_);
   std::uint64_t executed_total = 0;
   std::size_t depth_hwm = 0;
   std::size_t outbox_hwm = 0;

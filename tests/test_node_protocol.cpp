@@ -710,7 +710,6 @@ class Tap final : public AttachableTransport {
     if (m.type == MessageType::kHave && drop_haves > 0) {
       --drop_haves;
       dropped.push_back(s);
-      note_dropped(m, DropReason::kLoss);
       return;
     }
     inner_.send(std::move(m));

@@ -77,7 +77,6 @@ TEST(ProtocolScenario, HappyPathJoinsAndDecodes) {
   EXPECT_EQ(report.repairs_done, 0u);
   EXPECT_EQ(report.messages_dropped, 0u);
   EXPECT_EQ(report.matrix.row_count(), 6u);
-  EXPECT_GT(report.max_in_flight, 0u);
 }
 
 TEST(ProtocolScenario, CrossPlaneEquivalenceJoinsAndLeaves) {

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -556,9 +557,10 @@ TEST(RngStreams, DistinctSeedsDiverge) {
 
 #if NCAST_OBS_ENABLED
 
-// The trace clock is process-wide. A run must not open its per-shard spans
-// at the time an earlier run (of another engine) left behind, or a trace
-// captured from the second run starts late and then jumps back.
+// The trace clock belongs to the thread, not the engine. A run must not open
+// its per-shard spans at the time an earlier run (of another engine) left
+// behind, or a trace captured from the second run starts late and then
+// jumps back.
 TEST(ShardedEngine, RunStartsTheTraceClockAtItsOwnCursor) {
   {
     ShardedEngine first(1, 0, 1.0);
@@ -577,6 +579,33 @@ TEST(ShardedEngine, RunStartsTheTraceClockAtItsOwnCursor) {
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].t, events[i - 1].t) << "event " << i;
   }
+}
+
+// Each worker stamps its events with its own clock: on four shards and two
+// workers, where the workers run lanes at different times of one window,
+// every handler's event carries the time that handler ran at.
+TEST(ShardedEngine, TraceStampsAreExactUnderWorkers) {
+  obs::trace().clear();
+  constexpr LaneId kLanes = 64;
+  constexpr int kRounds = 100;
+  ShardedEngine engine(4, 2, 1.0);
+  for (LaneId lane = 0; lane < kLanes; ++lane) {
+    for (int round = 0; round < kRounds; ++round) {
+      engine.schedule_on(lane, round + 0.01 * lane, [&engine, lane] {
+        obs::trace().emit(obs::TraceKind::kRankAdvance, lane,
+                          std::bit_cast<std::uint64_t>(engine.now()));
+      });
+    }
+  }
+  engine.run_until(kRounds + 1.0);
+
+  std::size_t checked = 0;
+  for (const obs::TraceEvent& e : obs::trace().events_in_order()) {
+    if (e.kind != obs::TraceKind::kRankAdvance) continue;
+    ++checked;
+    EXPECT_EQ(e.t, std::bit_cast<double>(e.a)) << "lane " << e.node;
+  }
+  EXPECT_EQ(checked, std::size_t{kLanes} * kRounds);
 }
 
 #endif  // NCAST_OBS_ENABLED

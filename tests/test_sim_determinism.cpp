@@ -274,7 +274,6 @@ TEST(Determinism, ProtocolScenarioReproducesWithIdenticalEventCounts) {
   EXPECT_EQ(a.data_messages, b.data_messages);
   EXPECT_EQ(a.control_dropped, b.control_dropped);
   EXPECT_EQ(a.control_bytes, b.control_bytes);
-  EXPECT_EQ(a.max_in_flight, b.max_in_flight);
   EXPECT_EQ(a.repairs_done, b.repairs_done);
   EXPECT_EQ(a.last_repair_time, b.last_repair_time);  // bit-identical doubles
   EXPECT_EQ(a.matrix.nodes_in_order(), b.matrix.nodes_in_order());

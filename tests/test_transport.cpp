@@ -1,7 +1,9 @@
 // ShardedTransport: the message fabric on the sharded event kernel. Latency
 // scheduling, plane-separated loss, partitions, crash semantics (including
-// mail lost in flight), the in-flight gauge, the counter contract of the
-// Transport base, and shard/worker invariance of what arrives when.
+// mail lost in flight), the fabric's traffic totals (read through the
+// Transport base's send, and published to the net.* registry counters once,
+// however many decorators stand in front), and shard/worker invariance of
+// what arrives when and of every total.
 //
 // One semantic detail the crash tests pin down: the receiver's crash flag is
 // only read on the receiver's own lane, so a send to an already-crashed
@@ -9,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <tuple>
 #include <vector>
 
 #include "node/sharded_transport.hpp"
 #include "node/transport.hpp"
+#include "obs/metrics.hpp"
 #include "sim/sharded_engine.hpp"
 
 namespace ncast::node {
@@ -53,6 +57,16 @@ Message data(Address from, Address to) {
   return m;
 }
 
+/// The fabric's eight traffic totals, in the order of their net.* counters.
+using Totals = std::array<std::uint64_t, 8>;
+
+Totals totals(const ShardedTransport& net) {
+  return {net.messages_sent(),    net.messages_dropped(),
+          net.control_messages(), net.data_messages(),
+          net.keepalive_messages(), net.control_dropped(),
+          net.control_bytes(),    net.data_bytes()};
+}
+
 TEST(ShardedTransport, DeliversAtSampledLatency) {
   sim::ShardedEngine engine(1, 0, 2.5);
   TransportSpec spec;
@@ -62,14 +76,10 @@ TEST(ShardedTransport, DeliversAtSampledLatency) {
   net.attach(7, &sink);
 
   net.send(control(3, 7));
-  EXPECT_EQ(net.in_flight(), 1u);
   engine.run_until(10.0);
 
   ASSERT_EQ(sink.arrivals.size(), 1u);
   EXPECT_DOUBLE_EQ(sink.arrivals[0].at, 2.5);
-  EXPECT_EQ(net.in_flight(), 0u);
-  EXPECT_EQ(net.max_in_flight(), 1u);
-  EXPECT_EQ(net.delivered(), 1u);
   EXPECT_EQ(net.messages_sent(), 1u);
   EXPECT_EQ(net.control_messages(), 1u);
   EXPECT_EQ(net.messages_dropped(), 0u);
@@ -186,13 +196,11 @@ TEST(ShardedTransport, CrashedDestinationDropsIncludingInFlight) {
   engine.run_until(1.0);
   net.crash(1);              // dies at t=1 with mail inbound
   net.send(control(2, 1));   // the sender never reads the receiver's flag:
-  EXPECT_EQ(net.in_flight(), 2u);  // in flight too, dropped when it lands
-  EXPECT_EQ(net.messages_dropped(), 0u);
+  EXPECT_EQ(net.messages_dropped(), 0u);  // in flight too, dropped on landing
   engine.run_until(10.0);
 
   EXPECT_TRUE(sink.arrivals.empty());
   EXPECT_EQ(net.messages_dropped(), 2u);
-  EXPECT_EQ(net.in_flight(), 0u);  // the flights unwound on arrival
 
   net.revive(1);
   net.send(control(2, 1));
@@ -203,7 +211,6 @@ TEST(ShardedTransport, CrashedDestinationDropsIncludingInFlight) {
   net.crash(2);
   net.send(control(2, 1));
   EXPECT_EQ(net.messages_dropped(), 3u);
-  EXPECT_EQ(net.in_flight(), 0u);
 }
 
 TEST(ShardedTransport, UnattachedAddressDrops) {
@@ -213,7 +220,6 @@ TEST(ShardedTransport, UnattachedAddressDrops) {
   net.send(control(2, kAddresses + 10));  // beyond the address table
   engine.run_until(5.0);
   EXPECT_EQ(net.messages_dropped(), 2u);
-  EXPECT_EQ(net.delivered(), 0u);
 }
 
 TEST(ShardedTransport, PartitionDropsCrossingDeliveriesDuringWindow) {
@@ -307,10 +313,10 @@ TEST(ShardedTransport, ArrivalsInvariantAcrossShardsAndWorkers) {
       for (const auto& a : s->arrivals) log.emplace_back(a.at, a.msg.from, a.msg.column);
       logs.push_back(std::move(log));
     }
-    return std::make_pair(logs, net.messages_dropped());
+    return std::make_pair(logs, totals(net));
   };
   const auto sequential = run(1, 0);
-  EXPECT_GT(sequential.second, 0u);  // the loss processes did fire
+  EXPECT_GT(sequential.second[1], 0u);  // drops: the loss processes fired
   EXPECT_EQ(sequential, run(4, 2));
 }
 
@@ -319,20 +325,92 @@ TEST(TransportBase, CountsThroughSharedBase) {
   ShardedTransport net(engine, TransportSpec{}, 1, kAddresses);
   Sink sink(engine);
   net.attach(2, &sink);
-  Transport& base = net;  // the benches/tests talk to the base interface
+  Transport& base = net;  // the endpoints talk to the base interface
   base.send(data(1, 2));
   base.send(control(1, 2));
   net.crash(3);
   base.send(control(1, 3));
   engine.run_until(5.0);
-  EXPECT_EQ(base.messages_sent(), 3u);
-  EXPECT_EQ(base.data_messages(), 1u);
-  EXPECT_EQ(base.control_messages(), 2u);
-  EXPECT_EQ(base.messages_dropped(), 1u);
-  EXPECT_EQ(base.control_dropped(), 1u);
-  EXPECT_GT(base.control_bytes(), 0u);
+  EXPECT_EQ(net.messages_sent(), 3u);
+  EXPECT_EQ(net.data_messages(), 1u);
+  EXPECT_EQ(net.control_messages(), 2u);
+  EXPECT_EQ(net.messages_dropped(), 1u);
+  EXPECT_EQ(net.control_dropped(), 1u);
+  EXPECT_GT(net.control_bytes(), 0u);
   EXPECT_EQ(sink.arrivals.size(), 2u);
 }
+
+#if NCAST_OBS_ENABLED
+/// A decorator that forwards every send to the fabric, the way a tap or a
+/// timing probe stands in front of it.
+class PassThrough final : public AttachableTransport {
+ public:
+  explicit PassThrough(ShardedTransport& inner) : inner_(inner) {}
+
+  void attach(Address addr, Endpoint* endpoint) override {
+    inner_.attach(addr, endpoint);
+  }
+  void detach(Address addr) override { inner_.detach(addr); }
+  void crash(Address addr) override { inner_.crash(addr); }
+  void revive(Address addr) override { inner_.revive(addr); }
+  bool crashed(Address addr) const override { return inner_.crashed(addr); }
+
+ protected:
+  void route(Message m) override { inner_.send(std::move(m)); }
+
+ private:
+  ShardedTransport& inner_;
+};
+
+constexpr std::array<const char*, 8> kNetCounters = {
+    "net.messages_sent",      "net.messages_dropped", "net.messages_control",
+    "net.messages_data",      "net.messages_keepalive", "net.control_dropped",
+    "net.control_bytes",      "net.data_bytes"};
+
+TEST(TransportBase, RegistryCountsEachMessageOnceBehindADecorator) {
+  // Sends pass through a decorator's Transport base and then the fabric's;
+  // only the fabric counts, and it publishes its totals when destroyed.
+  obs::Registry& reg = obs::metrics();
+  Totals before{};
+  for (std::size_t i = 0; i < kNetCounters.size(); ++i) {
+    before[i] = reg.counter(kNetCounters[i]).value();
+  }
+  Totals fabric_totals{};
+  {
+    sim::ShardedEngine engine(4, 2, 1.0);
+    TransportSpec spec;
+    spec.control_loss = sim::LossSpec::bernoulli(0.3);
+    ShardedTransport fabric(engine, spec, 5, kAddresses);
+    PassThrough net(fabric);
+    Sink sink(engine);
+    net.attach(1, &sink);
+    for (int i = 0; i < 50; ++i) {
+      net.send(control(2, 1));
+      net.send(data(3, 1));
+      Message keep;
+      keep.type = MessageType::kKeepalive;
+      keep.from = 4;
+      keep.to = 1;
+      net.send(std::move(keep));
+    }
+    net.send(control(2, 9));  // nobody attached at 9
+    engine.run_until(5.0);
+    fabric_totals = totals(fabric);
+    for (std::size_t i = 0; i < kNetCounters.size(); ++i) {
+      EXPECT_GT(fabric_totals[i], 0u) << kNetCounters[i];
+      // Nothing reaches the registry while the fabric lives.
+      EXPECT_EQ(reg.counter(kNetCounters[i]).value(), before[i])
+          << kNetCounters[i];
+    }
+  }
+  EXPECT_EQ(fabric_totals[0], 151u);
+  for (std::size_t i = 0; i < kNetCounters.size(); ++i) {
+    EXPECT_EQ(reg.counter(kNetCounters[i]).value() - before[i],
+              fabric_totals[i])
+        << kNetCounters[i];
+  }
+}
+#endif  // NCAST_OBS_ENABLED
 
 TEST(TransportBase, HavesTravelTheDataPlaneWithTheKeepalives) {
   // A have takes the data plane's loss process, is counted with the
