@@ -3,14 +3,15 @@
 // new/new[] are replaced with counting versions; once the callback slab,
 // queue storage, and free lists reach their high-water marks, a
 // schedule -> fire -> reschedule -> cancel cycle must not touch the heap.
-// This enforces four contracts: InlineFunction (sim/inline_function.hpp)
+// This enforces five contracts: InlineFunction (sim/inline_function.hpp)
 // keeps small callbacks out of the heap entirely, the kernel
 // (sim/sharded_engine.hpp) recycles slab slots instead of allocating per
-// event, a message hop on the fabric (node/sharded_transport.hpp) fits its
-// delivery closure in a slot, the packet-level scenario runner
-// schedules its sends without allocating, so its allocation count does not
-// grow with the horizon, and the server's membership calls read their links
-// from the curtain's row records instead of building vectors.
+// event and grows by nothing larger than a slab chunk, a message hop on the
+// fabric (node/sharded_transport.hpp) fits its delivery closure in a slot,
+// the packet-level scenario runner schedules its sends without allocating,
+// so its allocation count does not grow with the horizon, and the server's
+// membership calls read their links from the curtain's row records instead
+// of building vectors.
 //
 // gtest assertions allocate, so the measured regions contain no
 // EXPECT/ASSERT; deltas are checked after.
@@ -33,10 +34,15 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::size_t> g_largest_new{0};  ///< bytes, since last reset
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_new.load(std::memory_order_relaxed);
+  while (n > largest && !g_largest_new.compare_exchange_weak(
+                            largest, n, std::memory_order_relaxed)) {
+  }
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -150,6 +156,28 @@ TEST(EngineAllocFree, ShardedEngineWindowLoopSteadyState) {
   const std::uint64_t delta = g_news.load() - before;
   EXPECT_EQ(delta, 0u);
   EXPECT_EQ(fired, 3u * 256u + 20u * 128u);
+}
+
+// Set-up at scale: 300k events scheduled from outside a run, spread over
+// 400 epochs on four shards like the 1M join wave, allocate nothing larger
+// than one 112 KiB slab chunk. Each event waits in its slot, on its calendar
+// cell's intrusive list, so no per-shard vector doubles to megabytes, and
+// every block stays below glibc's default 128 KiB mmap threshold: a later
+// engine reuses it from the heap instead of faulting in fresh pages.
+TEST(EngineAllocFree, SetupSchedulesAllocateNoLargerThanASlabChunk) {
+  constexpr std::uint32_t kLanes = 64;
+  constexpr std::uint32_t kEvents = 300000;
+  sim::ShardedEngine e(4, 0, 0.5);
+  e.reserve_lanes(kLanes);
+  std::uint64_t fired = 0;
+  g_largest_new.store(0);
+  for (std::uint32_t i = 0; i < kEvents; ++i) {
+    e.schedule_on(i % kLanes, 200.0 * i / kEvents, [&fired] { ++fired; });
+  }
+  const std::size_t largest = g_largest_new.load();
+  EXPECT_LE(largest, std::size_t{112} << 10);
+  EXPECT_EQ(e.run_until(300.0), kEvents);
+  EXPECT_EQ(fired, kEvents);
 }
 
 // One message hop: Transport::send, ShardedTransport::route, a cross-lane
